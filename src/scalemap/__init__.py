@@ -6,7 +6,7 @@ protocol, a generate/shift/average benchmark pipeline with per-stage timing,
 network overhead probes, and strong/weak scaling analysis.
 """
 
-from .analysis import build_series, emit_plot_data, speedup, strong_efficiency, weak_efficiency
+from .analysis import build_series, emit_plot_data, speedup, strong_efficiency
 from .bench import RunRecord, ScalingMode, run_pipeline, run_sweep
 from .core import BenchmarkParams, Generate, LoadBinary, Vec3
 from .engine import Engine, StorageLevel
@@ -31,6 +31,5 @@ __all__ = [
     "run_sweep",
     "speedup",
     "strong_efficiency",
-    "weak_efficiency",
     "__version__",
 ]

@@ -56,12 +56,6 @@ def strong_efficiency(speedup_value: float, resource_factor: float) -> float:
     return speedup_value / resource_factor
 
 
-def weak_efficiency(t_base: float, t_n: float) -> float:
-    if t_base <= 0 or t_n <= 0:
-        raise NonPositiveTime(f"times must be > 0, got base={t_base} t_n={t_n}")
-    return t_base / t_n
-
-
 @dataclass(frozen=True)
 class SeriesPoint:
     units: int

@@ -1,9 +1,10 @@
 """The timed micro-benchmark pipeline and strong/weak scaling sweeps.
 
-One run is four stages: build the source dataset and force it (create),
+One run is three phases: build the source dataset and force it (create),
 shift every vector and force that (map), then take the global average
-(reduce).  Each stage is timed with the monotonic clock and the engine's
-materialization counts ride along in the record.
+(reduce).  Local and cluster runs share one driver, engine.run_job, so
+both time the phases alike and record the same counter shape,
+{create, map: {bytes, recomputed, spilled}}.
 
 A strong sweep holds total blocks fixed while node count grows; a weak
 sweep holds blocks per node fixed, so totals grow with node count.
@@ -18,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 
 from .core import BenchmarkParams, Vec3
-from .engine import Engine, StorageLevel
+from .engine import Engine, StorageLevel, run_job
 from . import cluster as cluster_mod
 from .errors import ConfigError
 
@@ -104,12 +105,6 @@ def make_pipeline_spec(params: BenchmarkParams, storage: StorageLevel) -> dict:
     ]}
 
 
-def _report_dict(report) -> dict:
-    return {"bytes": report.bytes_materialized,
-            "recomputed": report.recomputed_partitions,
-            "spilled": report.spilled_partitions}
-
-
 def run_pipeline(params: BenchmarkParams, mode: str = MODE_LOCAL, *,
                  memory_budget: int = 1 << 30, scratch=None,
                  master_addr: tuple[str, int] | None = None,
@@ -117,50 +112,25 @@ def run_pipeline(params: BenchmarkParams, mode: str = MODE_LOCAL, *,
                  skip_reduce: bool = False, rep: int = 0,
                  scaling: ScalingMode | None = None) -> RunRecord:
     params.validate()
+    stages = make_pipeline_spec(params, storage)["stages"]
     if mode == MODE_LOCAL:
-        timings = _run_local(params, memory_budget, scratch, storage, skip_reduce)
+        if scratch is None:
+            raise ConfigError("local mode needs a scratch directory")
+        # local stand-in for an N-node cluster: one slot per (node, core) pair
+        with Engine(memory_budget, scratch, slots=params.nodes * params.cores) as engine:
+            timings, phases, result = run_job(
+                stages, lambda prefix: engine.force(engine.pipeline(prefix)),
+                lambda full: engine.reduce_average(engine.pipeline(full)), skip_reduce)
     elif mode == MODE_CLUSTER:
         if master_addr is None:
             raise ConfigError("cluster mode needs a master address")
-        timings = _run_cluster(params, master_addr, storage, skip_reduce)
+        jr = cluster_mod.submit(master_addr, {"stages": stages}, skip_reduce=skip_reduce)
+        timings, phases, result = jr.timings, jr.phases, jr.result
     else:
         raise ConfigError(f"unknown mode {mode!r}")
-    stage_timings, result = timings
-    return RunRecord(params=params, mode=mode, timings=stage_timings,
-                     result=result, rep=rep, timestamp=time.time(),
-                     scaling=scaling)
-
-
-def _run_local(params, memory_budget, scratch, storage, skip_reduce):
-    if scratch is None:
-        raise ConfigError("local mode needs a scratch directory")
-    # local stand-in for an N-node cluster: one slot per (node, core) pair
-    slots = params.nodes * params.cores
-    with Engine(memory_budget, scratch, slots=slots) as engine:
-        t0 = time.monotonic()
-        d = engine.persist(engine.source(params), storage)
-        create_report = engine.force(d)
-        t1 = time.monotonic()
-        m = engine.persist(engine.map_shift(d, params.shift_delta), storage)
-        map_report = engine.force(m)
-        t2 = time.monotonic()
-        result = None if skip_reduce else engine.reduce_average(m)
-        t3 = time.monotonic()
-    counters = {"create": _report_dict(create_report), "map": _report_dict(map_report)}
-    timings = StageTimings(create_s=t1 - t0, map_s=t2 - t1,
-                           reduce_s=0.0 if skip_reduce else t3 - t2,
-                           total_s=t3 - t0, counters=counters)
-    return timings, result
-
-
-def _run_cluster(params, master_addr, storage, skip_reduce):
-    spec = make_pipeline_spec(params, storage)
-    jr = cluster_mod.submit(master_addr, spec, skip_reduce=skip_reduce)
-    t = jr.timings
-    timings = StageTimings(create_s=t["create_s"], map_s=t["map_s"],
-                           reduce_s=t["reduce_s"], total_s=t["total_s"],
-                           counters=dict(jr.phases))
-    return timings, jr.result
+    return RunRecord(params=params, mode=mode,
+                     timings=StageTimings(**timings, counters=phases),
+                     result=result, rep=rep, timestamp=time.time(), scaling=scaling)
 
 
 def sweep_configurations(base: BenchmarkParams, node_counts: list[int],

@@ -162,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, required=True)
     p.add_argument("--workers", type=int, required=True,
                    help="worker registrations to wait for before accepting jobs")
-    p.add_argument("--heartbeat-ms", type=int, default=0,
-                   help="expected worker heartbeat interval (0 = disabled)")
     p.add_argument("--timeout-ms", type=int, default=None,
                    help="declare a busy worker dead after this long without traffic")
     p.add_argument("--host", default="0.0.0.0")
@@ -292,7 +290,6 @@ def _run_kwargs(args, cfg: GlobalConfig) -> dict:
 def cmd_master(args, cfg: GlobalConfig) -> int:
     ccfg = ClusterConfig(
         host=args.host, port=args.port, expected_workers=args.workers,
-        heartbeat_interval_ms=args.heartbeat_ms,
         network_timeout_ms=args.timeout_ms if args.timeout_ms is not None
         else cfg.network_timeout_ms)
     master = Master(ccfg).start()

@@ -10,6 +10,12 @@ Scheduling is a pull: the master pushes up to `slots` tasks to each worker
 and sends the next pending task whenever a result arrives.  A dead worker's
 in-flight tasks are requeued to survivors, which is safe because every task
 is a pure function of its serialized lineage.
+
+The master runs each job through engine.run_job, the driver local runs use
+too; its phase runner turns a phase into one task per partition and
+combines partial sums with engine.combine_partials.  A RESULT carries the
+spill writes its task triggered, so cluster phases report the same
+{bytes, recomputed, spilled} counters as local ones.
 """
 
 from __future__ import annotations
@@ -24,13 +30,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from .core import BenchmarkParams
-from .engine import Engine, StorageLevel, build_pipeline, leftfold_sum
-from .core import Vec3
+from .core import BenchmarkParams, Vec3
+from .engine import Engine, MaterializationReport, combine_partials, leftfold_sum, run_job
 from .errors import ScalemapError
 
 MAX_FRAME = 64 * 1024 * 1024
-PING_PAYLOAD_BYTES = 16
 
 
 class ProtocolError(ScalemapError):
@@ -103,6 +107,7 @@ class TaskResult:
     count: int
     nbytes: int
     computed: bool
+    spilled: int = 0  # spill files the task's materialize wrote
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,7 @@ class JobDone:
 
 _REGISTER = struct.Struct("<H")
 _TASK = struct.Struct("<IIB")
-_RESULT = struct.Struct("<IIBdddQQB")
+_RESULT = struct.Struct("<IIBdddQQBI")
 _HEARTBEAT = struct.Struct("<I")
 _ERROR = struct.Struct("<I")
 
@@ -159,7 +164,7 @@ def encode_message(msg) -> tuple[int, bytes]:
         return MessageTag.RESULT, _RESULT.pack(
             msg.task_id, msg.partition, msg.action,
             msg.sum_x, msg.sum_y, msg.sum_z,
-            msg.count, msg.nbytes, int(msg.computed))
+            msg.count, msg.nbytes, int(msg.computed), msg.spilled)
     if isinstance(msg, Heartbeat):
         return MessageTag.HEARTBEAT, _HEARTBEAT.pack(msg.seq)
     if isinstance(msg, ErrorMsg):
@@ -187,7 +192,7 @@ def decode_message(tag: int, payload: bytes):
             return Task(tid, part, action, payload[_TASK.size:].decode())
         if tag == MessageTag.RESULT:
             f = _RESULT.unpack(payload)
-            return TaskResult(f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7], bool(f[8]))
+            return TaskResult(*f[:8], bool(f[8]), f[9])
         if tag == MessageTag.HEARTBEAT:
             return Heartbeat(_HEARTBEAT.unpack(payload)[0])
         if tag == MessageTag.ERROR:
@@ -340,7 +345,6 @@ class Master:
         self._phase: _Phase | None = None
         self._job_lock = threading.Lock()
         self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
         if cfg.expected_workers <= 0:
             self._ready.set()
 
@@ -359,9 +363,7 @@ class Master:
         except OSError as e:
             raise BindFailure(f"cannot bind {self.cfg.host}:{self.cfg.port}: {e}") from e
         self._listener = sock
-        t = threading.Thread(target=self._accept_loop, daemon=True, name="master-accept")
-        t.start()
-        self._threads.append(t)
+        threading.Thread(target=self._accept_loop, daemon=True, name="master-accept").start()
         return self
 
     def wait_ready(self, timeout_s: float | None = None) -> bool:
@@ -401,9 +403,7 @@ class Master:
                 conn, _addr = self._listener.accept()
             except OSError:
                 return
-            t = threading.Thread(target=self._serve_conn, args=(conn,), daemon=True)
-            t.start()
-            self._threads.append(t)
+            threading.Thread(target=self._serve_conn, args=(conn,), daemon=True).start()
 
     def _serve_conn(self, sock: socket.socket):
         sock.settimeout(self.cfg.network_timeout_ms / 1000.0)
@@ -566,47 +566,27 @@ class Master:
         if self.live_workers() == 0:
             raise JobFailure("NoWorkers: no live workers registered")
         stages = job["stages"]
-        params = BenchmarkParams.from_json_dict(stages[0]["params"])
-        partitions = params.partitions
-        skip_reduce = bool(job.get("skip_reduce", False))
+        partitions = BenchmarkParams.from_json_dict(stages[0]["params"]).partitions
 
-        t_start = time.monotonic()
-        timings = {"create_s": 0.0, "map_s": 0.0, "reduce_s": 0.0}
-        phase_reports = {}
-        for i, stage in enumerate(stages):
-            prefix = json.dumps({"stages": stages[: i + 1]})
-            label = "create" if stage["op"] == "source" else "map"
-            t0 = time.monotonic()
+        def force(prefix) -> MaterializationReport:
             results = self._run_phase(ACTION_FORCE, prefix, partitions)
-            timings[label + "_s"] += time.monotonic() - t0
-            report = phase_reports.setdefault(label, {"bytes": 0, "recomputed": 0})
-            report["bytes"] += sum(r.nbytes for r in results.values())
-            report["recomputed"] += sum(1 for r in results.values() if r.computed)
+            return MaterializationReport(
+                partition_count=partitions,
+                bytes_materialized=sum(r.nbytes for r in results),
+                recomputed_partitions=sum(1 for r in results if r.computed),
+                spilled_partitions=sum(r.spilled for r in results))
 
-        result_vec = None
-        if not skip_reduce:
-            full = json.dumps({"stages": stages})
-            t0 = time.monotonic()
+        def reduce(full) -> Vec3:
             results = self._run_phase(ACTION_PARTIAL_REDUCE, full, partitions)
-            timings["reduce_s"] = time.monotonic() - t0
-            # ascending partition order, division last: bit-compatible with
-            # the single-process reduce at the same partition count
-            sx = sy = sz = 0.0
-            count = 0
-            for p in sorted(results):
-                r = results[p]
-                sx, sy, sz = sx + r.sum_x, sy + r.sum_y, sz + r.sum_z
-                count += r.count
-            if count == 0:
-                raise JobFailure("EmptyDataset: reduce over zero records")
-            result_vec = [sx / count, sy / count, sz / count]
+            return combine_partials(((r.sum_x, r.sum_y, r.sum_z), r.count) for r in results)
 
-        timings["total_s"] = time.monotonic() - t_start
+        timings, phases, result = run_job(stages, force, reduce,
+                                          bool(job.get("skip_reduce", False)))
         return {
             "ok": True,
-            "result": result_vec,
+            "result": None if result is None else list(result.as_tuple()),
             "timings": timings,
-            "phases": phase_reports,
+            "phases": phases,
             "stats": {
                 "rescheduled": self.stats.rescheduled,
                 "workers": self.live_workers(),
@@ -614,7 +594,9 @@ class Master:
             },
         }
 
-    def _run_phase(self, action: int, pipeline_json: str, partitions: int) -> dict[int, TaskResult]:
+    def _run_phase(self, action: int, stages: list, partitions: int) -> list[TaskResult]:
+        """One task per partition; the results in ascending partition order."""
+        pipeline_json = json.dumps({"stages": stages})
         with self._lock:
             tasks = {}
             for p in range(partitions):
@@ -634,7 +616,7 @@ class Master:
             raise JobFailure(f"NoWorkers: {phase.aborted}")
         if phase.failed:
             raise JobFailure(f"{len(phase.failed)} partition(s) failed", causes=phase.failed)
-        return {t.partition: phase.done[tid] for tid, t in phase.tasks.items()}
+        return [phase.done[tid] for tid in phase.tasks]  # tasks were made in partition order
 
 
 # ---- worker ------------------------------------------------------------------
@@ -642,8 +624,10 @@ class Master:
 class Worker:
     """Executes tasks against a local engine, one concurrent task per slot.
 
-    Pipelines are cached per stage-list prefix, so the force phases of a job
-    warm exactly the datasets its reduce phase reads.
+    A task names its dataset by a stage-list prefix, resolved through
+    Engine.pipeline: each prefix is built once, on the cached dataset of its
+    parent prefix, so the map phase reads the source partitions the create
+    phase persisted, and the reduce phase reads what the map phase persisted.
     """
 
     def __init__(self, cfg: ClusterConfig, scratch_dir, memory_budget_bytes: int,
@@ -651,8 +635,6 @@ class Worker:
         self.cfg = cfg
         self.name = name
         self.engine = Engine(memory_budget_bytes, scratch_dir, slots=cfg.slots)
-        self._pipelines: dict[str, object] = {}
-        self._plock = threading.Lock()
         self._wlock = threading.Lock()
         self._stop = threading.Event()
         self._sock: socket.socket | None = None
@@ -734,36 +716,18 @@ class Worker:
                 return
             self._send(Heartbeat(seq))
 
-    def _dataset_for(self, stages: list):
-        key = json.dumps(stages, sort_keys=True)
-        with self._plock:
-            d = self._pipelines.get(key)
-            if d is None:
-                d = build_pipeline(self.engine, {"stages": stages})
-                self._pipelines[key] = d
-            return d
-
     def _execute(self, task: Task):
         try:
-            stages = json.loads(task.pipeline_json)["stages"]
-            d = self._dataset_for(stages)
+            d = self.engine.pipeline(json.loads(task.pipeline_json)["stages"])
+            spills = self.engine.thread_spill_writes()
             arr, computed = self.engine.materialize(d, task.partition)
-            if task.action == ACTION_PARTIAL_REDUCE:
-                s = leftfold_sum(arr)
-                res = TaskResult(task.task_id, task.partition, task.action,
-                                 float(s[0]), float(s[1]), float(s[2]),
-                                 arr.shape[0], arr.nbytes, computed)
-            else:
-                res = TaskResult(task.task_id, task.partition, task.action,
-                                 0.0, 0.0, 0.0, arr.shape[0], arr.nbytes, computed)
-            self._send(res)
+            spilled = self.engine.thread_spill_writes() - spills
+            s = leftfold_sum(arr) if task.action == ACTION_PARTIAL_REDUCE else (0.0, 0.0, 0.0)
+            self._send(TaskResult(task.task_id, task.partition, task.action,
+                                  float(s[0]), float(s[1]), float(s[2]),
+                                  arr.shape[0], arr.nbytes, computed, spilled))
         except Exception as e:  # noqa: BLE001 - reported to master, never silent
             self._send(ErrorMsg(task.task_id, f"{type(e).__name__}: {e}"))
-
-
-def run_master(cfg: ClusterConfig) -> Master:
-    master = Master(cfg).start()
-    return master
 
 
 def run_worker(cfg: ClusterConfig, scratch_dir, memory_budget_bytes: int, name: str = ""):

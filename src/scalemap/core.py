@@ -82,25 +82,6 @@ class Vec3:
 ZERO_DELTA = Vec3(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class Block:
-    """A contiguous run of vector records; ``vectors`` is an (n, 3) float64 array."""
-
-    block_id: int
-    vectors: np.ndarray
-
-    @property
-    def n_vectors(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def nbytes(self) -> int:
-        return self.n_vectors * RECORD_BYTES_F64
-
-    def vec3(self, i: int) -> Vec3:
-        return Vec3.from_sequence(self.vectors[i])
-
-
 @dataclass(frozen=True)
 class Generate:
     """Synthesize data directly where it is consumed."""
@@ -252,10 +233,6 @@ def generate_vectors(seed: int, block_id: int, n_vectors: int) -> np.ndarray:
     return out.reshape(n_vectors, 3)
 
 
-def generate_block(seed: int, block_id: int, n_vectors: int) -> Block:
-    return Block(block_id, generate_vectors(seed, block_id, n_vectors))
-
-
 def encode_vectors(vectors: np.ndarray, codec: RecordCodec) -> bytes:
     return np.ascontiguousarray(vectors, dtype=codec.dtype).tobytes()
 
@@ -265,14 +242,6 @@ def decode_vectors(data: bytes, codec: RecordCodec) -> np.ndarray:
         raise IndivisibleLength(len(data), codec.record_bytes)
     flat = np.frombuffer(data, dtype=codec.dtype)
     return flat.reshape(-1, 3).astype(np.float64)
-
-
-def encode_block(block: Block, codec: RecordCodec) -> bytes:
-    return encode_vectors(block.vectors, codec)
-
-
-def decode_block(data: bytes, codec: RecordCodec, block_id: int = 0) -> Block:
-    return Block(block_id, decode_vectors(data, codec))
 
 
 def assign_blocks_to_partitions(blocks: int, partitions: int) -> list[list[int]]:

@@ -10,13 +10,20 @@ LRU within a hard byte budget, with eviction optionally spilling to disk
 depending on the owning dataset's storage level.  Spill files carry an
 8-byte FNV-1a checksum trailer so a torn write is detected and recomputed,
 never silently returned.
+
+run_job is the one job driver of local and cluster execution: it forces
+each stage of a pipeline spec as a phase, times the phases and reduces,
+with the work itself delegated to a phase runner.  combine_partials is the
+one ordered combine behind every reduce, in-process or remote.
 """
 
 from __future__ import annotations
 
+import json
 import shutil
 import struct
 import threading
+import time
 import uuid
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -206,6 +213,11 @@ class CacheManager:
         with self._lock:
             return list(self._entries)
 
+    def clear(self):
+        with self._lock:
+            self._entries.clear()
+            self.resident_bytes = 0
+
 
 class _KeyedLocks:
     """One lock per (dataset, partition), so a given partition is computed
@@ -257,8 +269,10 @@ class Engine:
         self._lock = threading.RLock()
         self._materialized: set[tuple[int, int]] = set()
         self._datasets: dict[int, Dataset] = {}
+        self._pipelines: dict[str, Dataset] = {}
         self._next_id = 0
         self._inflight = _KeyedLocks()
+        self._thread = threading.local()
 
     # ---- dataset construction ------------------------------------------
 
@@ -276,6 +290,24 @@ class Engine:
 
     def map_shift(self, d: Dataset, delta: Vec3) -> Dataset:
         return self._register(MappedNode(d, delta), d.partitions)
+
+    def pipeline(self, stages: list) -> Dataset:
+        """The dataset at the end of a pipeline spec's stage list.
+
+        Datasets are cached per stage-list prefix and each prefix is built
+        on the cached dataset of its parent prefix, so the phases of a job
+        share one lineage chain: the map phase reads the source partitions
+        the create phase persisted.
+        """
+        if not stages:
+            raise InvalidParams("pipeline has no stages")
+        key = json.dumps(stages, sort_keys=True)
+        with self._lock:
+            d = self._pipelines.get(key)
+            if d is None:
+                parent = self.pipeline(stages[:-1]) if len(stages) > 1 else None
+                d = self._pipelines[key] = build_stage(self, parent, stages[-1])
+            return d
 
     def _register(self, lineage, partitions: int) -> Dataset:
         with self._lock:
@@ -331,9 +363,9 @@ class Engine:
 
         Order is pinned for bit-reproducibility: records fold sequentially
         within a partition, partial (sum, count) pairs combine in ascending
-        partition index, and the division happens last.  The result is
-        therefore identical across runs and storage levels at a fixed
-        partition count (and only there; other partitionings round
+        partition index (combine_partials), and the division happens last.
+        The result is therefore identical across runs and storage levels at
+        a fixed partition count (and only there; other partitionings round
         differently).
         """
 
@@ -342,16 +374,16 @@ class Engine:
             return leftfold_sum(arr), arr.shape[0]
 
         with ThreadPoolExecutor(max_workers=self.slots) as pool:
-            partials = list(pool.map(partial, range(d.partitions)))
-        total = np.zeros(3, dtype=np.float64)
-        count = 0
-        for vec_sum, n in partials:
-            total = total + vec_sum
-            count += n
-        if count == 0:
-            raise EmptyDataset("reduce over a dataset with zero records")
-        mean = total / count
-        return Vec3(float(mean[0]), float(mean[1]), float(mean[2]))
+            return combine_partials(pool.map(partial, range(d.partitions)))
+
+    def thread_spill_writes(self) -> int:
+        """Spill files written so far by the calling thread.
+
+        A spill runs synchronously on the thread whose insert evicted, so
+        the difference across one materialize() call is exactly that call's
+        spills, however many other slots are busy.
+        """
+        return getattr(self._thread, "spill_writes", 0)
 
     def evict_and_recompute_check(self, d: Dataset, p: int) -> bool:
         """Drop every stored copy of the partition, rebuild it from lineage,
@@ -474,6 +506,7 @@ class Engine:
             raise SpillIOFailure(f"spill write failed: {path}: {e}") from e
         with self._lock:
             self.counters.spill_writes += 1
+        self._thread.spill_writes = self.thread_spill_writes() + 1
 
     def _spill_read(self, key) -> np.ndarray | None:
         path = self._spill_path(key)
@@ -500,6 +533,10 @@ class Engine:
     # ---- lifecycle --------------------------------------------------------
 
     def close(self):
+        # the cache's on_evict callback makes engine and cache a reference
+        # cycle; dropping the entries frees the payloads now, not at the
+        # next cyclic collection
+        self.cache.clear()
         shutil.rmtree(self.scratch, ignore_errors=True)
 
     def __enter__(self):
@@ -510,38 +547,74 @@ class Engine:
         return False
 
 
-def serialize_pipeline(d: Dataset) -> dict:
-    """Lineage chain as a JSON-safe stage list, root first, with per-stage
-    storage levels, sufficient to rebuild the dataset in another process."""
-    stages = []
-    node = d
-    while True:
-        lin = node.lineage
-        if isinstance(lin, MappedNode):
-            stages.append({"op": "shift", "delta": list(lin.delta.as_tuple()),
-                           "storage": node.storage.value})
-            node = lin.parent
-        else:
-            stages.append({"op": "source", "params": lin.params.to_json_dict(),
-                           "storage": node.storage.value})
-            break
-    return {"stages": stages[::-1]}
+def combine_partials(partials) -> Vec3:
+    """Component-wise mean from per-partition (sum, count) pairs.
+
+    The pairs must come in ascending partition order: sums add in that
+    order and the division comes last, so every reduce of a dataset, in
+    one process or across a cluster, gives the same bits at a fixed
+    partition count.
+    """
+    total = np.zeros(3, dtype=np.float64)
+    count = 0
+    for vec_sum, n in partials:
+        total = total + vec_sum
+        count += n
+    if count == 0:
+        raise EmptyDataset("reduce over a dataset with zero records")
+    mean = total / count
+    return Vec3(float(mean[0]), float(mean[1]), float(mean[2]))
 
 
-def build_pipeline(engine: Engine, spec: dict) -> Dataset:
-    d = None
-    for stage in spec["stages"]:
-        if stage["op"] == "source":
-            d = engine.source(BenchmarkParams.from_json_dict(stage["params"]))
-        elif stage["op"] == "shift":
-            if d is None:
-                raise InvalidParams("shift stage before any source")
-            d = engine.map_shift(d, Vec3.from_sequence(stage["delta"]))
-        else:
-            raise InvalidParams(f"unknown pipeline stage {stage['op']!r}")
-        level = StorageLevel(stage.get("storage", "none"))
-        if level is not StorageLevel.NONE:
-            engine.persist(d, level)
-    if d is None:
-        raise InvalidParams("pipeline has no stages")
+# ---- pipeline specs and the job driver ---------------------------------------
+
+_PHASE_OF_STAGE = {"source": "create", "shift": "map"}
+
+
+def build_stage(engine: Engine, parent: Dataset | None, stage: dict) -> Dataset:
+    """The dataset of one pipeline stage, built on its parent's dataset."""
+    if stage["op"] == "source":
+        d = engine.source(BenchmarkParams.from_json_dict(stage["params"]))
+    elif stage["op"] == "shift":
+        if parent is None:
+            raise InvalidParams("shift stage before any source")
+        d = engine.map_shift(parent, Vec3.from_sequence(stage["delta"]))
+    else:
+        raise InvalidParams(f"unknown pipeline stage {stage['op']!r}")
+    level = StorageLevel(stage.get("storage", "none"))
+    if level is not StorageLevel.NONE:
+        engine.persist(d, level)
     return d
+
+
+def run_job(stages: list, force, reduce, skip_reduce: bool = False):
+    """Runs a pipeline's stages as timed phases; returns (timings, phases, result).
+
+    The phase runner is two callables.  force(prefix) materializes the last
+    dataset of a stage-list prefix and returns its MaterializationReport;
+    reduce(stages) returns the mean of the whole chain as a Vec3.  Each
+    stage is one phase, labelled create (source) or map (shift) and timed
+    on the monotonic clock; phases sums {bytes, recomputed, spilled} per
+    label.  Under skip_reduce the result is None and reduce_s is 0.
+    """
+    timings = {"create_s": 0.0, "map_s": 0.0, "reduce_s": 0.0}
+    phases: dict[str, dict] = {}
+    t_start = time.monotonic()
+    for i, stage in enumerate(stages):
+        label = _PHASE_OF_STAGE.get(stage["op"])
+        if label is None:
+            raise InvalidParams(f"unknown pipeline stage {stage['op']!r}")
+        t0 = time.monotonic()
+        report = force(stages[: i + 1])
+        timings[label + "_s"] += time.monotonic() - t0
+        sums = phases.setdefault(label, {"bytes": 0, "recomputed": 0, "spilled": 0})
+        sums["bytes"] += report.bytes_materialized
+        sums["recomputed"] += report.recomputed_partitions
+        sums["spilled"] += report.spilled_partitions
+    result = None
+    if not skip_reduce:
+        t0 = time.monotonic()
+        result = reduce(stages)
+        timings["reduce_s"] = time.monotonic() - t0
+    timings["total_s"] = time.monotonic() - t_start
+    return timings, phases, result

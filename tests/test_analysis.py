@@ -20,7 +20,6 @@ from scalemap.analysis import (
     series_from_medians,
     speedup,
     strong_efficiency,
-    weak_efficiency,
 )
 from scalemap.bench import RunRecord, ScalingMode, StageTimings
 from scalemap.core import BenchmarkParams, Vec3
@@ -69,15 +68,16 @@ class TestEfficiency:
         with pytest.raises(NonPositiveFactor):
             strong_efficiency(4.0, 0)
 
+    # weak-scaling efficiency is t_base / t_n, which is exactly speedup()
     def test_weak_flat_is_one(self):
-        assert weak_efficiency(100.0, 100.0) == 1.0
+        assert speedup(100.0, 100.0) == 1.0
 
     def test_weak_slowdown(self):
-        assert weak_efficiency(100.0, 125.0) == pytest.approx(0.8)
+        assert speedup(100.0, 125.0) == pytest.approx(0.8)
 
     def test_weak_nonpositive_rejected(self):
         with pytest.raises(NonPositiveTime):
-            weak_efficiency(100.0, 0.0)
+            speedup(100.0, 0.0)
 
 
 def record(nodes=1, cores=1, total_s=10.0, rep=0, mode="local", scaling="strong",

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from scalemap.core import BenchmarkParams, LoadBinary, RecordCodec, Vec3, encode_block, generate_block
+from scalemap.core import BenchmarkParams, LoadBinary, RecordCodec, Vec3, encode_vectors, generate_vectors
 from scalemap.engine import Engine, StorageLevel
 from scalemap.cluster import ClusterConfig, Master, Worker
 from scalemap.bench import (
@@ -46,8 +46,8 @@ class TestRunPipeline:
         blockdir.mkdir()
         codec = RecordCodec(24)
         for b in range(gen.blocks):
-            block = generate_block(gen.seed, b, gen.vectors_per_block)
-            (blockdir / f"{b:05d}.bin").write_bytes(encode_block(block, codec))
+            block = generate_vectors(gen.seed, b, gen.vectors_per_block)
+            (blockdir / f"{b:05d}.bin").write_bytes(encode_vectors(block, codec))
         loaded = gen.replaced(source=LoadBinary(str(blockdir), 24))
         a = run_pipeline(gen, scratch=tmp_path / "a")
         b = run_pipeline(loaded, scratch=tmp_path / "b")
@@ -93,6 +93,12 @@ class TestRunPipeline:
             assert far.result == near.result
             assert far.mode == "cluster"
             assert far.timings.total_s > 0
+            # one driver, one counter shape; a fresh worker does exactly the
+            # work a fresh local engine does
+            shape = {stage: set(c) for stage, c in far.timings.counters.items()}
+            assert shape == {"create": {"bytes", "recomputed", "spilled"},
+                             "map": {"bytes", "recomputed", "spilled"}}
+            assert far.timings.counters == near.timings.counters
         finally:
             master.shutdown()
             worker.stop()

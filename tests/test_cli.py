@@ -179,12 +179,12 @@ class TestBenchCommand:
         assert json.loads(capsys.readouterr().out)["result"] is None
 
     def test_load_mode_round_trip(self, tmp_path, capsys):
-        from scalemap.core import RecordCodec, encode_block, generate_block
+        from scalemap.core import RecordCodec, encode_vectors, generate_vectors
         data_dir = tmp_path / "data"
         data_dir.mkdir()
         for b in range(6):
             (data_dir / f"block-{b:04d}.bin").write_bytes(
-                encode_block(generate_block(11, b, 64), RecordCodec(24)))
+                encode_vectors(generate_vectors(11, b, 64), RecordCodec(24)))
         assert main(bench_args(tmp_path, "gen.json")) == EXIT_OK
         gen = json.loads(capsys.readouterr().out)["result"]
         argv = ["--scratch", str(tmp_path / "scratch"), "bench",

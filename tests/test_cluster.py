@@ -54,7 +54,7 @@ messages = st.one_of(
               pipeline_json=st.text(max_size=200)),
     st.builds(TaskResult, task_id=u32, partition=u32, action=st.integers(0, 255),
               sum_x=f64, sum_y=f64, sum_z=f64, count=u64, nbytes=u64,
-              computed=st.booleans()),
+              computed=st.booleans(), spilled=u32),
     st.builds(Heartbeat, seq=u32),
     st.builds(ErrorMsg, task_id=u32, message=st.text(max_size=100)),
     st.builds(Shutdown),
@@ -138,7 +138,7 @@ class TestFraming:
 
     def test_result_floats_cross_bit_exactly(self):
         val = -0.1 + 0.7  # not exactly representable as a decimal literal
-        msg = TaskResult(1, 2, 1, val, 0.0, 0.0, 3, 4, True)
+        msg = TaskResult(1, 2, 1, val, 0.0, 0.0, 3, 4, True, 0)
         got = recv_message(ByteSource(frame_of(msg)))
         assert struct.pack("<d", got.sum_x) == struct.pack("<d", val)
 
@@ -233,6 +233,40 @@ class TestMasterWorker:
         assert jr.result is None
         assert jr.timings["reduce_s"] == 0.0
         assert jr.phases["create"]["bytes"] == params.total_bytes
+
+    def test_one_worker_generates_each_block_once(self, cluster):
+        # the map phase builds on the source partitions the create phase
+        # persisted, and the reduce reads the persisted map partitions
+        master, addr, workers = cluster(n_workers=1, slots=2)
+        params = BenchmarkParams(blocks=8, vectors_per_unit=64, cores=4)
+        submit(addr, job_spec(params, Vec3(1, 2, 3)), timeout_s=60)
+        assert workers[0].engine.counters.generate_calls == params.blocks
+
+    def test_spills_reported_per_phase(self, tmp_path):
+        params = BenchmarkParams(blocks=8, vectors_per_unit=256, cores=8)
+        master = Master(ClusterConfig(port=0, expected_workers=2, slots=2)).start()
+        workers, threads = [], []
+        for i in range(2):
+            wcfg = ClusterConfig(port=master.port, slots=2)
+            # a quarter of the dataset per worker: below each one's share
+            workers.append(Worker(wcfg, tmp_path / f"w{i}", params.total_bytes // 4))
+            threads.append(threading.Thread(target=workers[-1].run, daemon=True))
+            threads[-1].start()
+        try:
+            assert master.wait_ready(15)
+            # skip_reduce, so that every spill of the job falls in a reported phase
+            jr = submit(("127.0.0.1", master.port),
+                        job_spec(params, Vec3(1, 2, 3), storage="memory_and_disk"),
+                        skip_reduce=True, timeout_s=60)
+            spilled = jr.phases["create"]["spilled"] + jr.phases["map"]["spilled"]
+            assert spilled >= 1
+            assert spilled == sum(w.engine.counters.spill_writes for w in workers)
+        finally:
+            master.shutdown()
+            for w in workers:
+                w.stop()
+            for t in threads:
+                t.join(timeout=10)
 
     def test_zero_workers_fails_fast(self, cluster):
         master, addr, _ = cluster(n_workers=0, expected=0)

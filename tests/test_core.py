@@ -9,7 +9,6 @@ from scalemap.core import (
     RECORD_BYTES_F32,
     RECORD_BYTES_F64,
     BenchmarkParams,
-    Block,
     Generate,
     IndivisibleLength,
     InvalidParams,
@@ -18,11 +17,8 @@ from scalemap.core import (
     Vec3,
     assign_blocks_to_partitions,
     block_seed,
-    decode_block,
     decode_vectors,
-    encode_block,
     encode_vectors,
-    generate_block,
     generate_vectors,
     splitmix64,
 )
@@ -56,8 +52,7 @@ class TestGeneration:
 
     def test_full_block_checksum_frozen(self):
         # seed=42, block 0, 2^20 vectors, encoded as float64 little-endian
-        block = generate_block(42, 0, 2**20)
-        data = encode_block(block, RecordCodec(RECORD_BYTES_F64))
+        data = encode_vectors(generate_vectors(42, 0, 2**20), RecordCodec(RECORD_BYTES_F64))
         assert R.fnv1a64(data) == GOLDEN_CHECKSUM_42_0_1M
 
     @given(seed=u64s, block_id=u64s, n=st.integers(min_value=0, max_value=64))
@@ -74,9 +69,7 @@ class TestGeneration:
         assert got[-4:].tolist() == [list(t) for t in tail]
 
     def test_deterministic(self):
-        a = generate_block(99, 7, 1024)
-        b = generate_block(99, 7, 1024)
-        assert_bit_equal(a.vectors, b.vectors)
+        assert_bit_equal(generate_vectors(99, 7, 1024), generate_vectors(99, 7, 1024))
 
     @given(seed=u64s, block_id=u64s)
     def test_range_and_finite(self, seed, block_id):
@@ -85,8 +78,7 @@ class TestGeneration:
         assert np.all(v >= 0.0) and np.all(v < 1.0)
 
     def test_empty_block(self):
-        b = generate_block(1, 2, 0)
-        assert b.n_vectors == 0 and b.vectors.shape == (0, 3)
+        assert generate_vectors(1, 2, 0).shape == (0, 3)
 
     def test_distinct_blocks_differ(self):
         a = generate_vectors(42, 0, 16)
@@ -106,12 +98,12 @@ class TestGeneration:
 class TestCodec:
     def test_float32_known_bytes(self):
         data = bytes.fromhex("0000803F" * 3)
-        b = decode_block(data, RecordCodec(RECORD_BYTES_F32))
-        assert b.vec3(0) == Vec3(1.0, 1.0, 1.0)
+        v = decode_vectors(data, RecordCodec(RECORD_BYTES_F32))
+        assert v.shape == (1, 3) and Vec3.from_sequence(v[0]) == Vec3(1.0, 1.0, 1.0)
 
     def test_float64_zero_bytes(self):
-        b = decode_block(b"\x00" * 24, RecordCodec(RECORD_BYTES_F64))
-        assert b.vec3(0) == Vec3(0.0, 0.0, 0.0)
+        v = decode_vectors(b"\x00" * 24, RecordCodec(RECORD_BYTES_F64))
+        assert v.shape == (1, 3) and Vec3.from_sequence(v[0]) == Vec3(0.0, 0.0, 0.0)
 
     def test_indivisible_length(self):
         with pytest.raises(IndivisibleLength) as ei:
@@ -215,7 +207,7 @@ class TestVec3:
     def test_add(self):
         assert Vec3(1, 2, 3) + Vec3(0.5, 0.5, 0.5) == Vec3(1.5, 2.5, 3.5)
 
-    def test_block_accessor(self):
-        b = Block(3, np.array([[1.0, 2.0, 3.0]]))
-        assert b.vec3(0) == Vec3(1.0, 2.0, 3.0)
-        assert b.nbytes == 24
+    def test_from_array_row(self):
+        rows = np.array([[1.0, 2.0, 3.0]])
+        assert Vec3.from_sequence(rows[0]) == Vec3(1.0, 2.0, 3.0)
+        assert len(encode_vectors(rows, RecordCodec(RECORD_BYTES_F64))) == RECORD_BYTES_F64

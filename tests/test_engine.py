@@ -1,4 +1,8 @@
+import gc
+import json
 import tempfile
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,14 +26,14 @@ from scalemap.engine import (
     CacheManager,
     Engine,
     EmptyDataset,
+    MaterializationReport,
     RecomputeFailure,
     SpillIOFailure,
     StorageLevel,
     UnknownPartition,
-    build_pipeline,
     fnv1a64,
     leftfold_sum,
-    serialize_pipeline,
+    run_job,
 )
 
 f64s = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -403,6 +407,38 @@ class TestMemoryCeiling:
                 assert e.cache.peak_resident_bytes <= budget
 
 
+class TestLifecycle:
+    def test_close_frees_cached_partitions(self, tmp_path):
+        # engine and cache form a reference cycle through on_evict; close()
+        # must release the payloads without waiting for the cyclic collector
+        gc.disable()
+        try:
+            e = Engine(1 << 30, tmp_path)
+            d = e.persist(e.source(desk_params(blocks=2, cores=2)), StorageLevel.MEMORY_ONLY)
+            e.force(d)
+            ref = weakref.ref(e.get_partition(d, 0))
+            assert ref() is not None
+            e.close()
+            assert ref() is None
+            assert e.cache.resident_bytes == 0
+        finally:
+            gc.enable()
+
+    def test_thread_spill_writes_exact_under_concurrency(self, make_engine):
+        params = desk_params(blocks=16, cores=16)
+        e = make_engine(budget=params.total_bytes // 4)
+        d = e.persist(e.source(params), StorageLevel.MEMORY_AND_DISK)
+
+        def one(p):
+            before = e.thread_spill_writes()
+            e.materialize(d, p)
+            return e.thread_spill_writes() - before
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            per_call = list(pool.map(one, range(d.partitions)))
+        assert sum(per_call) == e.counters.spill_writes >= 1
+
+
 class TestCacheManager:
     def row(self, n=1):
         return np.zeros((n, 3))
@@ -457,20 +493,71 @@ class TestCacheManager:
 
 class TestPipelineSerialization:
     def test_round_trip_rebuilds_identical_result(self, make_engine):
+        params = desk_params(blocks=6, cores=3, seed=9)
+        delta = Vec3(0.5, 0.25, -1.0)
         e1 = make_engine()
-        d = e1.persist(e1.source(desk_params(blocks=6, cores=3, seed=9)),
-                       StorageLevel.MEMORY_ONLY)
-        m = e1.persist(e1.map_shift(d, Vec3(0.5, 0.25, -1.0)),
-                       StorageLevel.MEMORY_AND_DISK)
-        spec = serialize_pipeline(m)
+        d = e1.persist(e1.source(params), StorageLevel.MEMORY_ONLY)
+        m = e1.persist(e1.map_shift(d, delta), StorageLevel.MEMORY_AND_DISK)
+        spec = {"stages": [
+            {"op": "source", "params": params.to_json_dict(), "storage": "memory_only"},
+            {"op": "shift", "delta": list(delta.as_tuple()), "storage": "memory_and_disk"},
+        ]}
         e2 = make_engine()
-        rebuilt = build_pipeline(e2, spec)
+        rebuilt = e2.pipeline(spec["stages"])
         assert rebuilt.storage is StorageLevel.MEMORY_AND_DISK
-        assert serialize_pipeline(rebuilt) == spec
+        assert rebuilt.lineage.delta == delta
+        assert rebuilt.lineage.parent.storage is StorageLevel.MEMORY_ONLY
+        assert rebuilt.lineage.parent.lineage.params == params
         assert e2.reduce_average(rebuilt) == e1.reduce_average(m)
+
+    def test_prefixes_share_one_lineage_chain(self, make_engine):
+        params = desk_params(blocks=4, cores=2)
+        stages = [
+            {"op": "source", "params": params.to_json_dict(), "storage": "memory_only"},
+            {"op": "shift", "delta": [1.0, 2.0, 3.0], "storage": "memory_only"},
+        ]
+        e = make_engine()
+        source = e.pipeline(stages[:1])
+        mapped = e.pipeline(stages)
+        assert mapped.lineage.parent is source
+        assert e.pipeline(json.loads(json.dumps(stages))) is mapped
+        e.force(source)
+        e.force(mapped)
+        assert e.counters.generate_calls == params.blocks
 
     def test_rejects_malformed_stage(self, make_engine):
         with pytest.raises(InvalidParams):
-            build_pipeline(make_engine(), {"stages": [{"op": "warp"}]})
+            make_engine().pipeline([{"op": "warp"}])
         with pytest.raises(InvalidParams):
-            build_pipeline(make_engine(), {"stages": []})
+            make_engine().pipeline([])
+
+
+class TestRunJob:
+    STAGES = [{"op": "source"}, {"op": "shift"}, {"op": "shift"}]
+
+    def report(self, n):
+        return MaterializationReport(partition_count=4, bytes_materialized=n,
+                                     recomputed_partitions=n, spilled_partitions=1)
+
+    def test_phases_sum_per_label_and_reduce_sees_full_chain(self):
+        forced, reduced = [], []
+
+        def force(prefix):
+            forced.append(len(prefix))
+            return self.report(len(prefix))
+
+        def reduce(stages):
+            reduced.append(len(stages))
+            return Vec3(1.0, 2.0, 3.0)
+
+        timings, phases, result = run_job(self.STAGES, force, reduce)
+        assert forced == [1, 2, 3] and reduced == [3]
+        assert phases == {"create": {"bytes": 1, "recomputed": 1, "spilled": 1},
+                          "map": {"bytes": 5, "recomputed": 5, "spilled": 2}}
+        assert result == Vec3(1.0, 2.0, 3.0)
+        assert set(timings) == {"create_s", "map_s", "reduce_s", "total_s"}
+        assert timings["total_s"] >= timings["create_s"] + timings["map_s"] + timings["reduce_s"]
+
+    def test_unknown_stage_rejected(self):
+        with pytest.raises(InvalidParams):
+            run_job([{"op": "warp"}], lambda p: self.report(0), lambda s: None)
