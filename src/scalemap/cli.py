@@ -19,7 +19,7 @@ import signal
 import sys
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .analysis import build_series, emit_plot_data
@@ -70,15 +70,9 @@ class GlobalConfig:
     network_timeout_ms: int = 120_000
 
 
-_CONFIG_DEFAULTS = {
-    "scratch_dir": None,  # filled with a tempdir-based default at resolve time
-    "memory_budget_bytes": 1 << 30,
-    "log_level": "WARNING",
-    "vectors_per_unit": DESK_VECTORS_PER_UNIT,
-    "seed": 42,
-    "master_addr": None,
-    "network_timeout_ms": 120_000,
-}
+# scratch_dir has no default: resolve_config fills in a tempdir-based one
+_CONFIG_DEFAULTS = {f.name: None if f.default is MISSING else f.default
+                    for f in fields(GlobalConfig)}
 
 _ENV_FIELDS = {
     "scratch_dir": ENV_SCRATCH,

@@ -5,6 +5,8 @@ tag byte plus payload), one tag byte, then a tag-specific payload whose
 integers are little-endian and whose floats are IEEE-754 little-endian.
 Partial reduce sums cross the wire as raw float64 bits, so the distributed
 result is bit-identical to a single-process run at the same partition count.
+The TASK header carries the task's job id; a worker runs each job on a
+fresh engine, so every job is computed from scratch, as a local run is.
 
 Scheduling is a pull: the master pushes up to `slots` tasks to each worker
 and sends the next pending task whenever a result arrives.  A dead worker's
@@ -27,8 +29,9 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
+from functools import partial
 
 from .core import BenchmarkParams, Vec3
 from .engine import Engine, MaterializationReport, combine_partials, leftfold_sum, run_job
@@ -50,10 +53,6 @@ class BindFailure(ScalemapError):
 
 
 class ConnectFailure(ScalemapError):
-    pass
-
-
-class WorkerTimeout(ScalemapError):
     pass
 
 
@@ -94,6 +93,7 @@ class Task:
     partition: int
     action: int
     pipeline_json: str
+    job_id: int = 0  # a worker runs each job on its own engine
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ class JobDone:
 
 
 _REGISTER = struct.Struct("<H")
-_TASK = struct.Struct("<IIB")
+_TASK = struct.Struct("<IIBI")
 _RESULT = struct.Struct("<IIBdddQQBI")
 _HEARTBEAT = struct.Struct("<I")
 _ERROR = struct.Struct("<I")
@@ -158,7 +158,7 @@ def encode_message(msg) -> tuple[int, bytes]:
     if isinstance(msg, Register):
         return MessageTag.REGISTER, _REGISTER.pack(msg.slots) + msg.name.encode()
     if isinstance(msg, Task):
-        head = _TASK.pack(msg.task_id, msg.partition, msg.action)
+        head = _TASK.pack(msg.task_id, msg.partition, msg.action, msg.job_id)
         return MessageTag.TASK, head + msg.pipeline_json.encode()
     if isinstance(msg, TaskResult):
         return MessageTag.RESULT, _RESULT.pack(
@@ -188,8 +188,8 @@ def decode_message(tag: int, payload: bytes):
             (slots,) = _REGISTER.unpack_from(payload)
             return Register(slots, payload[_REGISTER.size:].decode())
         if tag == MessageTag.TASK:
-            tid, part, action = _TASK.unpack_from(payload)
-            return Task(tid, part, action, payload[_TASK.size:].decode())
+            tid, part, action, job = _TASK.unpack_from(payload)
+            return Task(tid, part, action, payload[_TASK.size:].decode(), job)
         if tag == MessageTag.RESULT:
             f = _RESULT.unpack(payload)
             return TaskResult(*f[:8], bool(f[8]), f[9])
@@ -340,6 +340,7 @@ class Master:
         self._workers: dict[int, _WorkerConn] = {}
         self._next_wid = 0
         self._next_tid = 0
+        self._next_job = 0
         self._ready = threading.Event()
         self._stopping = threading.Event()
         self._phase: _Phase | None = None
@@ -567,9 +568,13 @@ class Master:
             raise JobFailure("NoWorkers: no live workers registered")
         stages = job["stages"]
         partitions = BenchmarkParams.from_json_dict(stages[0]["params"]).partitions
+        job_id = self._next_job  # the caller holds _job_lock
+        self._next_job += 1
+        with self._lock:
+            before = replace(self.stats)  # cumulative; the report gives this job's share
 
         def force(prefix) -> MaterializationReport:
-            results = self._run_phase(ACTION_FORCE, prefix, partitions)
+            results = self._run_phase(ACTION_FORCE, prefix, partitions, job_id)
             return MaterializationReport(
                 partition_count=partitions,
                 bytes_materialized=sum(r.nbytes for r in results),
@@ -577,7 +582,7 @@ class Master:
                 spilled_partitions=sum(r.spilled for r in results))
 
         def reduce(full) -> Vec3:
-            results = self._run_phase(ACTION_PARTIAL_REDUCE, full, partitions)
+            results = self._run_phase(ACTION_PARTIAL_REDUCE, full, partitions, job_id)
             return combine_partials(((r.sum_x, r.sum_y, r.sum_z), r.count) for r in results)
 
         timings, phases, result = run_job(stages, force, reduce,
@@ -588,19 +593,21 @@ class Master:
             "timings": timings,
             "phases": phases,
             "stats": {
-                "rescheduled": self.stats.rescheduled,
+                **{k: getattr(self.stats, k) - getattr(before, k)
+                   for k in ("rescheduled", "workers_lost", "worker_errors")},
                 "workers": self.live_workers(),
                 "partitions": partitions,
             },
         }
 
-    def _run_phase(self, action: int, stages: list, partitions: int) -> list[TaskResult]:
+    def _run_phase(self, action: int, stages: list, partitions: int,
+                   job_id: int) -> list[TaskResult]:
         """One task per partition; the results in ascending partition order."""
         pipeline_json = json.dumps({"stages": stages})
         with self._lock:
             tasks = {}
             for p in range(partitions):
-                tasks[self._next_tid] = Task(self._next_tid, p, action, pipeline_json)
+                tasks[self._next_tid] = Task(self._next_tid, p, action, pipeline_json, job_id)
                 self._next_tid += 1
             phase = _Phase(tasks)
             self._phase = phase
@@ -628,13 +635,18 @@ class Worker:
     Engine.pipeline: each prefix is built once, on the cached dataset of its
     parent prefix, so the map phase reads the source partitions the create
     phase persisted, and the reduce phase reads what the map phase persisted.
+    That cache, with every partition and spill file, lasts one job: a task
+    of a new job id closes the engine for a fresh one, which is safe because
+    the master starts a job only after every task of the last one answered.
     """
 
     def __init__(self, cfg: ClusterConfig, scratch_dir, memory_budget_bytes: int,
                  name: str = ""):
         self.cfg = cfg
         self.name = name
-        self.engine = Engine(memory_budget_bytes, scratch_dir, slots=cfg.slots)
+        self._new_engine = partial(Engine, memory_budget_bytes, scratch_dir, slots=cfg.slots)
+        self.engine = self._new_engine()
+        self._job_id = 0  # the master numbers jobs from 0
         self._wlock = threading.Lock()
         self._stop = threading.Event()
         self._sock: socket.socket | None = None
@@ -677,10 +689,13 @@ class Worker:
                     if tag == MessageTag.TASK:
                         try:
                             task = decode_message(tag, payload)
-                            json.loads(task.pipeline_json)
-                        except (ProtocolError, ValueError) as e:
+                        except ProtocolError as e:
                             self._send(ErrorMsg(0, f"malformed task: {e}"))
                             continue
+                        if task.job_id != self._job_id:
+                            self.engine.close()
+                            self.engine = self._new_engine()
+                            self._job_id = task.job_id
                         pool.submit(self._execute, task)
         finally:
             self._stop.set()

@@ -27,7 +27,6 @@ import time
 import uuid
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -110,13 +109,16 @@ class MappedNode:
 
 class Dataset:
     """One lineage DAG node.  Only the storage level (a policy, not data)
-    ever mutates; the lineage and partitioning are fixed at creation."""
+    ever mutates; the lineage and partitioning are fixed at creation.
+    locks[p] is held while partition p materializes, so a given partition
+    is computed by at most one slot at a time."""
 
     def __init__(self, dataset_id: int, lineage: SourceNode | MappedNode, partitions: int):
         self.dataset_id = dataset_id
         self.lineage = lineage
         self.partitions = partitions
         self.storage = StorageLevel.NONE
+        self.locks = [threading.Lock() for _ in range(partitions)]
 
     def __repr__(self):
         kind = "source" if isinstance(self.lineage, SourceNode) else "mapped"
@@ -219,22 +221,6 @@ class CacheManager:
             self.resident_bytes = 0
 
 
-class _KeyedLocks:
-    """One lock per (dataset, partition), so a given partition is computed
-    by at most one slot at a time."""
-
-    def __init__(self):
-        self._locks: dict = {}
-        self._guard = threading.Lock()
-
-    @contextmanager
-    def hold(self, key):
-        with self._guard:
-            lock = self._locks.setdefault(key, threading.Lock())
-        with lock:
-            yield
-
-
 _FOLD_CHUNK = 1 << 16
 
 
@@ -271,7 +257,6 @@ class Engine:
         self._datasets: dict[int, Dataset] = {}
         self._pipelines: dict[str, Dataset] = {}
         self._next_id = 0
-        self._inflight = _KeyedLocks()
         self._thread = threading.local()
 
     # ---- dataset construction ------------------------------------------
@@ -406,7 +391,7 @@ class Engine:
 
     def _materialize(self, d: Dataset, p: int) -> tuple[np.ndarray, bool]:
         key = (d.dataset_id, p)
-        with self._inflight.hold(key):
+        with d.locks[p]:
             level = d.storage
             if level in (StorageLevel.MEMORY_ONLY, StorageLevel.MEMORY_AND_DISK):
                 arr = self.cache.get(key)

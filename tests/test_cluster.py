@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalemap.bench import MODE_CLUSTER, MODE_LOCAL, run_pipeline
 from scalemap.core import BenchmarkParams, Vec3
 from scalemap.engine import Engine, StorageLevel
 from scalemap.cluster import (
@@ -51,7 +52,7 @@ f64 = st.floats(allow_nan=False, allow_infinity=False, width=64)
 messages = st.one_of(
     st.builds(Register, slots=st.integers(0, 65535), name=st.text(max_size=40)),
     st.builds(Task, task_id=u32, partition=u32, action=st.integers(0, 255),
-              pipeline_json=st.text(max_size=200)),
+              pipeline_json=st.text(max_size=200), job_id=u32),
     st.builds(TaskResult, task_id=u32, partition=u32, action=st.integers(0, 255),
               sum_x=f64, sum_y=f64, sum_z=f64, count=u64, nbytes=u64,
               computed=st.booleans(), spilled=u32),
@@ -169,7 +170,8 @@ def local_run(tmp_path, params: BenchmarkParams, delta: Vec3) -> Vec3:
 def cluster(tmp_path):
     started = []
 
-    def make(n_workers=2, slots=2, hb_ms=0, timeout_ms=120_000, expected=None):
+    def make(n_workers=2, slots=2, hb_ms=0, timeout_ms=120_000, expected=None,
+             budget=1 << 30):
         cfg = ClusterConfig(
             port=0,
             expected_workers=n_workers if expected is None else expected,
@@ -183,7 +185,7 @@ def cluster(tmp_path):
             wcfg = ClusterConfig(host="127.0.0.1", port=master.port,
                                  heartbeat_interval_ms=hb_ms,
                                  network_timeout_ms=timeout_ms, slots=slots)
-            w = Worker(wcfg, tmp_path / f"w{i}", 1 << 30, name=f"w{i}")
+            w = Worker(wcfg, tmp_path / f"w{i}", budget, name=f"w{i}")
             t = threading.Thread(target=w.run, daemon=True, name=f"worker-{i}")
             t.start()
             workers.append(w)
@@ -342,6 +344,54 @@ class TestMasterWorker:
         # one timeout quantum per phase at most, plus slack
         assert elapsed < 6.0
 
+    def test_job_report_counts_its_own_job(self, cluster):
+        master, addr, _ = cluster(n_workers=1, slots=4, timeout_ms=500)
+        hang = socket.create_connection(addr, timeout=5)
+        send_message(hang, Register(4, "hung"))
+        deadline = time.monotonic() + 10
+        while master.live_workers() < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        params = BenchmarkParams(blocks=16, vectors_per_unit=64, cores=8)
+        spec = job_spec(params, Vec3(1.0, 2.0, 3.0))
+        first = submit(addr, spec, timeout_s=60).stats
+        hang.close()
+        second = submit(addr, spec, timeout_s=60).stats
+        assert second["rescheduled"] == 0
+        assert second["workers_lost"] == second["worker_errors"] == 0
+        assert first["rescheduled"] >= 1 and first["workers_lost"] == 1
+        assert master.stats.rescheduled == first["rescheduled"]
+
+
+class TestJobScope:
+    def test_warm_rep_recomputes_like_a_local_run(self, cluster, tmp_path):
+        master, addr, _ = cluster(n_workers=1, slots=2)
+        params = BenchmarkParams(blocks=8, vectors_per_unit=64, cores=4,
+                                 shift_delta=Vec3(1, 2, 3))
+        local = run_pipeline(params, MODE_LOCAL, scratch=tmp_path / "local")
+        run_pipeline(params, MODE_CLUSTER, master_addr=addr)
+        warm = run_pipeline(params, MODE_CLUSTER, master_addr=addr)
+        assert warm.result == local.result
+        assert warm.timings.counters == local.timings.counters
+        for phase in ("create", "map"):
+            assert warm.timings.counters[phase]["recomputed"] == params.partitions
+
+    def test_worker_holds_one_job_after_many(self, cluster, tmp_path):
+        params = BenchmarkParams(blocks=4, vectors_per_unit=64, cores=2)
+        job_bytes = 2 * params.total_bytes  # source and shifted partitions
+        # half a dataset, so that memory_and_disk spills in every job
+        master, addr, workers = cluster(n_workers=1, budget=params.total_bytes // 2)
+        for seed in range(51):
+            spec = job_spec(params.replaced(seed=seed), Vec3(1, 2, 3), "memory_and_disk")
+            jr = submit(addr, spec, timeout_s=60)
+        assert jr.phases["create"]["spilled"] + jr.phases["map"]["spilled"] >= 1
+        engine = workers[0].engine
+        assert len(engine._pipelines) <= 2 and len(engine._datasets) <= 2
+        assert len(engine._materialized) <= 2 * params.partitions
+        assert engine.cache.resident_bytes <= job_bytes
+        engine_dirs = list((tmp_path / "w0").glob("eng-*"))
+        assert engine_dirs == [engine.scratch]
+        assert len(list(engine.scratch.rglob("*.bin"))) <= 2 * params.partitions
+
 
 class TestWorkerProtocol:
     def test_malformed_task_answered_with_error_and_connection_survives(self, tmp_path):
@@ -367,6 +417,27 @@ class TestWorkerProtocol:
             res = recv_message(conn)
             assert isinstance(res, TaskResult)
             assert res.task_id == 5 and res.count == 8
+        finally:
+            send_message(conn, Shutdown())
+            t.join(timeout=10)
+            conn.close()
+            listener.close()
+
+    def test_invalid_pipeline_json_answered_with_its_task_id(self, tmp_path):
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        cfg = ClusterConfig(host="127.0.0.1", port=listener.getsockname()[1],
+                            slots=1, registration_retries=0)
+        t = threading.Thread(target=Worker(cfg, tmp_path, 1 << 26).run, daemon=True)
+        t.start()
+        conn, _ = listener.accept()
+        try:
+            conn.settimeout(10)
+            recv_message(conn)
+            send_message(conn, Task(9, 0, 0, "{not json"))
+            err = recv_message(conn)
+            assert isinstance(err, ErrorMsg) and err.task_id == 9
         finally:
             send_message(conn, Shutdown())
             t.join(timeout=10)

@@ -1,5 +1,6 @@
 import gc
 import json
+import sys
 import tempfile
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -437,6 +438,26 @@ class TestLifecycle:
         with ThreadPoolExecutor(max_workers=4) as pool:
             per_call = list(pool.map(one, range(d.partitions)))
         assert sum(per_call) == e.counters.spill_writes >= 1
+
+    def test_partition_computed_once_under_contention(self, make_engine):
+        # more threads than cores, all asking for the same partitions at once
+        params = desk_params(blocks=8, vpu=4096, cores=4)
+        rounds = 10
+        e = make_engine()
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(rounds):
+                    d = e.persist(e.source(params), StorageLevel.MEMORY_ONLY)
+                    futures = [pool.submit(e.materialize, d, p)
+                               for _ in range(8) for p in range(d.partitions)]
+                    computed = sum(f.result(timeout=60)[1] for f in futures)
+                    assert computed == d.partitions
+        finally:
+            sys.setswitchinterval(old)
+        assert e.counters.partitions_computed == rounds * params.partitions
+        assert e.counters.generate_calls == rounds * params.blocks
 
 
 class TestCacheManager:
