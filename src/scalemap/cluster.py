@@ -564,8 +564,6 @@ class Master:
     def _run_job_inner(self, job: dict) -> dict:
         if not self.wait_ready(self.cfg.network_timeout_ms / 1000.0):
             raise JobFailure("master not ready: expected workers never registered")
-        if self.live_workers() == 0:
-            raise JobFailure("NoWorkers: no live workers registered")
         stages = job["stages"]
         partitions = BenchmarkParams.from_json_dict(stages[0]["params"]).partitions
         job_id = self._next_job  # the caller holds _job_lock
@@ -575,11 +573,7 @@ class Master:
 
         def force(prefix) -> MaterializationReport:
             results = self._run_phase(ACTION_FORCE, prefix, partitions, job_id)
-            return MaterializationReport(
-                partition_count=partitions,
-                bytes_materialized=sum(r.nbytes for r in results),
-                recomputed_partitions=sum(1 for r in results if r.computed),
-                spilled_partitions=sum(r.spilled for r in results))
+            return MaterializationReport.of((r.nbytes, r.computed, r.spilled) for r in results)
 
         def reduce(full) -> Vec3:
             results = self._run_phase(ACTION_PARTIAL_REDUCE, full, partitions, job_id)
@@ -644,7 +638,7 @@ class Worker:
                  name: str = ""):
         self.cfg = cfg
         self.name = name
-        self._new_engine = partial(Engine, memory_budget_bytes, scratch_dir, slots=cfg.slots)
+        self._new_engine = partial(Engine, memory_budget_bytes, scratch_dir)
         self.engine = self._new_engine()
         self._job_id = 0  # the master numbers jobs from 0
         self._wlock = threading.Lock()
@@ -734,9 +728,7 @@ class Worker:
     def _execute(self, task: Task):
         try:
             d = self.engine.pipeline(json.loads(task.pipeline_json)["stages"])
-            spills = self.engine.thread_spill_writes()
-            arr, computed = self.engine.materialize(d, task.partition)
-            spilled = self.engine.thread_spill_writes() - spills
+            arr, computed, spilled = self.engine.materialize(d, task.partition)
             s = leftfold_sum(arr) if task.action == ACTION_PARTIAL_REDUCE else (0.0, 0.0, 0.0)
             self._send(TaskResult(task.task_id, task.partition, task.action,
                                   float(s[0]), float(s[1]), float(s[2]),

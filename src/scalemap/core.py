@@ -86,8 +86,6 @@ ZERO_DELTA = Vec3(0.0, 0.0, 0.0)
 class Generate:
     """Synthesize data directly where it is consumed."""
 
-    kind = "generate"
-
 
 @dataclass(frozen=True)
 class LoadBinary:
@@ -95,7 +93,6 @@ class LoadBinary:
 
     path: str
     record_bytes: int = RECORD_BYTES_F64
-    kind = "load"
 
 
 DataSource = Generate | LoadBinary

@@ -9,7 +9,10 @@ The CacheManager is the single authority over resident payload bytes: strict
 LRU within a hard byte budget, with eviction optionally spilling to disk
 depending on the owning dataset's storage level.  Spill files carry an
 8-byte FNV-1a checksum trailer so a torn write is detected and recomputed,
-never silently returned.
+never silently returned.  A partition's spills are counted by the
+materialize() call that caused them: a spill runs on the thread whose cache
+insert evicted, so the calling thread's spill-write count across one call is
+exactly that call's spills, however many other slots are busy.
 
 run_job is the one job driver of local and cluster execution: it forces
 each stage of a pipeline spec as a phase, times the phases and reduces,
@@ -96,10 +99,6 @@ class SourceNode:
     params: BenchmarkParams
     files: tuple[str, ...] | None = None
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.files) if self.files is not None else self.params.blocks
-
 
 @dataclass(frozen=True)
 class MappedNode:
@@ -109,9 +108,11 @@ class MappedNode:
 
 class Dataset:
     """One lineage DAG node.  Only the storage level (a policy, not data)
-    ever mutates; the lineage and partitioning are fixed at creation.
-    locks[p] is held while partition p materializes, so a given partition
-    is computed by at most one slot at a time."""
+    and the record of materialized partitions ever mutate; the lineage and
+    partitioning are fixed at creation.  locks[p] is held while partition p
+    materializes, so a given partition is computed by at most one slot at a
+    time.  materialized is the set of partitions ever materialized, added
+    to under that lock."""
 
     def __init__(self, dataset_id: int, lineage: SourceNode | MappedNode, partitions: int):
         self.dataset_id = dataset_id
@@ -119,6 +120,7 @@ class Dataset:
         self.partitions = partitions
         self.storage = StorageLevel.NONE
         self.locks = [threading.Lock() for _ in range(partitions)]
+        self.materialized: set[int] = set()
 
     def __repr__(self):
         kind = "source" if isinstance(self.lineage, SourceNode) else "mapped"
@@ -132,14 +134,23 @@ class MaterializationReport:
 
     recomputed_partitions counts partitions produced by executing lineage
     during this call (first-time or after eviction), as opposed to served
-    from memory or spill.  spilled_partitions counts spill-file writes
-    triggered while the call ran.
+    from memory or spill.  spilled_partitions counts the spill files its
+    partitions' materialize() calls wrote.
     """
 
     partition_count: int
     bytes_materialized: int
     recomputed_partitions: int
     spilled_partitions: int
+
+    @classmethod
+    def of(cls, outcomes) -> "MaterializationReport":
+        """Sums one (nbytes, computed, spilled) triple per partition."""
+        outcomes = list(outcomes)
+        return cls(partition_count=len(outcomes),
+                   bytes_materialized=sum(nb for nb, _, _ in outcomes),
+                   recomputed_partitions=sum(1 for _, c, _ in outcomes if c),
+                   spilled_partitions=sum(s for _, _, s in outcomes))
 
 
 @dataclass
@@ -156,11 +167,12 @@ class EngineCounters:
 class CacheManager:
     """Synchronized LRU store of partition payloads under a hard byte budget.
 
-    Per-key order stamp is refreshed on get(); eviction pops the least
-    recently used entry, insertion order breaking ties.  A payload larger
-    than the whole budget is refused rather than evicting everything for
-    nothing.  All mutation happens under one lock, including the eviction
-    callback, so eviction decisions are serial.
+    Keys are opaque (owner, partition) pairs; drop_dataset drops every key
+    of one owner.  Per-key order stamp is refreshed on get(); eviction pops
+    the least recently used entry, insertion order breaking ties.  A payload
+    larger than the whole budget is refused rather than evicting everything
+    for nothing.  All mutation happens under one lock, including the
+    eviction callback, so eviction decisions are serial.
     """
 
     def __init__(self, memory_budget_bytes: int, on_evict=None):
@@ -170,7 +182,7 @@ class CacheManager:
         self.on_evict = on_evict
         self.resident_bytes = 0
         self.peak_resident_bytes = 0
-        self._entries: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+        self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._lock = threading.RLock()
 
     def get(self, key) -> np.ndarray | None:
@@ -206,9 +218,9 @@ class CacheManager:
             if arr is not None:
                 self.resident_bytes -= arr.nbytes
 
-    def drop_dataset(self, dataset_id: int):
+    def drop_dataset(self, owner):
         with self._lock:
-            for key in [k for k in self._entries if k[0] == dataset_id]:
+            for key in [k for k in self._entries if k[0] == owner]:
                 self.drop(key)
 
     def keys(self):
@@ -253,8 +265,6 @@ class Engine:
         self.counters = EngineCounters()
         self.cache = CacheManager(memory_budget_bytes, on_evict=self._on_evict)
         self._lock = threading.RLock()
-        self._materialized: set[tuple[int, int]] = set()
-        self._datasets: dict[int, Dataset] = {}
         self._pipelines: dict[str, Dataset] = {}
         self._next_id = 0
         self._thread = threading.local()
@@ -269,8 +279,9 @@ class Engine:
             if not root.is_dir():
                 raise InvalidParams(f"input path is not a directory: {root}")
             files = tuple(sorted(str(p) for p in root.iterdir() if p.is_file()))
-            if not files:
-                raise InvalidParams(f"no block files under {root}")
+            if len(files) != params.blocks:
+                raise InvalidParams(
+                    f"{len(files)} block files under {root}, expected blocks={params.blocks}")
         return self._register(SourceNode(params, files), params.partitions)
 
     def map_shift(self, d: Dataset, delta: Vec3) -> Dataset:
@@ -298,7 +309,6 @@ class Engine:
         with self._lock:
             d = Dataset(self._next_id, lineage, partitions)
             self._next_id += 1
-            self._datasets[d.dataset_id] = d
             return d
 
     def persist(self, d: Dataset, level: StorageLevel) -> Dataset:
@@ -308,7 +318,7 @@ class Engine:
         return d
 
     def unpersist(self, d: Dataset) -> Dataset:
-        self.cache.drop_dataset(d.dataset_id)
+        self.cache.drop_dataset(d)
         shutil.rmtree(self.scratch / str(d.dataset_id), ignore_errors=True)
         d.storage = StorageLevel.NONE
         return d
@@ -318,30 +328,24 @@ class Engine:
     def get_partition(self, d: Dataset, p: int) -> np.ndarray:
         return self.materialize(d, p)[0]
 
-    def materialize(self, d: Dataset, p: int) -> tuple[np.ndarray, bool]:
-        """Partition payload plus whether lineage had to run to produce it."""
+    def materialize(self, d: Dataset, p: int) -> tuple[np.ndarray, bool, int]:
+        """(payload, computed, spilled) of one partition: computed tells
+        whether lineage had to run to produce it, spilled how many spill
+        files this call wrote, evicted partitions of other datasets
+        included."""
         if not 0 <= p < d.partitions:
             raise UnknownPartition(f"partition {p} outside 0..{d.partitions - 1}")
-        return self._materialize(d, p)
+        before = getattr(self._thread, "spill_writes", 0)
+        arr, computed = self._materialize(d, p)
+        return arr, computed, getattr(self._thread, "spill_writes", 0) - before
 
     def force(self, d: Dataset) -> MaterializationReport:
-        with self._lock:
-            spills_before = self.counters.spill_writes
-
-        def one(p: int) -> tuple[int, bool]:
-            arr, computed = self._materialize(d, p)
-            return arr.nbytes, computed
+        def outcome(p: int) -> tuple[int, bool, int]:
+            arr, computed, spilled = self.materialize(d, p)
+            return arr.nbytes, computed, spilled
 
         with ThreadPoolExecutor(max_workers=self.slots) as pool:
-            sized = list(pool.map(one, range(d.partitions)))
-        with self._lock:
-            spilled = self.counters.spill_writes - spills_before
-        return MaterializationReport(
-            partition_count=d.partitions,
-            bytes_materialized=sum(nb for nb, _ in sized),
-            recomputed_partitions=sum(1 for _, c in sized if c),
-            spilled_partitions=spilled,
-        )
+            return MaterializationReport.of(pool.map(outcome, range(d.partitions)))
 
     def reduce_average(self, d: Dataset) -> Vec3:
         """Component-wise mean over every record.
@@ -361,63 +365,40 @@ class Engine:
         with ThreadPoolExecutor(max_workers=self.slots) as pool:
             return combine_partials(pool.map(partial, range(d.partitions)))
 
-    def thread_spill_writes(self) -> int:
-        """Spill files written so far by the calling thread.
-
-        A spill runs synchronously on the thread whose insert evicted, so
-        the difference across one materialize() call is exactly that call's
-        spills, however many other slots are busy.
-        """
-        return getattr(self._thread, "spill_writes", 0)
-
     def evict_and_recompute_check(self, d: Dataset, p: int) -> bool:
         """Drop every stored copy of the partition, rebuild it from lineage,
         and compare bit-for-bit.  Test hook for the recomputation contract."""
-        key = (d.dataset_id, p)
-        with self._lock:
-            known = key in self._materialized
-        if not known:
+        if p not in d.materialized:
             raise UnknownPartition(f"partition {p} of dataset {d.dataset_id} never materialized")
-        original, _ = self._materialize(d, p)
-        snapshot = original.tobytes()
-        self.cache.drop(key)
-        self._spill_delete(key)
-        fresh = self._compute(d, p)
-        fresh.setflags(write=False)
-        with self._lock:
-            self.counters.partitions_computed += 1
-        self._store(d, p, fresh)
+        snapshot = self._materialize(d, p)[0].tobytes()
+        self.cache.drop((d, p))
+        self._spill_delete((d, p))
+        fresh, _ = self._materialize(d, p)
         return snapshot == fresh.tobytes()
 
     def _materialize(self, d: Dataset, p: int) -> tuple[np.ndarray, bool]:
-        key = (d.dataset_id, p)
+        key = (d, p)
         with d.locks[p]:
             level = d.storage
+            arr = None
             if level in (StorageLevel.MEMORY_ONLY, StorageLevel.MEMORY_AND_DISK):
                 arr = self.cache.get(key)
-                if arr is not None:
-                    self._mark(key)
-                    return arr, False
-            if level in (StorageLevel.DISK_ONLY, StorageLevel.MEMORY_AND_DISK):
+            if arr is None and level in (StorageLevel.DISK_ONLY, StorageLevel.MEMORY_AND_DISK):
                 arr = self._spill_read(key)
                 if arr is not None:
                     with self._lock:
                         self.counters.spill_reads += 1
                     if level is StorageLevel.MEMORY_AND_DISK:
                         self.cache.insert(key, arr)
-                    self._mark(key)
-                    return arr, False
-            arr = self._compute(d, p)
-            arr.setflags(write=False)
-            with self._lock:
-                self.counters.partitions_computed += 1
-            self._store(d, p, arr)
-            self._mark(key)
-            return arr, True
-
-    def _mark(self, key):
-        with self._lock:
-            self._materialized.add(key)
+            computed = arr is None
+            if computed:
+                arr = self._compute(d, p)
+                arr.setflags(write=False)
+                with self._lock:
+                    self.counters.partitions_computed += 1
+                self._store(d, p, arr)
+            d.materialized.add(p)
+            return arr, computed
 
     def _compute(self, d: Dataset, p: int) -> np.ndarray:
         node = d.lineage
@@ -425,7 +406,7 @@ class Engine:
             parent, _ = self._materialize(node.parent, p)
             return parent + node.delta.as_array()
         params = node.params
-        block_ids = assign_blocks_to_partitions(node.n_blocks, d.partitions)[p]
+        block_ids = assign_blocks_to_partitions(params.blocks, d.partitions)[p]
         pieces = []
         for b in block_ids:
             if node.files is not None:
@@ -449,7 +430,7 @@ class Engine:
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
     def _store(self, d: Dataset, p: int, arr: np.ndarray):
-        key = (d.dataset_id, p)
+        key = (d, p)
         level = d.storage
         if level in (StorageLevel.MEMORY_ONLY, StorageLevel.MEMORY_AND_DISK):
             cached = self.cache.insert(key, arr)
@@ -461,14 +442,13 @@ class Engine:
     def _on_evict(self, key, arr):
         with self._lock:
             self.counters.evictions += 1
-            d = self._datasets.get(key[0])
-        if d is not None and d.storage is StorageLevel.MEMORY_AND_DISK:
+        if key[0].storage is StorageLevel.MEMORY_AND_DISK:
             self._ensure_spilled(key, arr)
 
     # ---- spill files -----------------------------------------------------
 
     def _spill_path(self, key) -> Path:
-        return self.scratch / str(key[0]) / f"{key[1]}.bin"
+        return self.scratch / str(key[0].dataset_id) / f"{key[1]}.bin"
 
     def _ensure_spilled(self, key, arr):
         path = self._spill_path(key)
@@ -491,7 +471,7 @@ class Engine:
             raise SpillIOFailure(f"spill write failed: {path}: {e}") from e
         with self._lock:
             self.counters.spill_writes += 1
-        self._thread.spill_writes = self.thread_spill_writes() + 1
+        self._thread.spill_writes = getattr(self._thread, "spill_writes", 0) + 1
 
     def _spill_read(self, key) -> np.ndarray | None:
         path = self._spill_path(key)

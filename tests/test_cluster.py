@@ -385,8 +385,9 @@ class TestJobScope:
             jr = submit(addr, spec, timeout_s=60)
         assert jr.phases["create"]["spilled"] + jr.phases["map"]["spilled"] >= 1
         engine = workers[0].engine
-        assert len(engine._pipelines) <= 2 and len(engine._datasets) <= 2
-        assert len(engine._materialized) <= 2 * params.partitions
+        assert len(engine._pipelines) <= 2
+        materialized = sum(len(d.materialized) for d in engine._pipelines.values())
+        assert materialized <= 2 * params.partitions
         assert engine.cache.resident_bytes <= job_bytes
         engine_dirs = list((tmp_path / "w0").glob("eng-*"))
         assert engine_dirs == [engine.scratch]

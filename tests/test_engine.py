@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import sys
@@ -104,6 +105,14 @@ class TestSource:
         with pytest.raises(InvalidParams):
             make_engine().source(p)
 
+    def test_load_binary_file_count_must_equal_blocks(self, make_engine, tmp_path):
+        # the run record reports params.blocks, so the source must hold that many
+        write_block_files(tmp_path / "six", [generate_vectors(1, b, 16) for b in range(6)])
+        for blocks in (3, 7):
+            p = desk_params(blocks=blocks, source=LoadBinary(str(tmp_path / "six"), 24))
+            with pytest.raises(InvalidParams, match="6 block files"):
+                make_engine().source(p)
+
 
 class TestMapShift:
     def test_zero_delta_is_identity(self, make_engine):
@@ -182,7 +191,7 @@ class TestPersistence:
         d = e.persist(e.source(desk_params(blocks=2, cores=2)), StorageLevel.DISK_ONLY)
         e.force(d)
         want = e.get_partition(d, 0).copy()
-        path = e._spill_path((d.dataset_id, 0))
+        path = e._spill_path((d, 0))
         blob = bytearray(path.read_bytes())
         blob[10] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -202,7 +211,7 @@ class TestPersistence:
         e = make_engine()
         d = e.persist(e.source(desk_params(blocks=1)), StorageLevel.DISK_ONLY)
         e.force(d)
-        blob = e._spill_path((d.dataset_id, 0)).read_bytes()
+        blob = e._spill_path((d, 0)).read_bytes()
         payload, trailer = blob[:-8], blob[-8:]
         assert int.from_bytes(trailer, "little") == R.fnv1a64(payload)
         assert fnv1a64(payload) == R.fnv1a64(payload)
@@ -344,6 +353,20 @@ class TestRecompute:
         e.force(m)
         assert all(e.evict_and_recompute_check(m, p) for p in range(m.partitions))
 
+    @pytest.mark.parametrize("level", [StorageLevel.MEMORY_ONLY, StorageLevel.DISK_ONLY,
+                                       StorageLevel.MEMORY_AND_DISK])
+    def test_recompute_check_computes_each_partition_once(self, make_engine, level):
+        e = make_engine()
+        d = e.persist(e.source(desk_params(blocks=4, cores=4)), level)
+        m = e.persist(e.map_shift(d, Vec3(1.5, -2.0, 0.25)), level)
+        e.force(m)
+        before = dataclasses.replace(e.counters)
+        assert all(e.evict_and_recompute_check(m, p) for p in range(m.partitions))
+        added = [getattr(e.counters, k) - getattr(before, k)
+                 for k in ("partitions_computed", "generate_calls", "spill_writes")]
+        n = m.partitions
+        assert added == [n, 0, n if level is StorageLevel.DISK_ONLY else 0]
+
     def test_never_materialized_raises(self, make_engine):
         e = make_engine()
         d = e.source(desk_params(blocks=2))
@@ -430,14 +453,20 @@ class TestLifecycle:
         e = make_engine(budget=params.total_bytes // 4)
         d = e.persist(e.source(params), StorageLevel.MEMORY_AND_DISK)
 
-        def one(p):
-            before = e.thread_spill_writes()
-            e.materialize(d, p)
-            return e.thread_spill_writes() - before
-
         with ThreadPoolExecutor(max_workers=4) as pool:
-            per_call = list(pool.map(one, range(d.partitions)))
+            per_call = list(pool.map(lambda p: e.materialize(d, p)[2], range(d.partitions)))
         assert sum(per_call) == e.counters.spill_writes >= 1
+
+    def test_concurrent_force_reports_sum_to_spill_writes(self, make_engine):
+        # each report counts its own partitions' spills, not every spill
+        # the engine wrote while it ran
+        params = desk_params(blocks=16, vpu=4096, cores=16)
+        e = make_engine(budget=params.total_bytes // 4, slots=4)
+        ds = [e.persist(e.source(params.replaced(seed=seed)), StorageLevel.MEMORY_AND_DISK)
+              for seed in (1, 2)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            reports = [f.result(timeout=120) for f in [pool.submit(e.force, d) for d in ds]]
+        assert sum(r.spilled_partitions for r in reports) == e.counters.spill_writes >= 1
 
     def test_partition_computed_once_under_contention(self, make_engine):
         # more threads than cores, all asking for the same partitions at once

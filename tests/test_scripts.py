@@ -1,9 +1,11 @@
-"""The shell scripts drive the CLI by its flags, so a flag renamed or
-deleted in cli.build_parser() would break them without failing any other
-test.  These check that each script parses and passes only known flags."""
+"""The shell scripts and the README's examples drive the CLI by its flags,
+so a flag renamed or deleted in cli.build_parser() would break them without
+failing any other test.  These check that each script parses and passes
+only known flags, and that each README command line parses."""
 
 import argparse
 import re
+import shlex
 import subprocess
 from pathlib import Path
 
@@ -11,8 +13,10 @@ import pytest
 
 from scalemap.cli import build_parser
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.sh"))
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.sh"))
 LONG_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+SH_BLOCK = re.compile(r"^```sh\n(.*?)^```", re.M | re.S)
 
 
 def option_strings(parser: argparse.ArgumentParser) -> set[str]:
@@ -40,3 +44,28 @@ def test_script_flags_are_cli_options():
     used = {flag for s in SCRIPTS for flag in LONG_FLAG.findall(s.read_text())}
     assert {"--vectors-per-unit", "--node-counts"} <= used
     assert used - option_strings(build_parser()) == set()
+
+
+def readme_commands(text: str) -> list[list[str]]:
+    """The argv of each `scalemap ...` line in the sh blocks of a README,
+    continuation lines joined and a trailing & stripped."""
+    commands = []
+    for block in SH_BLOCK.findall(text):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line.strip().removesuffix("&"), comments=True)
+            if argv[:1] == ["scalemap"]:
+                commands.append(argv)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands((ROOT / "README.md").read_text())
+    assert {"bench", "sweep", "analyze", "master", "worker", "netprobe"} <= {
+        argv[1] for argv in commands}
+    failed = []
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv[1:])
+        except SystemExit:
+            failed.append(shlex.join(argv))
+    assert failed == []
