@@ -4,7 +4,7 @@ One run is three phases: build the source dataset and force it (create),
 shift every vector and force that (map), then take the global average
 (reduce).  Local and cluster runs share one driver, engine.run_job, so
 both time the phases alike and record the same counter shape,
-{create, map: {bytes, recomputed, spilled}}.
+{create, map, reduce: {bytes, recomputed, spilled}}.
 
 A strong sweep holds total blocks fixed while node count grows; a weak
 sweep holds blocks per node fixed, so totals grow with node count.
@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .core import BenchmarkParams, Vec3
-from .engine import Engine, StorageLevel, run_job
+from .core import BenchmarkParams, LoadBinary, Vec3
+from .engine import Engine, MaterializationReport, StorageLevel, run_job
 from . import cluster as cluster_mod
 from .errors import ConfigError
 
@@ -118,9 +118,14 @@ def run_pipeline(params: BenchmarkParams, mode: str = MODE_LOCAL, *,
             raise ConfigError("local mode needs a scratch directory")
         # local stand-in for an N-node cluster: one slot per (node, core) pair
         with Engine(memory_budget, scratch, slots=params.nodes * params.cores) as engine:
+            def reduce(full):
+                outcomes = []
+                mean = engine.reduce_average(engine.pipeline(full), outcomes)
+                return mean, MaterializationReport.of(outcomes)
+
             timings, phases, result = run_job(
                 stages, lambda prefix: engine.force(engine.pipeline(prefix)),
-                lambda full: engine.reduce_average(engine.pipeline(full)), skip_reduce)
+                reduce, skip_reduce)
     elif mode == MODE_CLUSTER:
         if master_addr is None:
             raise ConfigError("cluster mode needs a master address")
@@ -137,12 +142,18 @@ def sweep_configurations(base: BenchmarkParams, node_counts: list[int],
                          scaling: ScalingMode) -> list[BenchmarkParams]:
     """Per-node-count parameter sets; validates the sweep axis up front.
 
-    In weak mode the base blocks value is read as blocks per node.
+    In weak mode the base blocks value is read as blocks per node.  A --load
+    directory holds one fixed set of block files, so a weak sweep over it
+    cannot go past one node count.
     """
     if not node_counts:
         raise ConfigError("node_counts must be nonempty")
     if sorted(node_counts) != list(node_counts) or len(set(node_counts)) != len(node_counts):
         raise ConfigError(f"node_counts must be strictly ascending, got {node_counts}")
+    if scaling is ScalingMode.WEAK and isinstance(base.source, LoadBinary) and len(node_counts) > 1:
+        raise ConfigError(
+            f"a weak sweep grows blocks with nodes, but {base.source.path} holds "
+            f"one fixed set of block files; sweep a single node count")
     out = []
     for n in node_counts:
         if scaling is ScalingMode.STRONG:

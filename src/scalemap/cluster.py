@@ -571,13 +571,16 @@ class Master:
         with self._lock:
             before = replace(self.stats)  # cumulative; the report gives this job's share
 
-        def force(prefix) -> MaterializationReport:
-            results = self._run_phase(ACTION_FORCE, prefix, partitions, job_id)
+        def report(results) -> MaterializationReport:
             return MaterializationReport.of((r.nbytes, r.computed, r.spilled) for r in results)
 
-        def reduce(full) -> Vec3:
+        def force(prefix) -> MaterializationReport:
+            return report(self._run_phase(ACTION_FORCE, prefix, partitions, job_id))
+
+        def reduce(full) -> tuple[Vec3, MaterializationReport]:
             results = self._run_phase(ACTION_PARTIAL_REDUCE, full, partitions, job_id)
-            return combine_partials(((r.sum_x, r.sum_y, r.sum_z), r.count) for r in results)
+            mean = combine_partials(((r.sum_x, r.sum_y, r.sum_z), r.count) for r in results)
+            return mean, report(results)
 
         timings, phases, result = run_job(stages, force, reduce,
                                           bool(job.get("skip_reduce", False)))

@@ -234,11 +234,13 @@ def encode_vectors(vectors: np.ndarray, codec: RecordCodec) -> bytes:
     return np.ascontiguousarray(vectors, dtype=codec.dtype).tobytes()
 
 
-def decode_vectors(data: bytes, codec: RecordCodec) -> np.ndarray:
+def decode_vectors(data, codec: RecordCodec) -> np.ndarray:
+    """(n, 3) float64 records of a bytes-like object: for 24-byte records a
+    view of data, read-only when data is; 12-byte records are widened."""
     if len(data) % codec.record_bytes != 0:
         raise IndivisibleLength(len(data), codec.record_bytes)
     flat = np.frombuffer(data, dtype=codec.dtype)
-    return flat.reshape(-1, 3).astype(np.float64)
+    return flat.reshape(-1, 3).astype(np.float64, copy=False)
 
 
 def assign_blocks_to_partitions(blocks: int, partitions: int) -> list[list[int]]:

@@ -8,8 +8,8 @@ rebuilt, and a cached one can be dropped at will.
 The CacheManager is the single authority over resident payload bytes: strict
 LRU within a hard byte budget, with eviction optionally spilling to disk
 depending on the owning dataset's storage level.  Spill files carry an
-8-byte FNV-1a checksum trailer so a torn write is detected and recomputed,
-never silently returned.  A partition's spills are counted by the
+8-byte trailer holding the payload's CRC-32, so a torn write is detected and
+recomputed, never silently returned.  A partition's spills are counted by the
 materialize() call that caused them: a spill runs on the thread whose cache
 insert evicted, so the calling thread's spill-write count across one call is
 exactly that call's spills, however many other slots are busy.
@@ -28,6 +28,7 @@ import struct
 import threading
 import time
 import uuid
+import zlib
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -52,10 +53,6 @@ from .errors import ScalemapError
 
 _F64 = RecordCodec(24)
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
 
 class EmptyDataset(ScalemapError):
     pass
@@ -73,11 +70,12 @@ class RecomputeFailure(ScalemapError):
     """Lineage execution failed, e.g. a backing input file vanished."""
 
 
-def fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
+def fnv1a64(data) -> int:
+    """CRC-32 of a bytes-like object, the spill checksum; zlib runs it in C
+    without the interpreter lock, so slots checksum in parallel.  The name of
+    the FNV-1a checksum it replaced stays: the benchmark's tracer wraps this
+    module attribute by name, so the spill path calls it as a module global."""
+    return zlib.crc32(data)
 
 
 class StorageLevel(Enum):
@@ -130,7 +128,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class MaterializationReport:
-    """Exact counts from one force() call.
+    """Exact counts from one force() call, or of the partitions one reduce read.
 
     recomputed_partitions counts partitions produced by executing lineage
     during this call (first-time or after eviction), as opposed to served
@@ -347,7 +345,7 @@ class Engine:
         with ThreadPoolExecutor(max_workers=self.slots) as pool:
             return MaterializationReport.of(pool.map(outcome, range(d.partitions)))
 
-    def reduce_average(self, d: Dataset) -> Vec3:
+    def reduce_average(self, d: Dataset, outcomes: list | None = None) -> Vec3:
         """Component-wise mean over every record.
 
         Order is pinned for bit-reproducibility: records fold sequentially
@@ -355,15 +353,20 @@ class Engine:
         partition index (combine_partials), and the division happens last.
         The result is therefore identical across runs and storage levels at
         a fixed partition count (and only there; other partitionings round
-        differently).
+        differently).  If outcomes is a list, each partition's
+        (nbytes, computed, spilled) triple is appended to it, in partition
+        order, for MaterializationReport.of.
         """
 
-        def partial(p: int) -> tuple[np.ndarray, int]:
-            arr, _ = self._materialize(d, p)
-            return leftfold_sum(arr), arr.shape[0]
+        def partial(p: int):
+            arr, computed, spilled = self.materialize(d, p)
+            return (leftfold_sum(arr), arr.shape[0]), (arr.nbytes, computed, spilled)
 
         with ThreadPoolExecutor(max_workers=self.slots) as pool:
-            return combine_partials(pool.map(partial, range(d.partitions)))
+            results = list(pool.map(partial, range(d.partitions)))
+        if outcomes is not None:
+            outcomes.extend(outcome for _, outcome in results)
+        return combine_partials(pair for pair, _ in results)
 
     def evict_and_recompute_check(self, d: Dataset, p: int) -> bool:
         """Drop every stored copy of the partition, rebuild it from lineage,
@@ -481,7 +484,7 @@ class Engine:
             return None
         ok = len(data) >= 8
         if ok:
-            payload, (stored,) = data[:-8], struct.unpack("<Q", data[-8:])
+            payload, (stored,) = memoryview(data)[:-8], struct.unpack("<Q", data[-8:])
             ok = fnv1a64(payload) == stored and len(payload) % 24 == 0
         if not ok:
             with self._lock:
@@ -557,13 +560,22 @@ def run_job(stages: list, force, reduce, skip_reduce: bool = False):
 
     The phase runner is two callables.  force(prefix) materializes the last
     dataset of a stage-list prefix and returns its MaterializationReport;
-    reduce(stages) returns the mean of the whole chain as a Vec3.  Each
-    stage is one phase, labelled create (source) or map (shift) and timed
-    on the monotonic clock; phases sums {bytes, recomputed, spilled} per
-    label.  Under skip_reduce the result is None and reduce_s is 0.
+    reduce(stages) returns the mean of the whole chain as a Vec3 and the
+    MaterializationReport of the partitions it read.  Each stage is one
+    phase, labelled create (source) or map (shift), and the reduce is one
+    more, labelled reduce; each is timed on the monotonic clock, and phases
+    sums {bytes, recomputed, spilled} per label.  Under skip_reduce the
+    result is None, reduce_s is 0 and phases has no reduce entry.
     """
     timings = {"create_s": 0.0, "map_s": 0.0, "reduce_s": 0.0}
     phases: dict[str, dict] = {}
+
+    def count(label: str, report: MaterializationReport):
+        sums = phases.setdefault(label, {"bytes": 0, "recomputed": 0, "spilled": 0})
+        sums["bytes"] += report.bytes_materialized
+        sums["recomputed"] += report.recomputed_partitions
+        sums["spilled"] += report.spilled_partitions
+
     t_start = time.monotonic()
     for i, stage in enumerate(stages):
         label = _PHASE_OF_STAGE.get(stage["op"])
@@ -572,14 +584,12 @@ def run_job(stages: list, force, reduce, skip_reduce: bool = False):
         t0 = time.monotonic()
         report = force(stages[: i + 1])
         timings[label + "_s"] += time.monotonic() - t0
-        sums = phases.setdefault(label, {"bytes": 0, "recomputed": 0, "spilled": 0})
-        sums["bytes"] += report.bytes_materialized
-        sums["recomputed"] += report.recomputed_partitions
-        sums["spilled"] += report.spilled_partitions
+        count(label, report)
     result = None
     if not skip_reduce:
         t0 = time.monotonic()
-        result = reduce(stages)
+        result, report = reduce(stages)
         timings["reduce_s"] = time.monotonic() - t0
+        count("reduce", report)
     timings["total_s"] = time.monotonic() - t_start
     return timings, phases, result

@@ -15,6 +15,8 @@ MIX2 = 0x94D049BB133111EB
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 
+CRC32_POLY = 0xEDB88320  # reflected IEEE 802.3 polynomial
+
 
 def mix64(z: int) -> int:
     z &= MASK64
@@ -79,3 +81,13 @@ def fnv1a64(data: bytes) -> int:
         h ^= b
         h = (h * FNV_PRIME) & MASK64
     return h
+
+
+def crc32(data: bytes) -> int:
+    """Bitwise reflected CRC-32: one shift per bit, no table."""
+    crc = 0xFFFFFFFF
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ CRC32_POLY if crc & 1 else crc >> 1
+    return crc ^ 0xFFFFFFFF

@@ -6,6 +6,7 @@ import pytest
 
 from scalemap.core import BenchmarkParams, LoadBinary, RecordCodec, Vec3, encode_vectors, generate_vectors
 from scalemap.engine import Engine, StorageLevel
+from scalemap import bench
 from scalemap.cluster import ClusterConfig, Master, Worker
 from scalemap.bench import (
     ConfigError,
@@ -64,6 +65,7 @@ class TestRunPipeline:
         assert rec.result is None
         assert rec.timings.reduce_s == 0.0
         assert rec.timings.counters["map"]["bytes"] == 4 * 256 * 24
+        assert "reduce" not in rec.timings.counters
 
     def test_spill_counters_surface_in_record(self, tmp_path):
         params = desk_params(blocks=8, cores=8)
@@ -72,6 +74,22 @@ class TestRunPipeline:
                            storage=StorageLevel.MEMORY_AND_DISK)
         spilled = rec.timings.counters["create"]["spilled"] + rec.timings.counters["map"]["spilled"]
         assert spilled >= 1
+
+    def test_phase_spills_sum_to_engine_spill_writes(self, tmp_path, monkeypatch):
+        # the reduce reads partitions back and evicts others, so it spills
+        # too; one slot keeps the eviction order fixed
+        closed = []
+        close = Engine.close
+        monkeypatch.setattr(Engine, "close", lambda e: (closed.append(e), close(e))[1])
+        params = desk_params(blocks=8, nparts=8)
+        rec = run_pipeline(params, scratch=tmp_path,
+                           memory_budget=params.total_bytes // 2,
+                           storage=StorageLevel.MEMORY_AND_DISK)
+        c = rec.timings.counters
+        assert c["reduce"]["bytes"] == params.total_bytes
+        assert c["reduce"]["spilled"] >= 1
+        assert (c["create"]["spilled"] + c["map"]["spilled"] + c["reduce"]["spilled"]
+                == closed[0].counters.spill_writes)
 
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -97,7 +115,8 @@ class TestRunPipeline:
             # work a fresh local engine does
             shape = {stage: set(c) for stage, c in far.timings.counters.items()}
             assert shape == {"create": {"bytes", "recomputed", "spilled"},
-                             "map": {"bytes", "recomputed", "spilled"}}
+                             "map": {"bytes", "recomputed", "spilled"},
+                             "reduce": {"bytes", "recomputed", "spilled"}}
             assert far.timings.counters == near.timings.counters
         finally:
             master.shutdown()
@@ -143,6 +162,16 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep_configurations(desk_params(blocks=8), [4, 2, 1], ScalingMode.STRONG)
 
+    def test_weak_sweep_over_block_files_rejected_up_front(self, tmp_path, monkeypatch):
+        runs = []
+        monkeypatch.setattr(bench, "run_pipeline", lambda *a, **kw: runs.append(a))
+        base = desk_params(blocks=2, source=LoadBinary(str(tmp_path), 24))
+        with pytest.raises(ConfigError, match="fixed set of block files"):
+            run_sweep(base, [1, 2], ScalingMode.WEAK, reps=1, scratch=tmp_path)
+        assert runs == []
+        assert [p.blocks for p in sweep_configurations(base, [2], ScalingMode.WEAK)] == [4]
+        assert len(sweep_configurations(base, [1, 2], ScalingMode.STRONG)) == 2
+
     def test_empty_counts_rejected(self):
         with pytest.raises(ConfigError):
             sweep_configurations(desk_params(blocks=8), [], ScalingMode.WEAK)
@@ -156,7 +185,8 @@ class TestSweep:
 class TestRecordSerialization:
     def make_record(self):
         timings = StageTimings(0.25, 0.5, 0.125, 0.875,
-                               {"create": {"bytes": 96, "recomputed": 2, "spilled": 0}})
+                               {"create": {"bytes": 96, "recomputed": 2, "spilled": 0},
+                                "reduce": {"bytes": 96, "recomputed": 0, "spilled": 1}})
         return RunRecord(params=desk_params(blocks=2, shift_delta=Vec3(1, 2, 3)),
                          mode="local", timings=timings,
                          result=Vec3(1.5, 2.5, 3.5), rep=1,

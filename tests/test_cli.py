@@ -250,6 +250,20 @@ class TestSweepAndAnalyze:
         assert rc == EXIT_RUNTIME
         assert json.loads(capsys.readouterr().err.strip())["error"] == "MixedModes"
 
+    def test_weak_sweep_over_block_files_exits_before_any_run(self, tmp_path, capsys):
+        from scalemap.core import RecordCodec, encode_vectors, generate_vectors
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        for b in range(2):
+            (data_dir / f"block-{b:04d}.bin").write_bytes(
+                encode_vectors(generate_vectors(3, b, 32), RecordCodec(24)))
+        argv = ["--scratch", str(tmp_path / "scratch"), "sweep", "--load", str(data_dir),
+                "--mode", "weak", "--node-counts", "1,2", "--blocks", "2",
+                "--vectors-per-unit", "32", "--json", str(tmp_path / "runs.jsonl")]
+        assert main(argv) == EXIT_RUNTIME
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+        assert not (tmp_path / "runs.jsonl").exists()
+
     def test_descending_node_counts_rejected(self, tmp_path, capsys):
         argv = self.sweep(tmp_path)
         argv[argv.index("1,2,4")] = "4,2,1"

@@ -256,11 +256,10 @@ class TestMasterWorker:
             threads[-1].start()
         try:
             assert master.wait_ready(15)
-            # skip_reduce, so that every spill of the job falls in a reported phase
             jr = submit(("127.0.0.1", master.port),
                         job_spec(params, Vec3(1, 2, 3), storage="memory_and_disk"),
-                        skip_reduce=True, timeout_s=60)
-            spilled = jr.phases["create"]["spilled"] + jr.phases["map"]["spilled"]
+                        timeout_s=60)
+            spilled = sum(jr.phases[phase]["spilled"] for phase in ("create", "map", "reduce"))
             assert spilled >= 1
             assert spilled == sum(w.engine.counters.spill_writes for w in workers)
         finally:

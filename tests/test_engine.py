@@ -3,6 +3,7 @@ import gc
 import json
 import sys
 import tempfile
+import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -207,14 +208,51 @@ class TestPersistence:
         with pytest.raises(SpillIOFailure):
             e.force(d)
 
-    def test_spill_trailer_is_fnv1a(self, make_engine):
+    TEARS = {
+        "emptied": lambda blob: b"",
+        "cut_below_trailer": lambda blob: blob[:7],
+        "cut_mid_payload": lambda blob: blob[:len(blob) // 2 // 24 * 24],
+        "trailer_low_byte_flipped": lambda blob: blob[:-8] + bytes([blob[-8] ^ 0x01]) + blob[-7:],
+        "trailer_high_byte_flipped": lambda blob: blob[:-1] + bytes([blob[-1] ^ 0x80]),
+    }
+
+    @pytest.mark.parametrize("tear", sorted(TEARS))
+    def test_torn_spill_detected_and_recomputed(self, make_engine, tear):
+        e = make_engine()
+        d = e.persist(e.source(desk_params(blocks=2, cores=2)), StorageLevel.DISK_ONLY)
+        e.force(d)
+        want = e.get_partition(d, 0).copy()
+        path = e._spill_path((d, 0))
+        blob = path.read_bytes()
+        path.write_bytes(self.TEARS[tear](blob))
+        computed = e.counters.partitions_computed
+        got, recomputed, _ = e.materialize(d, 0)
+        assert e.counters.spill_corrupt == 1
+        assert recomputed and e.counters.partitions_computed == computed + 1
+        assert_bit_equal(got, want)
+        # a spill is only written where none exists, so a whole file again
+        # means the torn one was unlinked
+        assert path.read_bytes() == blob
+
+    def test_spill_trailer_is_crc32(self, make_engine):
         e = make_engine()
         d = e.persist(e.source(desk_params(blocks=1)), StorageLevel.DISK_ONLY)
         e.force(d)
         blob = e._spill_path((d, 0)).read_bytes()
         payload, trailer = blob[:-8], blob[-8:]
-        assert int.from_bytes(trailer, "little") == R.fnv1a64(payload)
-        assert fnv1a64(payload) == R.fnv1a64(payload)
+        assert int.from_bytes(trailer, "little") == R.crc32(payload)
+        assert fnv1a64(payload) == R.crc32(payload)
+
+    def test_crc32_oracle_check_values(self):
+        assert R.crc32(b"123456789") == 0xCBF43926
+        assert R.crc32(b"") == 0
+
+    def test_spill_checksum_is_not_an_interpreted_loop(self):
+        # about 16 ms in C; a per-byte Python loop takes seconds
+        data = bytes(32 << 20)
+        t0 = time.perf_counter()
+        fnv1a64(data)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestForce:
@@ -598,12 +636,13 @@ class TestRunJob:
 
         def reduce(stages):
             reduced.append(len(stages))
-            return Vec3(1.0, 2.0, 3.0)
+            return Vec3(1.0, 2.0, 3.0), self.report(7)
 
         timings, phases, result = run_job(self.STAGES, force, reduce)
         assert forced == [1, 2, 3] and reduced == [3]
         assert phases == {"create": {"bytes": 1, "recomputed": 1, "spilled": 1},
-                          "map": {"bytes": 5, "recomputed": 5, "spilled": 2}}
+                          "map": {"bytes": 5, "recomputed": 5, "spilled": 2},
+                          "reduce": {"bytes": 7, "recomputed": 7, "spilled": 1}}
         assert result == Vec3(1.0, 2.0, 3.0)
         assert set(timings) == {"create_s", "map_s", "reduce_s", "total_s"}
         assert timings["total_s"] >= timings["create_s"] + timings["map_s"] + timings["reduce_s"]
