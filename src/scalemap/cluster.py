@@ -8,10 +8,16 @@ result is bit-identical to a single-process run at the same partition count.
 The TASK header carries the task's job id; a worker runs each job on a
 fresh engine, so every job is computed from scratch, as a local run is.
 
-Scheduling is a pull: the master pushes up to `slots` tasks to each worker
-and sends the next pending task whenever a result arrives.  A dead worker's
-in-flight tasks are requeued to survivors, which is safe because every task
-is a pure function of its serialized lineage.
+Scheduling places each task on its partition's holder: the worker that
+returned that partition's last result in the job, and so has its parent
+partition cached.  The master pushes up to `slots` tasks to each worker and
+sends the next whenever a result arrives: the worker's own held tasks
+first, then tasks no live worker holds, and only then the tail of the
+longest queue of another holder whose slots are all busy.  A dead worker's
+in-flight and held tasks are requeued to survivors, which rebuild them from
+lineage; that is safe because every task is a pure function of its
+serialized lineage, and the result bits do not depend on placement because
+partial sums combine in partition order.
 
 The master runs each job through engine.run_job, the driver local runs use
 too; its phase runner turns a phase into one task per partition and
@@ -296,6 +302,7 @@ class MasterStats:
     heartbeats: dict = field(default_factory=dict)
     worker_errors: int = 0
     workers_lost: int = 0
+    remote_tasks: int = 0  # tasks sent to a worker other than the partition's holder
 
 
 class _WorkerConn:
@@ -310,11 +317,20 @@ class _WorkerConn:
 
 
 class _Phase:
-    """Scheduling state for one wave of tasks; guarded by the master lock."""
+    """Scheduling state for one wave of tasks; guarded by the master lock.
 
-    def __init__(self, tasks: dict[int, Task]):
+    A pending task waits in the queue of its partition's holder (holders
+    maps partition to worker id), or in the unheld queue when the partition
+    has no live holder.
+    """
+
+    def __init__(self, tasks: dict[int, Task], holders: dict[int, int | None]):
         self.tasks = tasks
-        self.pending = deque(sorted(tasks))
+        self.queues: dict[int, deque] = {}
+        self.unheld: deque = deque()
+        for tid in sorted(tasks):
+            wid = holders.get(tasks[tid].partition)
+            (self.unheld if wid is None else self.queues.setdefault(wid, deque())).append(tid)
         self.done: dict[int, TaskResult] = {}
         self.failed: dict[int, str] = {}
         self.finished = threading.Event()
@@ -322,6 +338,28 @@ class _Phase:
 
     def complete(self) -> bool:
         return len(self.done) + len(self.failed) == len(self.tasks)
+
+    def take(self, wid: int, busy) -> int | None:
+        """The next task for free worker wid, or None: the head of its own
+        queue, else the head of the unheld queue, else the tail of the
+        longest other queue whose holder is busy (busy(holder) is true when
+        every slot of that holder is taken)."""
+        if self.queues.get(wid):
+            return self.queues[wid].popleft()
+        if self.unheld:
+            return self.unheld.popleft()
+        victims = [h for h, q in self.queues.items() if q and busy(h)]  # own queue is empty
+        if not victims:
+            return None
+        return self.queues[max(victims, key=lambda h: len(self.queues[h]))].pop()
+
+    def drop_worker(self, wid: int, in_flight) -> int:
+        """Moves a lost worker's unanswered in-flight tasks and its queue to
+        the unheld queue; returns how many in-flight tasks were requeued."""
+        requeue = sorted(tid for tid in in_flight if tid not in self.done)
+        self.unheld.extend(requeue)
+        self.unheld.extend(self.queues.pop(wid, ()))
+        return len(requeue)
 
 
 class Master:
@@ -344,6 +382,9 @@ class Master:
         self._ready = threading.Event()
         self._stopping = threading.Event()
         self._phase: _Phase | None = None
+        # partition -> worker that returned its last result in the current
+        # job; None once that worker is lost
+        self._holders: dict[int, int | None] = {}
         self._job_lock = threading.Lock()
         self._listener: socket.socket | None = None
         if cfg.expected_workers <= 0:
@@ -473,27 +514,34 @@ class Master:
 
     # -- scheduling
 
+    def _busy(self, wid: int) -> bool:
+        w = self._workers[wid]
+        return len(w.in_flight) >= w.slots
+
     def _pump(self):
         """Dispatch pending tasks to free slots; caller holds the lock."""
         phase = self._phase
-        if phase is None:
-            return
-        while phase.pending:
-            free = [w for w in self._workers.values()
-                    if w.alive and len(w.in_flight) < w.slots]
-            if not free:
-                break
-            w = min(free, key=lambda x: (len(x.in_flight), x.wid))
-            tid = phase.pending.popleft()
+        while phase is not None:
+            free = sorted((w for w in self._workers.values()
+                           if w.alive and len(w.in_flight) < w.slots),
+                          key=lambda x: (len(x.in_flight), x.wid))
+            for w in free:
+                tid = phase.take(w.wid, self._busy)
+                if tid is not None:
+                    break
+            else:
+                return
+            task = phase.tasks[tid]
+            # a partition absent from _holders was never computed in this job
+            if self._holders.get(task.partition, w.wid) != w.wid:
+                self.stats.remote_tasks += 1
             w.in_flight.add(tid)
             try:
                 with w.wlock:
-                    send_message(w.sock, phase.tasks[tid])
+                    send_message(w.sock, task)
             except OSError:
                 self._worker_lost_locked(w, "send failed")
                 phase = self._phase
-                if phase is None:
-                    return
 
     def _on_result(self, w: _WorkerConn, res: TaskResult):
         hook = None
@@ -502,6 +550,8 @@ class Master:
             phase = self._phase
             if phase is not None and res.task_id in phase.tasks and res.task_id not in phase.done:
                 phase.done[res.task_id] = res
+                if w.alive:
+                    self._holders[res.partition] = w.wid
                 if phase.complete():
                     phase.finished.set()
             self._pump()
@@ -535,12 +585,12 @@ class Master:
             w.sock.close()
         except OSError:
             pass
+        for p, wid in self._holders.items():
+            if wid == w.wid:
+                self._holders[p] = None
         phase = self._phase
         if phase is not None:
-            requeue = [tid for tid in w.in_flight if tid not in phase.done]
-            for tid in sorted(requeue):
-                phase.pending.append(tid)
-            self.stats.rescheduled += len(requeue)
+            self.stats.rescheduled += phase.drop_worker(w.wid, w.in_flight)
         w.in_flight.clear()
         if not any(x.alive for x in self._workers.values()):
             if phase is not None:
@@ -569,6 +619,7 @@ class Master:
         job_id = self._next_job  # the caller holds _job_lock
         self._next_job += 1
         with self._lock:
+            self._holders = {}
             before = replace(self.stats)  # cumulative; the report gives this job's share
 
         def report(results) -> MaterializationReport:
@@ -591,7 +642,7 @@ class Master:
             "phases": phases,
             "stats": {
                 **{k: getattr(self.stats, k) - getattr(before, k)
-                   for k in ("rescheduled", "workers_lost", "worker_errors")},
+                   for k in ("rescheduled", "workers_lost", "worker_errors", "remote_tasks")},
                 "workers": self.live_workers(),
                 "partitions": partitions,
             },
@@ -606,7 +657,7 @@ class Master:
             for p in range(partitions):
                 tasks[self._next_tid] = Task(self._next_tid, p, action, pipeline_json, job_id)
                 self._next_tid += 1
-            phase = _Phase(tasks)
+            phase = _Phase(tasks, self._holders)
             self._phase = phase
             if not any(w.alive for w in self._workers.values()):
                 phase.aborted = "no live workers"
@@ -630,8 +681,10 @@ class Worker:
 
     A task names its dataset by a stage-list prefix, resolved through
     Engine.pipeline: each prefix is built once, on the cached dataset of its
-    parent prefix, so the map phase reads the source partitions the create
-    phase persisted, and the reduce phase reads what the map phase persisted.
+    parent prefix.  The master sends a partition's map task to the worker
+    that ran its create task, and its reduce task to the one that ran its
+    map task, so each reads the partition its parent phase persisted here;
+    a task placed elsewhere rebuilds that parent from lineage.
     That cache, with every partition and spill file, lasts one job: a task
     of a new job id closes the engine for a fresh one, which is safe because
     the master starts a job only after every task of the last one answered.

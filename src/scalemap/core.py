@@ -61,9 +61,6 @@ class Vec3:
     y: float
     z: float
 
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
 
@@ -243,8 +240,14 @@ def decode_vectors(data, codec: RecordCodec) -> np.ndarray:
     return flat.reshape(-1, 3).astype(np.float64, copy=False)
 
 
+def partition_blocks(blocks: int, partitions: int, p: int) -> range:
+    """Block ids of partition p, ascending: blocks go round-robin over
+    partitions, so p holds p, p + partitions, ...; O(1) to build."""
+    return range(p, blocks, partitions)
+
+
 def assign_blocks_to_partitions(blocks: int, partitions: int) -> list[list[int]]:
-    """Round-robin block ids over partitions; sizes differ by at most one."""
+    """Every partition's block ids; sizes differ by at most one."""
     if partitions < 1:
         raise InvalidParams(f"partitions must be >= 1, got {partitions}")
-    return [list(range(p, blocks, partitions)) for p in range(partitions)]
+    return [list(partition_blocks(blocks, partitions, p)) for p in range(partitions)]

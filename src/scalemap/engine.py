@@ -44,10 +44,10 @@ from .core import (
     LoadBinary,
     RecordCodec,
     Vec3,
-    assign_blocks_to_partitions,
     decode_vectors,
     encode_vectors,
     generate_vectors,
+    partition_blocks,
 )
 from .errors import ScalemapError
 
@@ -323,9 +323,6 @@ class Engine:
 
     # ---- materialization -----------------------------------------------
 
-    def get_partition(self, d: Dataset, p: int) -> np.ndarray:
-        return self.materialize(d, p)[0]
-
     def materialize(self, d: Dataset, p: int) -> tuple[np.ndarray, bool, int]:
         """(payload, computed, spilled) of one partition: computed tells
         whether lineage had to run to produce it, spilled how many spill
@@ -409,7 +406,7 @@ class Engine:
             parent, _ = self._materialize(node.parent, p)
             return parent + node.delta.as_array()
         params = node.params
-        block_ids = assign_blocks_to_partitions(params.blocks, d.partitions)[p]
+        block_ids = partition_blocks(params.blocks, d.partitions, p)
         pieces = []
         for b in block_ids:
             if node.files is not None:

@@ -14,6 +14,7 @@ from scalemap.bench import MODE_CLUSTER, MODE_LOCAL, run_pipeline
 from scalemap.core import BenchmarkParams, Vec3
 from scalemap.engine import Engine, StorageLevel
 from scalemap.cluster import (
+    ACTION_FORCE,
     MAX_FRAME,
     BindFailure,
     ClusterConfig,
@@ -34,6 +35,8 @@ from scalemap.cluster import (
     TaskResult,
     TruncatedFrame,
     Worker,
+    _Phase,
+    _WorkerConn,
     decode_message,
     encode_message,
     parse_addr,
@@ -244,6 +247,16 @@ class TestMasterWorker:
         submit(addr, job_spec(params, Vec3(1, 2, 3)), timeout_s=60)
         assert workers[0].engine.counters.generate_calls == params.blocks
 
+    def test_two_workers_generate_each_block_once_unless_placed_remotely(self, cluster):
+        # a partition's map and reduce tasks go to the worker that returned
+        # its last result; only a task placed elsewhere may regenerate blocks
+        master, addr, workers = cluster(n_workers=2, slots=2)
+        params = BenchmarkParams(blocks=32, vectors_per_unit=64, cores=16)
+        jr = submit(addr, job_spec(params, Vec3(1, 2, 3)), timeout_s=60)
+        bpp = -(-params.blocks // params.partitions)
+        calls = sum(w.engine.counters.generate_calls for w in workers)
+        assert params.blocks <= calls <= params.blocks + jr.stats["remote_tasks"] * bpp
+
     def test_spills_reported_per_phase(self, tmp_path):
         params = BenchmarkParams(blocks=8, vectors_per_unit=256, cores=8)
         master = Master(ClusterConfig(port=0, expected_workers=2, slots=2)).start()
@@ -359,6 +372,99 @@ class TestMasterWorker:
         assert second["workers_lost"] == second["worker_errors"] == 0
         assert first["rescheduled"] >= 1 and first["workers_lost"] == 1
         assert master.stats.rescheduled == first["rescheduled"]
+
+
+class FakeSock:
+    """Worker socket stand-in that keeps the tasks sent to it."""
+
+    def __init__(self):
+        self.sent = []
+
+    def sendall(self, b: bytes):
+        self.sent.append(recv_message(ByteSource(b)))
+
+    def close(self):
+        pass
+
+
+class TestPlacement:
+    """_Phase and Master._pump on socketless workers; task id = partition."""
+
+    def master(self, slots, holders):
+        master = Master(ClusterConfig(expected_workers=0))
+        for wid, n in enumerate(slots):
+            master._workers[wid] = _WorkerConn(wid, FakeSock(), n, "")
+        master._holders = dict(holders)
+        return master
+
+    def start(self, master, partitions):
+        tasks = {p: Task(p, p, ACTION_FORCE, "{}") for p in range(partitions)}
+        with master._lock:
+            master._phase = _Phase(tasks, master._holders)
+            master._pump()
+        return master._phase
+
+    def answer(self, master, wid, partition):
+        master._on_result(master._workers[wid],
+                          TaskResult(partition, partition, ACTION_FORCE, 0.0, 0.0, 0.0,
+                                     1, 24, True))
+
+    def sent(self, master, wid):
+        return [t.partition for t in master._workers[wid].sock.sent]
+
+    def test_held_task_goes_to_its_holder(self):
+        master = self.master([1, 1], {0: 1, 1: 0, 2: 1, 3: 0})
+        self.start(master, 4)
+        assert self.sent(master, 0) == [1] and self.sent(master, 1) == [0]
+        self.answer(master, 0, 1)
+        self.answer(master, 1, 0)
+        assert self.sent(master, 0) == [1, 3] and self.sent(master, 1) == [0, 2]
+        assert master.stats.remote_tasks == 0
+        assert master._holders == {0: 1, 1: 0, 2: 1, 3: 0}
+
+    def test_holder_with_a_free_slot_keeps_its_tasks(self):
+        # worker 0 is less loaded, but worker 1 holds both and has 2 slots
+        master = self.master([1, 2], {0: 1, 1: 1})
+        self.start(master, 2)
+        assert self.sent(master, 0) == [] and self.sent(master, 1) == [0, 1]
+
+    def test_unheld_task_before_a_steal(self):
+        master = self.master([1, 1], {0: 0, 1: 0})
+        self.start(master, 4)
+        assert self.sent(master, 0) == [0] and self.sent(master, 1) == [2]
+        assert master.stats.remote_tasks == 0
+
+    def test_steal_only_from_a_busy_holder_and_from_the_tail(self):
+        tasks = {p: Task(p, p, ACTION_FORCE, "{}") for p in range(4)}
+        phase = _Phase(tasks, {p: 0 for p in range(4)})
+        assert phase.take(1, lambda h: False) is None
+        assert phase.take(1, lambda h: True) == 3
+        assert phase.take(0, lambda h: True) == 0
+
+        master = self.master([1, 1], {p: 0 for p in range(4)})
+        self.start(master, 4)
+        assert self.sent(master, 0) == [0] and self.sent(master, 1) == [3]
+        self.answer(master, 1, 3)
+        assert self.sent(master, 1) == [3, 2]
+        self.answer(master, 0, 0)
+        assert self.sent(master, 0) == [0, 1]
+        assert master.stats.remote_tasks == 2
+        assert master._holders[3] == 1 and master._holders[2] == 0
+
+    def test_lost_holders_tasks_served_by_survivors(self):
+        master = self.master([1, 1], {p: 0 for p in range(4)})
+        phase = self.start(master, 4)
+        with master._lock:
+            master._worker_lost_locked(master._workers[0], "lost")
+        assert master.stats.rescheduled == 1
+        assert set(master._holders.values()) == {None}
+        for p in (3, 0, 1, 2):
+            assert self.sent(master, 1)[-1] == p
+            self.answer(master, 1, p)
+        assert self.sent(master, 0) == [0]
+        assert phase.complete() and phase.finished.is_set() and not phase.aborted
+        assert master.stats.remote_tasks == 4
+        assert master._holders == {p: 1 for p in range(4)}
 
 
 class TestJobScope:
@@ -500,6 +606,37 @@ class TestWorkerLoss:
             assert jr.result == local_run(tmp_path, params, delta)
             assert master.stats.workers_lost >= 1
             assert master.stats.rescheduled >= 1
+        finally:
+            master.shutdown()
+            for p in procs:
+                p.kill()
+                p.wait(timeout=10)
+
+    def test_holder_killed_between_phases_still_completes_identically(self, tmp_path):
+        cfg = ClusterConfig(port=0, expected_workers=2, slots=2)
+        master = Master(cfg).start()
+        procs = [spawn_worker_proc(master.port, tmp_path / f"wp{i}", 2) for i in range(2)]
+        try:
+            assert master.wait_ready(30), "subprocess workers never registered"
+            params = BenchmarkParams(blocks=32, vectors_per_unit=4096, cores=16)
+            delta = Vec3(0.5, 0.5, 0.5)
+            lock = threading.Lock()
+            seen = []
+
+            def hook(res, wid):
+                with lock:
+                    seen.append(wid)
+                    last_create = len(seen) == params.partitions
+                if last_create:
+                    # every partition the killed worker holds now has a dead holder
+                    procs[0].kill()
+
+            master.on_result = hook
+            jr = submit(("127.0.0.1", master.port), job_spec(params, delta), timeout_s=120)
+            assert len(set(seen[:params.partitions])) == 2  # both workers held partitions
+            assert jr.result == local_run(tmp_path, params, delta)
+            assert jr.stats["workers_lost"] >= 1
+            assert jr.stats["remote_tasks"] >= 1
         finally:
             master.shutdown()
             for p in procs:

