@@ -19,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 
 from .core import BenchmarkParams, LoadBinary, Vec3
-from .engine import Engine, MaterializationReport, StorageLevel, run_job
+from .engine import Engine, MaterializationReport, StorageLevel, build_pipeline, run_job
 from . import cluster as cluster_mod
 from .errors import ConfigError
 
@@ -118,14 +118,15 @@ def run_pipeline(params: BenchmarkParams, mode: str = MODE_LOCAL, *,
             raise ConfigError("local mode needs a scratch directory")
         # local stand-in for an N-node cluster: one slot per (node, core) pair
         with Engine(memory_budget, scratch, slots=params.nodes * params.cores) as engine:
-            def reduce(full):
+            datasets = build_pipeline(engine, stages)
+
+            def reduce():
                 outcomes = []
-                mean = engine.reduce_average(engine.pipeline(full), outcomes)
+                mean = engine.reduce_average(datasets[-1], outcomes)
                 return mean, MaterializationReport.of(outcomes)
 
             timings, phases, result = run_job(
-                stages, lambda prefix: engine.force(engine.pipeline(prefix)),
-                reduce, skip_reduce)
+                stages, lambda i: engine.force(datasets[i]), reduce, skip_reduce)
     elif mode == MODE_CLUSTER:
         if master_addr is None:
             raise ConfigError("cluster mode needs a master address")

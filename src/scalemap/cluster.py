@@ -5,7 +5,8 @@ tag byte plus payload), one tag byte, then a tag-specific payload whose
 integers are little-endian and whose floats are IEEE-754 little-endian.
 Partial reduce sums cross the wire as raw float64 bits, so the distributed
 result is bit-identical to a single-process run at the same partition count.
-The TASK header carries the task's job id; a worker runs each job on a
+A TASK names its job and the stage it reads; a job's stage list rides only
+on the first TASK each worker gets in that job.  Workers run each job on a
 fresh engine, so every job is computed from scratch, as a local run is.
 
 Scheduling places each task on its partition's holder: the worker that
@@ -15,9 +16,9 @@ sends the next whenever a result arrives: the worker's own held tasks
 first, then tasks no live worker holds, and only then the tail of the
 longest queue of another holder whose slots are all busy.  A dead worker's
 in-flight and held tasks are requeued to survivors, which rebuild them from
-lineage; that is safe because every task is a pure function of its
-serialized lineage, and the result bits do not depend on placement because
-partial sums combine in partition order.
+lineage; that is safe because every task is a pure function of its job's
+stage list, its stage and its partition, and the result bits do not depend
+on placement because partial sums combine in partition order.
 
 The master runs each job through engine.run_job, the driver local runs use
 too; its phase runner turns a phase into one task per partition and
@@ -40,7 +41,8 @@ from enum import IntEnum
 from functools import partial
 
 from .core import BenchmarkParams, Vec3
-from .engine import Engine, MaterializationReport, combine_partials, leftfold_sum, run_job
+from .engine import (Dataset, Engine, MaterializationReport, build_pipeline, combine_partials,
+                     leftfold_sum, run_job)
 from .errors import ScalemapError
 
 MAX_FRAME = 64 * 1024 * 1024
@@ -98,8 +100,9 @@ class Task:
     task_id: int
     partition: int
     action: int
-    pipeline_json: str
+    pipeline_json: str  # the job's stage list on a worker's first task of a job, else ""
     job_id: int = 0  # a worker runs each job on its own engine
+    stage: int = 0  # index of the dataset the task reads in the job's stage list
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,7 @@ class JobDone:
 
 
 _REGISTER = struct.Struct("<H")
-_TASK = struct.Struct("<IIBI")
+_TASK = struct.Struct("<IIBIH")
 _RESULT = struct.Struct("<IIBdddQQBI")
 _HEARTBEAT = struct.Struct("<I")
 _ERROR = struct.Struct("<I")
@@ -164,7 +167,7 @@ def encode_message(msg) -> tuple[int, bytes]:
     if isinstance(msg, Register):
         return MessageTag.REGISTER, _REGISTER.pack(msg.slots) + msg.name.encode()
     if isinstance(msg, Task):
-        head = _TASK.pack(msg.task_id, msg.partition, msg.action, msg.job_id)
+        head = _TASK.pack(msg.task_id, msg.partition, msg.action, msg.job_id, msg.stage)
         return MessageTag.TASK, head + msg.pipeline_json.encode()
     if isinstance(msg, TaskResult):
         return MessageTag.RESULT, _RESULT.pack(
@@ -194,8 +197,8 @@ def decode_message(tag: int, payload: bytes):
             (slots,) = _REGISTER.unpack_from(payload)
             return Register(slots, payload[_REGISTER.size:].decode())
         if tag == MessageTag.TASK:
-            tid, part, action, job = _TASK.unpack_from(payload)
-            return Task(tid, part, action, payload[_TASK.size:].decode(), job)
+            tid, part, action, job, stage = _TASK.unpack_from(payload)
+            return Task(tid, part, action, payload[_TASK.size:].decode(), job, stage)
         if tag == MessageTag.RESULT:
             f = _RESULT.unpack(payload)
             return TaskResult(*f[:8], bool(f[8]), f[9])
@@ -313,6 +316,7 @@ class _WorkerConn:
         self.name = name or f"worker-{wid}"
         self.alive = True
         self.in_flight: set[int] = set()
+        self.stages_job: int | None = None  # the job whose stage list it was last sent
         self.wlock = threading.Lock()
 
 
@@ -385,6 +389,7 @@ class Master:
         # partition -> worker that returned its last result in the current
         # job; None once that worker is lost
         self._holders: dict[int, int | None] = {}
+        self._stages_json = ""  # the current job's stage list
         self._job_lock = threading.Lock()
         self._listener: socket.socket | None = None
         if cfg.expected_workers <= 0:
@@ -398,10 +403,8 @@ class Master:
 
     def start(self):
         try:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((self.cfg.host, self.cfg.port))
-            sock.listen(128)
+            # sets SO_REUSEADDR, and closes the socket if bind or listen fails
+            sock = socket.create_server((self.cfg.host, self.cfg.port), backlog=128)
         except OSError as e:
             raise BindFailure(f"cannot bind {self.cfg.host}:{self.cfg.port}: {e}") from e
         self._listener = sock
@@ -535,6 +538,9 @@ class Master:
             # a partition absent from _holders was never computed in this job
             if self._holders.get(task.partition, w.wid) != w.wid:
                 self.stats.remote_tasks += 1
+            if w.stages_job != task.job_id:
+                task = replace(task, pipeline_json=self._stages_json)
+                w.stages_job = task.job_id
             w.in_flight.add(tid)
             try:
                 with w.wlock:
@@ -620,16 +626,17 @@ class Master:
         self._next_job += 1
         with self._lock:
             self._holders = {}
+            self._stages_json = json.dumps({"stages": stages})
             before = replace(self.stats)  # cumulative; the report gives this job's share
 
         def report(results) -> MaterializationReport:
             return MaterializationReport.of((r.nbytes, r.computed, r.spilled) for r in results)
 
-        def force(prefix) -> MaterializationReport:
-            return report(self._run_phase(ACTION_FORCE, prefix, partitions, job_id))
+        def force(i) -> MaterializationReport:
+            return report(self._run_phase(ACTION_FORCE, i, partitions, job_id))
 
-        def reduce(full) -> tuple[Vec3, MaterializationReport]:
-            results = self._run_phase(ACTION_PARTIAL_REDUCE, full, partitions, job_id)
+        def reduce() -> tuple[Vec3, MaterializationReport]:
+            results = self._run_phase(ACTION_PARTIAL_REDUCE, len(stages) - 1, partitions, job_id)
             mean = combine_partials(((r.sum_x, r.sum_y, r.sum_z), r.count) for r in results)
             return mean, report(results)
 
@@ -648,14 +655,12 @@ class Master:
             },
         }
 
-    def _run_phase(self, action: int, stages: list, partitions: int,
-                   job_id: int) -> list[TaskResult]:
+    def _run_phase(self, action: int, stage: int, partitions: int, job_id: int) -> list[TaskResult]:
         """One task per partition; the results in ascending partition order."""
-        pipeline_json = json.dumps({"stages": stages})
         with self._lock:
             tasks = {}
             for p in range(partitions):
-                tasks[self._next_tid] = Task(self._next_tid, p, action, pipeline_json, job_id)
+                tasks[self._next_tid] = Task(self._next_tid, p, action, "", job_id, stage)
                 self._next_tid += 1
             phase = _Phase(tasks, self._holders)
             self._phase = phase
@@ -679,15 +684,16 @@ class Master:
 class Worker:
     """Executes tasks against a local engine, one concurrent task per slot.
 
-    A task names its dataset by a stage-list prefix, resolved through
-    Engine.pipeline: each prefix is built once, on the cached dataset of its
-    parent prefix.  The master sends a partition's map task to the worker
-    that ran its create task, and its reduce task to the one that ran its
-    map task, so each reads the partition its parent phase persisted here;
-    a task placed elsewhere rebuilds that parent from lineage.
-    That cache, with every partition and spill file, lasts one job: a task
-    of a new job id closes the engine for a fresh one, which is safe because
-    the master starts a job only after every task of the last one answered.
+    The first task of a new job id opens the job on a fresh engine, building
+    its datasets (engine.build_pipeline) from the stage list that task
+    carries; a task reads datasets[task.stage], and every task of a job with
+    no usable stage list is answered with an ERROR.  The master sends a
+    partition's map task to the worker that ran its create task, and its
+    reduce task to the one that ran its map task, so each reads the
+    partition its parent phase persisted here; a task placed elsewhere
+    rebuilds that parent from lineage.  A job's datasets, partitions and
+    spill files go with its engine, which is safe because the master starts
+    a job only after every task of the last one answered.
     """
 
     def __init__(self, cfg: ClusterConfig, scratch_dir, memory_budget_bytes: int,
@@ -696,7 +702,8 @@ class Worker:
         self.name = name
         self._new_engine = partial(Engine, memory_budget_bytes, scratch_dir)
         self.engine = self._new_engine()
-        self._job_id = 0  # the master numbers jobs from 0
+        self.datasets: list[Dataset] = []  # the open job's, one per stage
+        self._job_id = self._job_error = None  # the open job, and why it has no datasets
         self._wlock = threading.Lock()
         self._stop = threading.Event()
         self._sock: socket.socket | None = None
@@ -720,10 +727,8 @@ class Worker:
         sock.settimeout(None)  # idle is legal; EOF or SHUTDOWN ends the worker
         self._sock = sock
         send_message(sock, Register(self.cfg.slots, self.name))
-        hb = None
         if self.cfg.heartbeat_interval_ms > 0:
-            hb = threading.Thread(target=self._heartbeat_loop, daemon=True)
-            hb.start()
+            threading.Thread(target=self._heartbeat_loop, daemon=True).start()
         try:
             with ThreadPoolExecutor(max_workers=self.cfg.slots) as pool:
                 while not self._stop.is_set():
@@ -743,9 +748,7 @@ class Worker:
                             self._send(ErrorMsg(0, f"malformed task: {e}"))
                             continue
                         if task.job_id != self._job_id:
-                            self.engine.close()
-                            self.engine = self._new_engine()
-                            self._job_id = task.job_id
+                            self._open_job(task)
                         pool.submit(self._execute, task)
         finally:
             self._stop.set()
@@ -781,9 +784,21 @@ class Worker:
                 return
             self._send(Heartbeat(seq))
 
+    def _open_job(self, task: Task):
+        """A fresh engine, and the datasets of the stage list task carries."""
+        self.engine.close()
+        self.engine = self._new_engine()
+        self._job_id, self.datasets, self._job_error = task.job_id, [], None
+        try:
+            self.datasets = build_pipeline(self.engine, json.loads(task.pipeline_json)["stages"])
+        except Exception as e:  # noqa: BLE001 - answered per task by _execute
+            self._job_error = f"no usable stage list for job {task.job_id}: {type(e).__name__}: {e}"
+
     def _execute(self, task: Task):
         try:
-            d = self.engine.pipeline(json.loads(task.pipeline_json)["stages"])
+            if task.stage >= len(self.datasets):  # any stage of a job with no datasets
+                raise ProtocolError(self._job_error or f"job has no stage {task.stage}")
+            d = self.datasets[task.stage]
             arr, computed, spilled = self.engine.materialize(d, task.partition)
             s = leftfold_sum(arr) if task.action == ACTION_PARTIAL_REDUCE else (0.0, 0.0, 0.0)
             self._send(TaskResult(task.task_id, task.partition, task.action,

@@ -244,10 +244,3 @@ def partition_blocks(blocks: int, partitions: int, p: int) -> range:
     """Block ids of partition p, ascending: blocks go round-robin over
     partitions, so p holds p, p + partitions, ...; O(1) to build."""
     return range(p, blocks, partitions)
-
-
-def assign_blocks_to_partitions(blocks: int, partitions: int) -> list[list[int]]:
-    """Every partition's block ids; sizes differ by at most one."""
-    if partitions < 1:
-        raise InvalidParams(f"partitions must be >= 1, got {partitions}")
-    return [list(partition_blocks(blocks, partitions, p)) for p in range(partitions)]

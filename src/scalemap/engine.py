@@ -14,15 +14,15 @@ materialize() call that caused them: a spill runs on the thread whose cache
 insert evicted, so the calling thread's spill-write count across one call is
 exactly that call's spills, however many other slots are busy.
 
-run_job is the one job driver of local and cluster execution: it forces
-each stage of a pipeline spec as a phase, times the phases and reduces,
-with the work itself delegated to a phase runner.  combine_partials is the
-one ordered combine behind every reduce, in-process or remote.
+build_pipeline builds one dataset per stage of a pipeline spec, so a job
+names its datasets by stage index.  run_job is the one job driver of local
+and cluster execution: it forces each stage as a phase, times the phases
+and reduces, with the work delegated to a phase runner.  combine_partials
+is the one ordered combine behind every reduce, in-process or remote.
 """
 
 from __future__ import annotations
 
-import json
 import shutil
 import struct
 import threading
@@ -262,8 +262,7 @@ class Engine:
         self.scratch = Path(scratch_dir) / f"eng-{uuid.uuid4().hex[:8]}"
         self.counters = EngineCounters()
         self.cache = CacheManager(memory_budget_bytes, on_evict=self._on_evict)
-        self._lock = threading.RLock()
-        self._pipelines: dict[str, Dataset] = {}
+        self._lock = threading.Lock()
         self._next_id = 0
         self._thread = threading.local()
 
@@ -284,24 +283,6 @@ class Engine:
 
     def map_shift(self, d: Dataset, delta: Vec3) -> Dataset:
         return self._register(MappedNode(d, delta), d.partitions)
-
-    def pipeline(self, stages: list) -> Dataset:
-        """The dataset at the end of a pipeline spec's stage list.
-
-        Datasets are cached per stage-list prefix and each prefix is built
-        on the cached dataset of its parent prefix, so the phases of a job
-        share one lineage chain: the map phase reads the source partitions
-        the create phase persisted.
-        """
-        if not stages:
-            raise InvalidParams("pipeline has no stages")
-        key = json.dumps(stages, sort_keys=True)
-        with self._lock:
-            d = self._pipelines.get(key)
-            if d is None:
-                parent = self.pipeline(stages[:-1]) if len(stages) > 1 else None
-                d = self._pipelines[key] = build_stage(self, parent, stages[-1])
-            return d
 
     def _register(self, lineage, partitions: int) -> Dataset:
         with self._lock:
@@ -536,32 +517,39 @@ def combine_partials(partials) -> Vec3:
 _PHASE_OF_STAGE = {"source": "create", "shift": "map"}
 
 
-def build_stage(engine: Engine, parent: Dataset | None, stage: dict) -> Dataset:
-    """The dataset of one pipeline stage, built on its parent's dataset."""
-    if stage["op"] == "source":
-        d = engine.source(BenchmarkParams.from_json_dict(stage["params"]))
-    elif stage["op"] == "shift":
-        if parent is None:
-            raise InvalidParams("shift stage before any source")
-        d = engine.map_shift(parent, Vec3.from_sequence(stage["delta"]))
-    else:
-        raise InvalidParams(f"unknown pipeline stage {stage['op']!r}")
-    level = StorageLevel(stage.get("storage", "none"))
-    if level is not StorageLevel.NONE:
-        engine.persist(d, level)
-    return d
+def build_pipeline(engine: Engine, stages: list) -> list[Dataset]:
+    """One dataset per stage of a pipeline spec, each built on the one before.
+
+    datasets[i] is the end of the prefix stages[:i + 1], so the phases of a
+    job share one lineage chain: the map phase reads the source partitions
+    the create phase persisted.  Building computes no partition.
+    """
+    if not stages:
+        raise InvalidParams("pipeline has no stages")
+    datasets: list[Dataset] = []
+    for stage in stages:
+        if stage["op"] == "source":
+            d = engine.source(BenchmarkParams.from_json_dict(stage["params"]))
+        elif stage["op"] == "shift":
+            if not datasets:
+                raise InvalidParams("shift stage before any source")
+            d = engine.map_shift(datasets[-1], Vec3.from_sequence(stage["delta"]))
+        else:
+            raise InvalidParams(f"unknown pipeline stage {stage['op']!r}")
+        datasets.append(engine.persist(d, StorageLevel(stage.get("storage", "none"))))
+    return datasets
 
 
 def run_job(stages: list, force, reduce, skip_reduce: bool = False):
     """Runs a pipeline's stages as timed phases; returns (timings, phases, result).
 
-    The phase runner is two callables.  force(prefix) materializes the last
-    dataset of a stage-list prefix and returns its MaterializationReport;
-    reduce(stages) returns the mean of the whole chain as a Vec3 and the
-    MaterializationReport of the partitions it read.  Each stage is one
-    phase, labelled create (source) or map (shift), and the reduce is one
-    more, labelled reduce; each is timed on the monotonic clock, and phases
-    sums {bytes, recomputed, spilled} per label.  Under skip_reduce the
+    The phase runner is two callables.  force(i) materializes the dataset of
+    stage i and returns its MaterializationReport; reduce() returns the mean
+    of the last stage's dataset as a Vec3 and the MaterializationReport of
+    the partitions it read.  Each stage is one phase, labelled create
+    (source) or map (shift), and the reduce is one more, labelled reduce;
+    each is timed on the monotonic clock, and phases sums
+    {bytes, recomputed, spilled} per label.  Under skip_reduce the
     result is None, reduce_s is 0 and phases has no reduce entry.
     """
     timings = {"create_s": 0.0, "map_s": 0.0, "reduce_s": 0.0}
@@ -579,13 +567,13 @@ def run_job(stages: list, force, reduce, skip_reduce: bool = False):
         if label is None:
             raise InvalidParams(f"unknown pipeline stage {stage['op']!r}")
         t0 = time.monotonic()
-        report = force(stages[: i + 1])
+        report = force(i)
         timings[label + "_s"] += time.monotonic() - t0
         count(label, report)
     result = None
     if not skip_reduce:
         t0 = time.monotonic()
-        result, report = reduce(stages)
+        result, report = reduce()
         timings["reduce_s"] = time.monotonic() - t0
         count("reduce", report)
     timings["total_s"] = time.monotonic() - t_start

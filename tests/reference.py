@@ -83,6 +83,15 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+def partition_blocks(blocks: int, partitions: int, p: int) -> list[int]:
+    """Block ids of partition p, found by testing every block id in turn."""
+    ids = []
+    for b in range(blocks):
+        if b % partitions == p:
+            ids.append(b)
+    return ids
+
+
 def crc32(data: bytes) -> int:
     """Bitwise reflected CRC-32: one shift per bit, no table."""
     crc = 0xFFFFFFFF

@@ -326,6 +326,7 @@ class TestNetprobeCLI:
         finally:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=10) == 0
+            proc.stdout.close()
 
     def test_connections_against_dead_server_exit_1(self, tmp_path, capsys):
         rc = main(["netprobe", "connections", "--server", "127.0.0.1:9",
@@ -356,5 +357,7 @@ class TestClusterCLI:
         finally:
             send_shutdown(("127.0.0.1", port))
             assert master.wait(timeout=10) == 0
+            master.stdout.close()
             if worker is not None:
                 assert worker.wait(timeout=10) == 0
+                worker.stdout.close()

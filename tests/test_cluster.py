@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalemap import cluster as cluster_mod
 from scalemap.bench import MODE_CLUSTER, MODE_LOCAL, run_pipeline
 from scalemap.core import BenchmarkParams, Vec3
 from scalemap.engine import Engine, StorageLevel
@@ -55,7 +56,7 @@ f64 = st.floats(allow_nan=False, allow_infinity=False, width=64)
 messages = st.one_of(
     st.builds(Register, slots=st.integers(0, 65535), name=st.text(max_size=40)),
     st.builds(Task, task_id=u32, partition=u32, action=st.integers(0, 255),
-              pipeline_json=st.text(max_size=200), job_id=u32),
+              pipeline_json=st.text(max_size=200), job_id=u32, stage=st.integers(0, 65535)),
     st.builds(TaskResult, task_id=u32, partition=u32, action=st.integers(0, 255),
               sum_x=f64, sum_y=f64, sum_z=f64, count=u64, nbytes=u64,
               computed=st.booleans(), spilled=u32),
@@ -466,8 +467,45 @@ class TestPlacement:
         assert master.stats.remote_tasks == 4
         assert master._holders == {p: 1 for p in range(4)}
 
+    def test_worker_added_mid_phase_gets_the_stage_list_first(self):
+        master = self.master([1], {})
+        master._stages_json = stages = '{"stages": []}'
+        tasks = {p: Task(p, p, ACTION_FORCE, "", job_id=3) for p in range(4)}
+        with master._lock:
+            master._phase = _Phase(tasks, master._holders)
+            master._pump()
+            master._workers[1] = _WorkerConn(1, FakeSock(), 1, "")
+            master._pump()
+        self.answer(master, 0, 0)
+        self.answer(master, 1, 1)
+        for wid in (0, 1):
+            assert [t.pipeline_json for t in master._workers[wid].sock.sent] == [stages, ""]
+
 
 class TestJobScope:
+    def test_stage_list_sent_once_per_worker_per_job(self, cluster, monkeypatch):
+        real_send, sent = cluster_mod.send_message, []
+
+        def record(sock, msg):
+            if isinstance(msg, Task):
+                sent.append((sock, msg))
+            real_send(sock, msg)
+
+        monkeypatch.setattr(cluster_mod, "send_message", record)
+        master, addr, _ = cluster(n_workers=2, slots=2)
+        params = BenchmarkParams(blocks=16, vectors_per_unit=64, cores=8)
+        spec = job_spec(params, Vec3(1, 2, 3))
+        for job_id in range(2):
+            submit(addr, spec, timeout_s=60)
+            per_worker = {}
+            for sock, task in sent:
+                if task.job_id == job_id:
+                    per_worker.setdefault(sock, []).append(task)
+            assert sum(map(len, per_worker.values())) == 3 * params.partitions
+            for tasks in per_worker.values():
+                assert json.loads(tasks[0].pipeline_json) == spec
+                assert all(t.pipeline_json == "" for t in tasks[1:])
+
     def test_warm_rep_recomputes_like_a_local_run(self, cluster, tmp_path):
         master, addr, _ = cluster(n_workers=1, slots=2)
         params = BenchmarkParams(blocks=8, vectors_per_unit=64, cores=4,
@@ -490,8 +528,8 @@ class TestJobScope:
             jr = submit(addr, spec, timeout_s=60)
         assert jr.phases["create"]["spilled"] + jr.phases["map"]["spilled"] >= 1
         engine = workers[0].engine
-        assert len(engine._pipelines) <= 2
-        materialized = sum(len(d.materialized) for d in engine._pipelines.values())
+        assert len(workers[0].datasets) <= 2
+        materialized = sum(len(d.materialized) for d in workers[0].datasets)
         assert materialized <= 2 * params.partitions
         assert engine.cache.resident_bytes <= job_bytes
         engine_dirs = list((tmp_path / "w0").glob("eng-*"))
@@ -544,6 +582,34 @@ class TestWorkerProtocol:
             send_message(conn, Task(9, 0, 0, "{not json"))
             err = recv_message(conn)
             assert isinstance(err, ErrorMsg) and err.task_id == 9
+            send_message(conn, Task(10, 1, 0, ""))  # the same job, no stage list
+            err = recv_message(conn)
+            assert isinstance(err, ErrorMsg) and err.task_id == 10
+        finally:
+            send_message(conn, Shutdown())
+            t.join(timeout=10)
+            conn.close()
+            listener.close()
+
+    def test_out_of_range_stage_answered_with_its_task_id(self, tmp_path):
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        cfg = ClusterConfig(host="127.0.0.1", port=listener.getsockname()[1],
+                            slots=1, registration_retries=0)
+        t = threading.Thread(target=Worker(cfg, tmp_path, 1 << 26).run, daemon=True)
+        t.start()
+        conn, _ = listener.accept()
+        try:
+            conn.settimeout(10)
+            recv_message(conn)
+            spec = json.dumps(job_spec(BenchmarkParams(blocks=1, vectors_per_unit=8), Vec3(0, 0, 0)))
+            send_message(conn, Task(4, 0, 0, spec, job_id=3, stage=1))
+            res = recv_message(conn)
+            assert isinstance(res, TaskResult) and res.task_id == 4
+            send_message(conn, Task(5, 0, 0, "", job_id=3, stage=2))
+            err = recv_message(conn)
+            assert isinstance(err, ErrorMsg) and err.task_id == 5
         finally:
             send_message(conn, Shutdown())
             t.join(timeout=10)

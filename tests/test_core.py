@@ -17,7 +17,6 @@ from scalemap.core import (
     LoadBinary,
     RecordCodec,
     Vec3,
-    assign_blocks_to_partitions,
     block_seed,
     decode_vectors,
     encode_vectors,
@@ -134,35 +133,38 @@ class TestCodec:
             RecordCodec(16)
 
 
+def every_partition(blocks: int, partitions: int) -> list[list[int]]:
+    return [list(partition_blocks(blocks, partitions, p)) for p in range(partitions)]
+
+
 class TestAssignment:
     def test_ten_over_four(self):
-        a = assign_blocks_to_partitions(10, 4)
+        a = every_partition(10, 4)
         assert [len(p) for p in a] == [3, 3, 2, 2]
+        assert a == [R.partition_blocks(10, 4, p) for p in range(4)]
 
     def test_large_even_assignment_balance(self):
-        a = assign_blocks_to_partitions(9216, 12)
+        a = every_partition(9216, 12)
         assert all(len(p) == 768 for p in a)
+        assert a == [R.partition_blocks(9216, 12, p) for p in range(12)]
 
     def test_single_partition(self):
-        assert assign_blocks_to_partitions(5, 1) == [[0, 1, 2, 3, 4]]
+        assert every_partition(5, 1) == [[0, 1, 2, 3, 4]] == [R.partition_blocks(5, 1, 0)]
 
     @given(blocks=st.integers(0, 500), partitions=st.integers(1, 64))
     def test_disjoint_and_covering(self, blocks, partitions):
-        a = assign_blocks_to_partitions(blocks, partitions)
+        a = every_partition(blocks, partitions)
         flat = [b for p in a for b in p]
         assert sorted(flat) == list(range(blocks))
         sizes = [len(p) for p in a]
         assert max(sizes) - min(sizes) <= 1
 
-    def test_zero_partitions_rejected(self):
-        with pytest.raises(InvalidParams):
-            assign_blocks_to_partitions(4, 0)
-
     @given(blocks=st.integers(0, 300), partitions=st.integers(1, 40))
     def test_one_partition_lookup_matches_full_assignment(self, blocks, partitions):
-        a = assign_blocks_to_partitions(blocks, partitions)
+        # the oracle tests every block id against every partition
         for p in range(partitions):
-            assert list(partition_blocks(blocks, partitions, p)) == a[p]
+            assert list(partition_blocks(blocks, partitions, p)) == \
+                R.partition_blocks(blocks, partitions, p)
 
     def test_one_partition_lookup_is_constant_time(self):
         # a range is built in microseconds; building every partition's

@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import json
 import sys
 import tempfile
 import time
@@ -21,7 +20,6 @@ from scalemap.core import (
     LoadBinary,
     RecordCodec,
     Vec3,
-    assign_blocks_to_partitions,
     encode_vectors,
     generate_vectors,
 )
@@ -34,6 +32,7 @@ from scalemap.engine import (
     SpillIOFailure,
     StorageLevel,
     UnknownPartition,
+    build_pipeline,
     fnv1a64,
     leftfold_sum,
     run_job,
@@ -89,8 +88,8 @@ class TestSource:
         e = make_engine()
         p = desk_params(blocks=5, cores=3, source=LoadBinary(str(src), 24))
         d = e.source(p)
-        expect = assign_blocks_to_partitions(5, 3)
-        for pidx, ids in enumerate(expect):
+        for pidx in range(3):
+            ids = R.partition_blocks(5, 3, pidx)
             got = e.materialize(d, pidx)[0]
             want = np.concatenate([arrays[b] for b in ids]) if ids else np.empty((0, 3))
             assert_bit_equal(got, want)
@@ -304,12 +303,11 @@ class TestReduce:
             e.reduce_average(d)
 
     def _oracle_mean(self, seed, blocks, vpu, partitions):
-        assignment = assign_blocks_to_partitions(blocks, partitions)
         total = (0.0, 0.0, 0.0)
         count = 0
-        for ids in assignment:
+        for p in range(partitions):
             rows = []
-            for b in ids:
+            for b in R.partition_blocks(blocks, partitions, p):
                 rows.extend(R.block_vectors(seed, b, vpu))
             s = R.left_fold_sum(rows)
             total = (total[0] + s[0], total[1] + s[1], total[2] + s[2])
@@ -333,8 +331,8 @@ class TestReduce:
         d = e.source(desk_params(blocks=4, vpu=2500, cores=4))
         got = e.reduce_average(d)
         rows = []
-        for ids in assign_blocks_to_partitions(4, 4):
-            for b in ids:
+        for p in range(4):
+            for b in R.partition_blocks(4, 4, p):
                 rows.extend(R.block_vectors(42, b, 2500))
         for axis in range(3):
             pw = R.pairwise_sum([r[axis] for r in rows]) / len(rows)
@@ -591,7 +589,7 @@ class TestPipelineSerialization:
             {"op": "shift", "delta": list(delta.as_tuple()), "storage": "memory_and_disk"},
         ]}
         e2 = make_engine()
-        rebuilt = e2.pipeline(spec["stages"])
+        _, rebuilt = build_pipeline(e2, spec["stages"])
         assert rebuilt.storage is StorageLevel.MEMORY_AND_DISK
         assert rebuilt.lineage.delta == delta
         assert rebuilt.lineage.parent.storage is StorageLevel.MEMORY_ONLY
@@ -605,19 +603,18 @@ class TestPipelineSerialization:
             {"op": "shift", "delta": [1.0, 2.0, 3.0], "storage": "memory_only"},
         ]
         e = make_engine()
-        source = e.pipeline(stages[:1])
-        mapped = e.pipeline(stages)
+        source, mapped = build_pipeline(e, stages)
         assert mapped.lineage.parent is source
-        assert e.pipeline(json.loads(json.dumps(stages))) is mapped
+        assert e.counters.partitions_computed == 0  # building computes nothing
         e.force(source)
         e.force(mapped)
         assert e.counters.generate_calls == params.blocks
 
     def test_rejects_malformed_stage(self, make_engine):
         with pytest.raises(InvalidParams):
-            make_engine().pipeline([{"op": "warp"}])
+            build_pipeline(make_engine(), [{"op": "warp"}])
         with pytest.raises(InvalidParams):
-            make_engine().pipeline([])
+            build_pipeline(make_engine(), [])
 
 
 class TestRunJob:
@@ -630,12 +627,12 @@ class TestRunJob:
     def test_phases_sum_per_label_and_reduce_sees_full_chain(self):
         forced, reduced = [], []
 
-        def force(prefix):
-            forced.append(len(prefix))
-            return self.report(len(prefix))
+        def force(i):
+            forced.append(i + 1)
+            return self.report(i + 1)
 
-        def reduce(stages):
-            reduced.append(len(stages))
+        def reduce():
+            reduced.append(len(forced))
             return Vec3(1.0, 2.0, 3.0), self.report(7)
 
         timings, phases, result = run_job(self.STAGES, force, reduce)
@@ -649,4 +646,4 @@ class TestRunJob:
 
     def test_unknown_stage_rejected(self):
         with pytest.raises(InvalidParams):
-            run_job([{"op": "warp"}], lambda p: self.report(0), lambda s: None)
+            run_job([{"op": "warp"}], lambda i: self.report(0), lambda: None)

@@ -44,7 +44,9 @@ elif role == "worker":
     w = cluster.Worker(cluster.ClusterConfig(), scratch, 1 << 20)
     w._sock = Sink()
     spec = bench.make_pipeline_spec(params, engine.StorageLevel.MEMORY_ONLY)
-    w._execute(cluster.Task(7, 0, cluster.ACTION_PARTIAL_REDUCE, json.dumps(spec)))
+    task = cluster.Task(7, 0, cluster.ACTION_PARTIAL_REDUCE, json.dumps(spec))
+    w._open_job(task)
+    w._execute(task)
     w.engine.close()
 else:
     cluster.send_frame(Sink(), cluster.MessageTag.DATA, b"x")
