@@ -2,9 +2,9 @@
 
 One run is three phases: build the source dataset and force it (create),
 shift every vector and force that (map), then take the global average
-(reduce).  Local and cluster runs share one driver, engine.run_job, so
-both time the phases alike and record the same counter shape,
-{create, map, reduce: {bytes, recomputed, spilled}}.
+(reduce).  A job is its params and storage level; local and cluster runs
+share one driver, engine.run_job, so both time the phases alike and record
+the same counter shape, {create, map, reduce: {bytes, recomputed, spilled}}.
 
 A strong sweep holds total blocks fixed while node count grows; a weak
 sweep holds blocks per node fixed, so totals grow with node count.
@@ -19,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 
 from .core import BenchmarkParams, LoadBinary, Vec3
-from .engine import Engine, MaterializationReport, StorageLevel, build_pipeline, run_job
+from .engine import Engine, StorageLevel, build_pipeline, phase_counts, run_job
 from . import cluster as cluster_mod
 from .errors import ConfigError
 
@@ -97,12 +97,9 @@ class RunRecord:
 
 
 def make_pipeline_spec(params: BenchmarkParams, storage: StorageLevel) -> dict:
-    """The job description shared by local and cluster execution paths."""
-    return {"stages": [
-        {"op": "source", "params": params.to_json_dict(), "storage": storage.value},
-        {"op": "shift", "delta": list(params.shift_delta.as_tuple()),
-         "storage": storage.value},
-    ]}
+    """The job a cluster runs: its params and the storage level of both its
+    datasets (engine.build_pipeline)."""
+    return {"params": params.to_json_dict(), "storage": storage.value}
 
 
 def run_pipeline(params: BenchmarkParams, mode: str = MODE_LOCAL, *,
@@ -112,25 +109,25 @@ def run_pipeline(params: BenchmarkParams, mode: str = MODE_LOCAL, *,
                  skip_reduce: bool = False, rep: int = 0,
                  scaling: ScalingMode | None = None) -> RunRecord:
     params.validate()
-    stages = make_pipeline_spec(params, storage)["stages"]
     if mode == MODE_LOCAL:
         if scratch is None:
             raise ConfigError("local mode needs a scratch directory")
         # local stand-in for an N-node cluster: one slot per (node, core) pair
         with Engine(memory_budget, scratch, slots=params.nodes * params.cores) as engine:
-            datasets = build_pipeline(engine, stages)
+            datasets = build_pipeline(engine, params, storage)
 
             def reduce():
                 outcomes = []
-                mean = engine.reduce_average(datasets[-1], outcomes)
-                return mean, MaterializationReport.of(outcomes)
+                mean = engine.reduce_average(datasets[1], outcomes)
+                return mean, phase_counts(outcomes)
 
             timings, phases, result = run_job(
-                stages, lambda i: engine.force(datasets[i]), reduce, skip_reduce)
+                lambda i: engine.force(datasets[i]), reduce, skip_reduce)
     elif mode == MODE_CLUSTER:
         if master_addr is None:
             raise ConfigError("cluster mode needs a master address")
-        jr = cluster_mod.submit(master_addr, {"stages": stages}, skip_reduce=skip_reduce)
+        jr = cluster_mod.submit(master_addr, make_pipeline_spec(params, storage),
+                                skip_reduce=skip_reduce)
         timings, phases, result = jr.timings, jr.phases, jr.result
     else:
         raise ConfigError(f"unknown mode {mode!r}")

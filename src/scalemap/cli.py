@@ -137,7 +137,7 @@ def _nodes_arg(text: str) -> list[int]:
     try:
         return [int(p) for p in text.split(",") if p.strip()]
     except ValueError as e:
-        raise argparse.ArgumentTypeError(f"--nodes wants a comma list of ints: {e}") from e
+        raise argparse.ArgumentTypeError(f"--node-counts wants a comma list of ints: {e}") from e
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,6 +294,8 @@ def cmd_master(args, cfg: GlobalConfig) -> int:
 
 
 def cmd_worker(args, cfg: GlobalConfig) -> int:
+    if not 1 <= args.slots <= 65535:  # REGISTER carries slots as a u16
+        raise UsageError(f"--slots must be in 1..65535, got {args.slots}")
     addr_text = args.master or cfg.master_addr
     if not addr_text:
         raise UsageError(f"worker needs --master or ${ENV_MASTER}")

@@ -5,7 +5,8 @@ tag byte plus payload), one tag byte, then a tag-specific payload whose
 integers are little-endian and whose floats are IEEE-754 little-endian.
 Partial reduce sums cross the wire as raw float64 bits, so the distributed
 result is bit-identical to a single-process run at the same partition count.
-A TASK names its job and the stage it reads; a job's stage list rides only
+A job is its params and storage level.  A TASK names its job and the stage
+it reads, 0 (the source) or 1 (the shifted source); a job's spec rides only
 on the first TASK each worker gets in that job.  Workers run each job on a
 fresh engine, so every job is computed from scratch, as a local run is.
 
@@ -17,7 +18,7 @@ first, then tasks no live worker holds, and only then the tail of the
 longest queue of another holder whose slots are all busy.  A dead worker's
 in-flight and held tasks are requeued to survivors, which rebuild them from
 lineage; that is safe because every task is a pure function of its job's
-stage list, its stage and its partition, and the result bits do not depend
+spec, its stage and its partition, and the result bits do not depend
 on placement because partial sums combine in partition order.
 
 The master runs each job through engine.run_job, the driver local runs use
@@ -41,8 +42,8 @@ from enum import IntEnum
 from functools import partial
 
 from .core import BenchmarkParams, Vec3
-from .engine import (Dataset, Engine, MaterializationReport, build_pipeline, combine_partials,
-                     leftfold_sum, run_job)
+from .engine import (Dataset, Engine, StorageLevel, build_pipeline, combine_partials,
+                     leftfold_sum, phase_counts, run_job)
 from .errors import ScalemapError
 
 MAX_FRAME = 64 * 1024 * 1024
@@ -100,9 +101,9 @@ class Task:
     task_id: int
     partition: int
     action: int
-    pipeline_json: str  # the job's stage list on a worker's first task of a job, else ""
+    pipeline_json: str  # the job's spec on a worker's first task of a job, else ""
     job_id: int = 0  # a worker runs each job on its own engine
-    stage: int = 0  # index of the dataset the task reads in the job's stage list
+    stage: int = 0  # the dataset the task reads: 0 the source, 1 the shifted source
 
 
 @dataclass(frozen=True)
@@ -316,7 +317,7 @@ class _WorkerConn:
         self.name = name or f"worker-{wid}"
         self.alive = True
         self.in_flight: set[int] = set()
-        self.stages_job: int | None = None  # the job whose stage list it was last sent
+        self.spec_job: int | None = None  # the job whose spec it was last sent
         self.wlock = threading.Lock()
 
 
@@ -389,7 +390,7 @@ class Master:
         # partition -> worker that returned its last result in the current
         # job; None once that worker is lost
         self._holders: dict[int, int | None] = {}
-        self._stages_json = ""  # the current job's stage list
+        self._spec_json = ""  # the current job's spec
         self._job_lock = threading.Lock()
         self._listener: socket.socket | None = None
         if cfg.expected_workers <= 0:
@@ -538,9 +539,9 @@ class Master:
             # a partition absent from _holders was never computed in this job
             if self._holders.get(task.partition, w.wid) != w.wid:
                 self.stats.remote_tasks += 1
-            if w.stages_job != task.job_id:
-                task = replace(task, pipeline_json=self._stages_json)
-                w.stages_job = task.job_id
+            if w.spec_job != task.job_id:
+                task = replace(task, pipeline_json=self._spec_json)
+                w.spec_job = task.job_id
             w.in_flight.add(tid)
             try:
                 with w.wlock:
@@ -620,28 +621,26 @@ class Master:
     def _run_job_inner(self, job: dict) -> dict:
         if not self.wait_ready(self.cfg.network_timeout_ms / 1000.0):
             raise JobFailure("master not ready: expected workers never registered")
-        stages = job["stages"]
-        partitions = BenchmarkParams.from_json_dict(stages[0]["params"]).partitions
+        partitions = BenchmarkParams.from_json_dict(job["params"]).partitions
         job_id = self._next_job  # the caller holds _job_lock
         self._next_job += 1
         with self._lock:
             self._holders = {}
-            self._stages_json = json.dumps({"stages": stages})
+            self._spec_json = json.dumps({"params": job["params"], "storage": job["storage"]})
             before = replace(self.stats)  # cumulative; the report gives this job's share
 
-        def report(results) -> MaterializationReport:
-            return MaterializationReport.of((r.nbytes, r.computed, r.spilled) for r in results)
+        def counts(results) -> dict:
+            return phase_counts((r.nbytes, r.computed, r.spilled) for r in results)
 
-        def force(i) -> MaterializationReport:
-            return report(self._run_phase(ACTION_FORCE, i, partitions, job_id))
+        def force(i) -> dict:
+            return counts(self._run_phase(ACTION_FORCE, i, partitions, job_id))
 
-        def reduce() -> tuple[Vec3, MaterializationReport]:
-            results = self._run_phase(ACTION_PARTIAL_REDUCE, len(stages) - 1, partitions, job_id)
+        def reduce() -> tuple[Vec3, dict]:
+            results = self._run_phase(ACTION_PARTIAL_REDUCE, 1, partitions, job_id)
             mean = combine_partials(((r.sum_x, r.sum_y, r.sum_z), r.count) for r in results)
-            return mean, report(results)
+            return mean, counts(results)
 
-        timings, phases, result = run_job(stages, force, reduce,
-                                          bool(job.get("skip_reduce", False)))
+        timings, phases, result = run_job(force, reduce, bool(job.get("skip_reduce", False)))
         return {
             "ok": True,
             "result": None if result is None else list(result.as_tuple()),
@@ -685,9 +684,9 @@ class Worker:
     """Executes tasks against a local engine, one concurrent task per slot.
 
     The first task of a new job id opens the job on a fresh engine, building
-    its datasets (engine.build_pipeline) from the stage list that task
+    its datasets (engine.build_pipeline) from the job spec that task
     carries; a task reads datasets[task.stage], and every task of a job with
-    no usable stage list is answered with an ERROR.  The master sends a
+    no usable spec is answered with an ERROR.  The master sends a
     partition's map task to the worker that ran its create task, and its
     reduce task to the one that ran its map task, so each reads the
     partition its parent phase persisted here; a task placed elsewhere
@@ -702,7 +701,7 @@ class Worker:
         self.name = name
         self._new_engine = partial(Engine, memory_budget_bytes, scratch_dir)
         self.engine = self._new_engine()
-        self.datasets: list[Dataset] = []  # the open job's, one per stage
+        self.datasets: list[Dataset] = []  # the open job's, indexed by stage
         self._job_id = self._job_error = None  # the open job, and why it has no datasets
         self._wlock = threading.Lock()
         self._stop = threading.Event()
@@ -785,14 +784,16 @@ class Worker:
             self._send(Heartbeat(seq))
 
     def _open_job(self, task: Task):
-        """A fresh engine, and the datasets of the stage list task carries."""
+        """A fresh engine, and the datasets of the job spec task carries."""
         self.engine.close()
         self.engine = self._new_engine()
         self._job_id, self.datasets, self._job_error = task.job_id, [], None
         try:
-            self.datasets = build_pipeline(self.engine, json.loads(task.pipeline_json)["stages"])
+            spec = json.loads(task.pipeline_json)
+            self.datasets = build_pipeline(self.engine, BenchmarkParams.from_json_dict(
+                spec["params"]), StorageLevel(spec["storage"]))
         except Exception as e:  # noqa: BLE001 - answered per task by _execute
-            self._job_error = f"no usable stage list for job {task.job_id}: {type(e).__name__}: {e}"
+            self._job_error = f"no usable spec for job {task.job_id}: {type(e).__name__}: {e}"
 
     def _execute(self, task: Task):
         try:

@@ -14,11 +14,14 @@ materialize() call that caused them: a spill runs on the thread whose cache
 insert evicted, so the calling thread's spill-write count across one call is
 exactly that call's spills, however many other slots are busy.
 
-build_pipeline builds one dataset per stage of a pipeline spec, so a job
-names its datasets by stage index.  run_job is the one job driver of local
-and cluster execution: it forces each stage as a phase, times the phases
-and reduces, with the work delegated to a phase runner.  combine_partials
-is the one ordered combine behind every reduce, in-process or remote.
+A job is its params and a storage level.  build_pipeline builds its two
+datasets, the source and the source shifted by params.shift_delta, so a job
+names them by stage index, 0 and 1.  run_job is the one job driver of local
+and cluster execution: create forces dataset 0, map forces dataset 1 and
+reduce folds dataset 1, each phase timed, with the work delegated to a
+phase runner.  phase_counts builds every phase's counts, and
+combine_partials is the one ordered combine behind every reduce, in-process
+or remote.
 """
 
 from __future__ import annotations
@@ -126,29 +129,15 @@ class Dataset:
                 f"partitions={self.partitions}, storage={self.storage.value})")
 
 
-@dataclass(frozen=True)
-class MaterializationReport:
-    """Exact counts from one force() call, or of the partitions one reduce read.
-
-    recomputed_partitions counts partitions produced by executing lineage
-    during this call (first-time or after eviction), as opposed to served
-    from memory or spill.  spilled_partitions counts the spill files its
-    partitions' materialize() calls wrote.
-    """
-
-    partition_count: int
-    bytes_materialized: int
-    recomputed_partitions: int
-    spilled_partitions: int
-
-    @classmethod
-    def of(cls, outcomes) -> "MaterializationReport":
-        """Sums one (nbytes, computed, spilled) triple per partition."""
-        outcomes = list(outcomes)
-        return cls(partition_count=len(outcomes),
-                   bytes_materialized=sum(nb for nb, _, _ in outcomes),
-                   recomputed_partitions=sum(1 for _, c, _ in outcomes if c),
-                   spilled_partitions=sum(s for _, _, s in outcomes))
+def phase_counts(outcomes) -> dict:
+    """A phase's run-record counts from one (nbytes, computed, spilled)
+    triple per partition: bytes materialized, partitions recomputed by
+    executing lineage (first time or after eviction, not served from memory
+    or spill), and spill files written by its partitions' materialize()."""
+    outcomes = list(outcomes)
+    return {"bytes": sum(nb for nb, _, _ in outcomes),
+            "recomputed": sum(1 for _, c, _ in outcomes if c),
+            "spilled": sum(s for _, _, s in outcomes)}
 
 
 @dataclass
@@ -220,10 +209,6 @@ class CacheManager:
         with self._lock:
             for key in [k for k in self._entries if k[0] == owner]:
                 self.drop(key)
-
-    def keys(self):
-        with self._lock:
-            return list(self._entries)
 
     def clear(self):
         with self._lock:
@@ -315,13 +300,14 @@ class Engine:
         arr, computed = self._materialize(d, p)
         return arr, computed, getattr(self._thread, "spill_writes", 0) - before
 
-    def force(self, d: Dataset) -> MaterializationReport:
+    def force(self, d: Dataset) -> dict:
+        """Materializes every partition; returns their phase_counts."""
         def outcome(p: int) -> tuple[int, bool, int]:
             arr, computed, spilled = self.materialize(d, p)
             return arr.nbytes, computed, spilled
 
         with ThreadPoolExecutor(max_workers=self.slots) as pool:
-            return MaterializationReport.of(pool.map(outcome, range(d.partitions)))
+            return phase_counts(pool.map(outcome, range(d.partitions)))
 
     def reduce_average(self, d: Dataset, outcomes: list | None = None) -> Vec3:
         """Component-wise mean over every record.
@@ -333,7 +319,7 @@ class Engine:
         a fixed partition count (and only there; other partitionings round
         differently).  If outcomes is a list, each partition's
         (nbytes, computed, spilled) triple is appended to it, in partition
-        order, for MaterializationReport.of.
+        order, for phase_counts.
         """
 
         def partial(p: int):
@@ -512,69 +498,43 @@ def combine_partials(partials) -> Vec3:
     return Vec3(float(mean[0]), float(mean[1]), float(mean[2]))
 
 
-# ---- pipeline specs and the job driver ---------------------------------------
+# ---- the job's datasets and the job driver ------------------------------------
 
-_PHASE_OF_STAGE = {"source": "create", "shift": "map"}
+def build_pipeline(engine: Engine, params: BenchmarkParams,
+                   storage: StorageLevel) -> list[Dataset]:
+    """The job's datasets: [source, source shifted by params.shift_delta],
+    both persisted at storage.
 
-
-def build_pipeline(engine: Engine, stages: list) -> list[Dataset]:
-    """One dataset per stage of a pipeline spec, each built on the one before.
-
-    datasets[i] is the end of the prefix stages[:i + 1], so the phases of a
-    job share one lineage chain: the map phase reads the source partitions
-    the create phase persisted.  Building computes no partition.
+    The shifted dataset is built on the source, so the map phase reads the
+    source partitions the create phase persisted.  Building computes no
+    partition.
     """
-    if not stages:
-        raise InvalidParams("pipeline has no stages")
-    datasets: list[Dataset] = []
-    for stage in stages:
-        if stage["op"] == "source":
-            d = engine.source(BenchmarkParams.from_json_dict(stage["params"]))
-        elif stage["op"] == "shift":
-            if not datasets:
-                raise InvalidParams("shift stage before any source")
-            d = engine.map_shift(datasets[-1], Vec3.from_sequence(stage["delta"]))
-        else:
-            raise InvalidParams(f"unknown pipeline stage {stage['op']!r}")
-        datasets.append(engine.persist(d, StorageLevel(stage.get("storage", "none"))))
-    return datasets
+    source = engine.persist(engine.source(params), storage)
+    return [source, engine.persist(engine.map_shift(source, params.shift_delta), storage)]
 
 
-def run_job(stages: list, force, reduce, skip_reduce: bool = False):
-    """Runs a pipeline's stages as timed phases; returns (timings, phases, result).
+def run_job(force, reduce, skip_reduce: bool = False):
+    """Runs a job's phases, timed; returns (timings, phases, result).
 
-    The phase runner is two callables.  force(i) materializes the dataset of
-    stage i and returns its MaterializationReport; reduce() returns the mean
-    of the last stage's dataset as a Vec3 and the MaterializationReport of
-    the partitions it read.  Each stage is one phase, labelled create
-    (source) or map (shift), and the reduce is one more, labelled reduce;
-    each is timed on the monotonic clock, and phases sums
-    {bytes, recomputed, spilled} per label.  Under skip_reduce the
-    result is None, reduce_s is 0 and phases has no reduce entry.
+    The phase runner is two callables.  force(i) materializes the job's
+    dataset i and returns its phase_counts; reduce() returns the mean of
+    dataset 1 as a Vec3 and the phase_counts of the partitions it read.
+    create is force(0), map is force(1), then reduce; each is timed on the
+    monotonic clock, and phases maps each label to its counts.  Under
+    skip_reduce the result is None, reduce_s is 0 and phases has no reduce
+    entry.
     """
-    timings = {"create_s": 0.0, "map_s": 0.0, "reduce_s": 0.0}
+    timings = {"reduce_s": 0.0}
     phases: dict[str, dict] = {}
-
-    def count(label: str, report: MaterializationReport):
-        sums = phases.setdefault(label, {"bytes": 0, "recomputed": 0, "spilled": 0})
-        sums["bytes"] += report.bytes_materialized
-        sums["recomputed"] += report.recomputed_partitions
-        sums["spilled"] += report.spilled_partitions
-
     t_start = time.monotonic()
-    for i, stage in enumerate(stages):
-        label = _PHASE_OF_STAGE.get(stage["op"])
-        if label is None:
-            raise InvalidParams(f"unknown pipeline stage {stage['op']!r}")
+    for i, label in enumerate(("create", "map")):
         t0 = time.monotonic()
-        report = force(i)
-        timings[label + "_s"] += time.monotonic() - t0
-        count(label, report)
+        phases[label] = force(i)
+        timings[label + "_s"] = time.monotonic() - t0
     result = None
     if not skip_reduce:
         t0 = time.monotonic()
-        result, report = reduce()
+        result, phases["reduce"] = reduce()
         timings["reduce_s"] = time.monotonic() - t0
-        count("reduce", report)
     timings["total_s"] = time.monotonic() - t_start
     return timings, phases, result

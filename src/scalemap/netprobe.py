@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .cluster import (
+    BindFailure,
     Data,
     Ping,
     ProtocolError,
@@ -122,13 +123,11 @@ class ProbeServer:
         return self._listener.getsockname()[1]
 
     def start(self) -> "ProbeServer":
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
-            sock.bind((self.host, self._requested_port))
+            # sets SO_REUSEADDR, and closes the socket if bind or listen fails
+            sock = socket.create_server((self.host, self._requested_port), backlog=512)
         except OSError as e:
-            raise ScalemapError(f"cannot bind probe server on port {self._requested_port}: {e}") from e
-        sock.listen(512)
+            raise BindFailure(f"cannot bind probe server on port {self._requested_port}: {e}") from e
         self._listener = sock
         threading.Thread(target=self._accept_loop, daemon=True, name="probe-accept").start()
         return self

@@ -20,7 +20,7 @@ from scalemap.cli import (
     main,
     resolve_config,
 )
-from scalemap.cluster import send_shutdown
+from scalemap.cluster import Worker, send_shutdown
 from scalemap.errors import ConfigError
 
 
@@ -276,6 +276,17 @@ class TestWorkerUsage:
         assert main(["worker", "--slots", "2"]) == EXIT_USAGE
         parsed = json.loads(capsys.readouterr().err.strip())
         assert parsed["error"] == "UsageError"
+
+    @pytest.mark.parametrize("slots", ["0", "-1", "65536"])
+    def test_slots_out_of_range_is_usage_error_before_connecting(self, slots, monkeypatch,
+                                                                 capsys):
+        def connect(self):
+            raise AssertionError("worker connected")
+
+        monkeypatch.setattr(Worker, "_connect", connect)
+        assert main(["worker", "--master", "127.0.0.1:7077", "--slots", slots]) == EXIT_USAGE
+        parsed = json.loads(capsys.readouterr().err.strip())
+        assert parsed["error"] == "UsageError" and "--slots" in parsed["message"]
 
 
 def read_json_line(proc, timeout_s=15.0):

@@ -155,10 +155,7 @@ class TestFraming:
 
 
 def job_spec(params: BenchmarkParams, delta: Vec3, storage="memory_only") -> dict:
-    return {"stages": [
-        {"op": "source", "params": params.to_json_dict(), "storage": storage},
-        {"op": "shift", "delta": list(delta.as_tuple()), "storage": storage},
-    ]}
+    return {"params": params.replaced(shift_delta=delta).to_json_dict(), "storage": storage}
 
 
 def local_run(tmp_path, params: BenchmarkParams, delta: Vec3) -> Vec3:
@@ -282,6 +279,13 @@ class TestMasterWorker:
                 w.stop()
             for t in threads:
                 t.join(timeout=10)
+
+    def test_job_without_params_gets_an_error_report(self, cluster):
+        master, addr, _ = cluster(n_workers=1)
+        with pytest.raises(JobFailure, match="params"):
+            submit(addr, {"storage": "memory_only"}, timeout_s=10)
+        params = BenchmarkParams(blocks=2, vectors_per_unit=16)
+        assert submit(addr, job_spec(params, Vec3(0, 0, 0)), timeout_s=10).result is not None
 
     def test_zero_workers_fails_fast(self, cluster):
         master, addr, _ = cluster(n_workers=0, expected=0)
@@ -469,7 +473,7 @@ class TestPlacement:
 
     def test_worker_added_mid_phase_gets_the_stage_list_first(self):
         master = self.master([1], {})
-        master._stages_json = stages = '{"stages": []}'
+        master._spec_json = spec = '{"params": {}, "storage": "none"}'
         tasks = {p: Task(p, p, ACTION_FORCE, "", job_id=3) for p in range(4)}
         with master._lock:
             master._phase = _Phase(tasks, master._holders)
@@ -479,7 +483,7 @@ class TestPlacement:
         self.answer(master, 0, 0)
         self.answer(master, 1, 1)
         for wid in (0, 1):
-            assert [t.pipeline_json for t in master._workers[wid].sock.sent] == [stages, ""]
+            assert [t.pipeline_json for t in master._workers[wid].sock.sent] == [spec, ""]
 
 
 class TestJobScope:
@@ -582,9 +586,17 @@ class TestWorkerProtocol:
             send_message(conn, Task(9, 0, 0, "{not json"))
             err = recv_message(conn)
             assert isinstance(err, ErrorMsg) and err.task_id == 9
-            send_message(conn, Task(10, 1, 0, ""))  # the same job, no stage list
+            send_message(conn, Task(10, 1, 0, ""))  # the same job, no spec
             err = recv_message(conn)
             assert isinstance(err, ErrorMsg) and err.task_id == 10
+            good = job_spec(BenchmarkParams(blocks=1, vectors_per_unit=8), Vec3(0, 0, 0))
+            stages = [{"op": "source", "params": good["params"], "storage": "none"}]
+            for job_id, bad in enumerate([{"params": good["params"]},
+                                          {**good, "storage": "tape"},
+                                          {"stages": stages}], start=1):
+                send_message(conn, Task(10 + job_id, 0, 0, json.dumps(bad), job_id=job_id))
+                err = recv_message(conn)
+                assert isinstance(err, ErrorMsg) and err.task_id == 10 + job_id, bad
         finally:
             send_message(conn, Shutdown())
             t.join(timeout=10)
@@ -629,7 +641,8 @@ class TestWorkerProtocol:
         try:
             conn.settimeout(10)
             recv_message(conn)
-            bad = {"stages": [{"op": "source", "params": {"blocks": 0}, "storage": "none"}]}
+            good = job_spec(BenchmarkParams(blocks=1, vectors_per_unit=8), Vec3(0, 0, 0))
+            bad = {**good, "params": {**good["params"], "blocks": 0}}
             send_message(conn, Task(9, 0, 0, json.dumps(bad)))
             err = recv_message(conn)
             assert isinstance(err, ErrorMsg) and err.task_id == 9

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import sys
 import tempfile
 import time
@@ -27,7 +28,6 @@ from scalemap.engine import (
     CacheManager,
     Engine,
     EmptyDataset,
-    MaterializationReport,
     RecomputeFailure,
     SpillIOFailure,
     StorageLevel,
@@ -171,8 +171,7 @@ class TestPersistence:
         baseline = full(make_engine().source(params))
         e = make_engine(budget=params.total_bytes // 2)
         d = e.persist(e.source(params), StorageLevel.MEMORY_AND_DISK)
-        report = e.force(d)
-        assert report.spilled_partitions >= 1
+        assert e.force(d)["spilled"] >= 1
         assert e.reduce_average(d) == baseline
 
     def test_disk_only_round_trips_through_spill(self, make_engine):
@@ -259,26 +258,19 @@ class TestForce:
         params = desk_params(blocks=12, cores=4)
         e = make_engine()
         d = e.persist(e.source(params), StorageLevel.MEMORY_ONLY)
-        report = e.force(d)
-        assert report.partition_count == 4
-        assert report.bytes_materialized == params.total_bytes
-        assert report.recomputed_partitions == 4
-        assert report.spilled_partitions == 0
-        again = e.force(d)
-        assert again.recomputed_partitions == 0
+        assert e.force(d) == {"bytes": params.total_bytes, "recomputed": 4, "spilled": 0}
+        assert e.force(d)["recomputed"] == 0
 
     def test_half_budget_forces_recompute_on_second_pass(self, make_engine):
         params = desk_params(blocks=8, cores=8)
         e = make_engine(budget=params.total_bytes // 2)
         d = e.persist(e.source(params), StorageLevel.MEMORY_ONLY)
         e.force(d)
-        report = e.force(d)
-        assert report.recomputed_partitions >= 1
+        assert e.force(d)["recomputed"] >= 1
 
     def test_bytes_materialized_arithmetic(self, make_engine):
         params = desk_params(blocks=96, vpu=64, cores=12)
-        report = make_engine().force(make_engine().source(params))
-        assert report.bytes_materialized == 96 * 64 * 24
+        assert make_engine().force(make_engine().source(params))["bytes"] == 96 * 64 * 24
 
 
 class TestReduce:
@@ -502,7 +494,7 @@ class TestLifecycle:
               for seed in (1, 2)]
         with ThreadPoolExecutor(max_workers=2) as pool:
             reports = [f.result(timeout=120) for f in [pool.submit(e.force, d) for d in ds]]
-        assert sum(r.spilled_partitions for r in reports) == e.counters.spill_writes >= 1
+        assert sum(r["spilled"] for r in reports) == e.counters.spill_writes >= 1
 
     def test_partition_computed_once_under_contention(self, make_engine):
         # more threads than cores, all asking for the same partitions at once
@@ -529,20 +521,31 @@ class TestCacheManager:
     def row(self, n=1):
         return np.zeros((n, 3))
 
+    def resident(self, cm, keys):
+        return [k for k in keys if cm.get(k) is not None]
+
     def test_lru_eviction_order(self):
-        cm = CacheManager(48)
+        evicted = []
+        cm = CacheManager(48, on_evict=lambda k, a: evicted.append(k))
         cm.insert((0, 0), self.row())
         cm.insert((0, 1), self.row())
         cm.get((0, 0))
         cm.insert((0, 2), self.row())
-        assert cm.keys() == [(0, 0), (0, 2)]
+        assert evicted == [(0, 1)]
+        # (0, 0) was used before (0, 2) was inserted, so it goes next
+        cm.insert((0, 3), self.row())
+        assert evicted == [(0, 1), (0, 0)]
+        assert self.resident(cm, [(0, i) for i in range(4)]) == [(0, 2), (0, 3)]
 
     def test_tie_broken_by_insertion_order(self):
-        cm = CacheManager(48)
+        evicted = []
+        cm = CacheManager(48, on_evict=lambda k, a: evicted.append(k))
         cm.insert((0, 0), self.row())
         cm.insert((0, 1), self.row())
         cm.insert((0, 2), self.row())
-        assert cm.keys() == [(0, 1), (0, 2)]
+        cm.insert((0, 3), self.row())
+        assert evicted == [(0, 0), (0, 1)]
+        assert self.resident(cm, [(0, i) for i in range(4)]) == [(0, 2), (0, 3)]
 
     def test_oversized_payload_refused(self):
         cm = CacheManager(24)
@@ -574,76 +577,63 @@ class TestCacheManager:
         cm.insert((0, 0), self.row())
         cm.insert((1, 0), self.row())
         cm.drop_dataset(0)
-        assert cm.keys() == [(1, 0)]
+        assert cm.get((0, 0)) is None and cm.get((1, 0)) is not None
+        assert cm.resident_bytes == 24
 
 
 class TestPipelineSerialization:
     def test_round_trip_rebuilds_identical_result(self, make_engine):
-        params = desk_params(blocks=6, cores=3, seed=9)
-        delta = Vec3(0.5, 0.25, -1.0)
+        params = desk_params(blocks=6, cores=3, seed=9, shift_delta=Vec3(0.5, 0.25, -1.0))
         e1 = make_engine()
         d = e1.persist(e1.source(params), StorageLevel.MEMORY_ONLY)
-        m = e1.persist(e1.map_shift(d, delta), StorageLevel.MEMORY_AND_DISK)
-        spec = {"stages": [
-            {"op": "source", "params": params.to_json_dict(), "storage": "memory_only"},
-            {"op": "shift", "delta": list(delta.as_tuple()), "storage": "memory_and_disk"},
-        ]}
+        m = e1.persist(e1.map_shift(d, params.shift_delta), StorageLevel.MEMORY_ONLY)
+        sent = BenchmarkParams.from_json_dict(json.loads(json.dumps(params.to_json_dict())))
         e2 = make_engine()
-        _, rebuilt = build_pipeline(e2, spec["stages"])
+        _, rebuilt = build_pipeline(e2, sent, StorageLevel.MEMORY_AND_DISK)
         assert rebuilt.storage is StorageLevel.MEMORY_AND_DISK
-        assert rebuilt.lineage.delta == delta
-        assert rebuilt.lineage.parent.storage is StorageLevel.MEMORY_ONLY
+        assert rebuilt.lineage.delta == params.shift_delta
+        assert rebuilt.lineage.parent.storage is StorageLevel.MEMORY_AND_DISK
         assert rebuilt.lineage.parent.lineage.params == params
         assert e2.reduce_average(rebuilt) == e1.reduce_average(m)
 
     def test_prefixes_share_one_lineage_chain(self, make_engine):
-        params = desk_params(blocks=4, cores=2)
-        stages = [
-            {"op": "source", "params": params.to_json_dict(), "storage": "memory_only"},
-            {"op": "shift", "delta": [1.0, 2.0, 3.0], "storage": "memory_only"},
-        ]
+        params = desk_params(blocks=4, cores=2, shift_delta=Vec3(1.0, 2.0, 3.0))
         e = make_engine()
-        source, mapped = build_pipeline(e, stages)
+        source, mapped = build_pipeline(e, params, StorageLevel.MEMORY_ONLY)
         assert mapped.lineage.parent is source
         assert e.counters.partitions_computed == 0  # building computes nothing
         e.force(source)
         e.force(mapped)
         assert e.counters.generate_calls == params.blocks
 
-    def test_rejects_malformed_stage(self, make_engine):
-        with pytest.raises(InvalidParams):
-            build_pipeline(make_engine(), [{"op": "warp"}])
-        with pytest.raises(InvalidParams):
-            build_pipeline(make_engine(), [])
-
 
 class TestRunJob:
-    STAGES = [{"op": "source"}, {"op": "shift"}, {"op": "shift"}]
+    def counts(self, n):
+        return {"bytes": n, "recomputed": n, "spilled": 1}
 
-    def report(self, n):
-        return MaterializationReport(partition_count=4, bytes_materialized=n,
-                                     recomputed_partitions=n, spilled_partitions=1)
-
-    def test_phases_sum_per_label_and_reduce_sees_full_chain(self):
-        forced, reduced = [], []
+    def test_phases_run_create_map_reduce_in_order(self):
+        calls = []
 
         def force(i):
-            forced.append(i + 1)
-            return self.report(i + 1)
+            calls.append(("force", i))
+            return self.counts(i + 1)
 
         def reduce():
-            reduced.append(len(forced))
-            return Vec3(1.0, 2.0, 3.0), self.report(7)
+            calls.append(("reduce",))
+            return Vec3(1.0, 2.0, 3.0), self.counts(7)
 
-        timings, phases, result = run_job(self.STAGES, force, reduce)
-        assert forced == [1, 2, 3] and reduced == [3]
-        assert phases == {"create": {"bytes": 1, "recomputed": 1, "spilled": 1},
-                          "map": {"bytes": 5, "recomputed": 5, "spilled": 2},
-                          "reduce": {"bytes": 7, "recomputed": 7, "spilled": 1}}
+        timings, phases, result = run_job(force, reduce)
+        assert calls == [("force", 0), ("force", 1), ("reduce",)]
+        assert phases == {"create": self.counts(1), "map": self.counts(2),
+                          "reduce": self.counts(7)}
+        assert list(phases) == ["create", "map", "reduce"]
         assert result == Vec3(1.0, 2.0, 3.0)
         assert set(timings) == {"create_s", "map_s", "reduce_s", "total_s"}
         assert timings["total_s"] >= timings["create_s"] + timings["map_s"] + timings["reduce_s"]
 
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(InvalidParams):
-            run_job([{"op": "warp"}], lambda i: self.report(0), lambda: None)
+    def test_skip_reduce_runs_no_reduce(self):
+        calls = []
+        timings, phases, result = run_job(lambda i: calls.append(i) or self.counts(i),
+                                          lambda: calls.append("reduce"), skip_reduce=True)
+        assert calls == [0, 1] and result is None
+        assert list(phases) == ["create", "map"] and timings["reduce_s"] == 0.0

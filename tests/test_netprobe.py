@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalemap.cluster import BindFailure
 from scalemap.errors import ConfigError
 from scalemap.netprobe import (
     FaultPolicy,
@@ -210,3 +211,8 @@ class TestServerLifecycle:
             assert rep.connections_established == 2
         finally:
             srv.stop()
+
+    def test_taken_port_is_a_bind_failure(self, server):
+        srv = server()
+        with pytest.raises(BindFailure):
+            ProbeServer(port=srv.port).start()

@@ -1,7 +1,9 @@
-"""The shell scripts and the README's examples drive the CLI by its flags,
-so a flag renamed or deleted in cli.build_parser() would break them without
+"""The shell scripts and the README's examples drive the CLI by its flags
+and the library by its API, so a flag renamed or deleted in
+cli.build_parser(), or an Engine API change, would break them without
 failing any other test.  These check that each script parses and passes
-only known flags, and that each README command line parses."""
+only known flags, that each README command line parses, and that the
+README's library example runs."""
 
 import argparse
 import re
@@ -17,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.sh"))
 LONG_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 SH_BLOCK = re.compile(r"^```sh\n(.*?)^```", re.M | re.S)
+LIBRARY_BLOCK = re.compile(r"^## Library use\n.*?^```python\n(.*?)^```", re.M | re.S)
 
 
 def option_strings(parser: argparse.ArgumentParser) -> set[str]:
@@ -69,3 +72,12 @@ def test_readme_commands_parse():
         except SystemExit:
             failed.append(shlex.join(argv))
     assert failed == []
+
+
+def test_readme_library_example_runs(tmp_path):
+    (code,) = LIBRARY_BLOCK.findall((ROOT / "README.md").read_text())
+    assert '"/tmp/sm"' in code
+    ns = {}
+    exec(compile(code.replace('"/tmp/sm"', repr(str(tmp_path))), "README.md", "exec"), ns)
+    assert set(ns["counts"]) == {"bytes", "recomputed", "spilled"}
+    assert ns["mean"].is_finite()
