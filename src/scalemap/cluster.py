@@ -44,7 +44,7 @@ from functools import partial
 from .core import BenchmarkParams, Vec3
 from .engine import (Dataset, Engine, StorageLevel, build_pipeline, combine_partials,
                      leftfold_sum, phase_counts, run_job)
-from .errors import ScalemapError
+from .errors import ConfigError, ScalemapError
 
 MAX_FRAME = 64 * 1024 * 1024
 
@@ -697,6 +697,8 @@ class Worker:
 
     def __init__(self, cfg: ClusterConfig, scratch_dir, memory_budget_bytes: int,
                  name: str = ""):
+        if not 1 <= cfg.slots <= 65535:  # REGISTER carries slots as a u16
+            raise ConfigError(f"worker slots must be in 1..65535, got {cfg.slots}")
         self.cfg = cfg
         self.name = name
         self._new_engine = partial(Engine, memory_budget_bytes, scratch_dir)

@@ -6,11 +6,15 @@ blocks round-robin for parallel execution.
 
 Generation is pure: the vector stream of a block depends only on
 (seed, block_id, n_vectors), never on which process or thread runs it.
+generate_vectors can fill a caller's array in place, so a partition of many
+blocks is generated into one allocation with no per-block copies; its
+temporaries are bounded by a fixed chunk of draws whatever the block size.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -202,29 +206,65 @@ class RecordCodec:
         return np.dtype("<f4" if self.record_bytes == RECORD_BYTES_F32 else "<f8")
 
 
-_GEN_CHUNK = 1 << 21  # draws per chunk; bounds temporaries to ~50 MB
+# Draws per chunk.  Each call works in two uint64 scratch buffers of
+# min(3 * n_vectors, _GEN_CHUNK) draws, 512 KiB apiece at most, so a block of
+# any size needs no temporaries beyond ~1 MiB (and the 512 KiB step table,
+# once per process) and a small block's scratch is no larger than its output.
+_GEN_CHUNK = 1 << 16
+_SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
-def generate_vectors(seed: int, block_id: int, n_vectors: int) -> np.ndarray:
+@functools.cache
+def _chunk_steps() -> np.ndarray:
+    """steps[j] = (j + 1) * golden gamma mod 2^64, the state increments of
+    one chunk's draws; built on first use, so a process that never
+    generates (a master, a probe server) does not hold it."""
+    steps = np.arange(1, _GEN_CHUNK + 1, dtype=np.uint64)
+    steps *= np.uint64(_GOLDEN)
+    steps.setflags(write=False)
+    return steps
+
+
+def generate_vectors(seed: int, block_id: int, n_vectors: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Deterministic (n_vectors, 3) float64 array, components uniform on [0, 1).
 
     Draw i of the block stream is the splitmix64 output for state
-    block_seed + i * golden gamma, so any sub-range can be produced without
-    generating its prefix; chunking below exploits exactly that.
+    block_seed + (i + 1) * golden gamma, so any sub-range of draws can be
+    produced without generating its prefix.  The draws are made a chunk at a
+    time with in-place ufuncs over two reusable scratch buffers, and each
+    chunk's (z >> 11) * 2^-53 is written straight into the result: for a
+    power of two the product is exact, the same bits as dividing by 2^53.
+
+    out, if given, must be a C-contiguous (n_vectors, 3) float64 array, for
+    instance one block's slice of a partition; it is filled and returned.
+    A wrong out raises ValueError before anything is written.
     """
+    shape = (n_vectors, 3)
+    if out is None:
+        out = np.empty(shape, dtype=np.float64)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {shape} float64 array, got "
+                         f"{out.shape} {out.dtype} contiguous={out.flags.c_contiguous}")
+    flat = out.reshape(-1)
+    n_draws = flat.shape[0]
+    chunk = min(n_draws, _GEN_CHUNK)
+    z = np.empty(chunk, dtype=np.uint64)
+    t = np.empty(chunk, dtype=np.uint64)
+    steps = _chunk_steps()
     bs = block_seed(seed, block_id)
-    n_draws = 3 * n_vectors
-    out = np.empty(n_draws, dtype=np.float64)
     for lo in range(0, n_draws, _GEN_CHUNK):
-        hi = min(lo + _GEN_CHUNK, n_draws)
-        idx = np.arange(lo + 1, hi + 1, dtype=np.uint64)
-        z = np.uint64(bs) + idx * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-        out[lo:hi] = (z >> np.uint64(11)).astype(np.float64)
-        out[lo:hi] /= float(1 << 53)
-    return out.reshape(n_vectors, 3)
+        m = min(chunk, n_draws - lo)
+        zm, tm = z[:m], t[:m]
+        np.add(steps[:m], np.uint64((bs + lo * _GOLDEN) & _MASK64), out=zm)
+        np.bitwise_xor(zm, np.right_shift(zm, _SHIFT30, out=tm), out=zm)
+        np.multiply(zm, np.uint64(_MIX1), out=zm)
+        np.bitwise_xor(zm, np.right_shift(zm, _SHIFT27, out=tm), out=zm)
+        np.multiply(zm, np.uint64(_MIX2), out=zm)
+        np.bitwise_xor(zm, np.right_shift(zm, _SHIFT31, out=tm), out=zm)
+        np.right_shift(zm, _SHIFT11, out=tm)
+        np.multiply(tm, 2.0**-53, out=flat[lo:lo + m])
+    return out
 
 
 def encode_vectors(vectors: np.ndarray, codec: RecordCodec) -> bytes:

@@ -3,7 +3,10 @@
 A Dataset is a node in an immutable transformation DAG; nothing is computed
 until force() or reduce_average() asks for it.  Any partition is a pure
 function of (lineage, partition index), so a dropped partition can always be
-rebuilt, and a cached one can be dropped at will.
+rebuilt, and a cached one can be dropped at will.  A generated source
+partition is allocated once and each of its blocks is generated in place
+into its own slice, so building it copies nothing; a file-backed one decodes
+each block file and concatenates the blocks.
 
 The CacheManager is the single authority over resident payload bytes: strict
 LRU within a hard byte budget, with eviction optionally spilling to disk
@@ -374,27 +377,33 @@ class Engine:
             return parent + node.delta.as_array()
         params = node.params
         block_ids = partition_blocks(params.blocks, d.partitions, p)
-        pieces = []
-        for b in block_ids:
-            if node.files is not None:
-                codec = RecordCodec(params.source.record_bytes)
-                try:
-                    data = Path(node.files[b]).read_bytes()
-                except OSError as e:
-                    raise RecomputeFailure(f"block file unreadable: {node.files[b]}: {e}") from e
-                try:
-                    pieces.append(decode_vectors(data, codec))
-                except IndivisibleLength as e:
-                    raise RecomputeFailure(f"block file misaligned: {node.files[b]}: {e}") from e
-                with self._lock:
-                    self.counters.file_loads += 1
-            else:
-                pieces.append(generate_vectors(params.seed, b, params.vectors_per_block))
-                with self._lock:
-                    self.counters.generate_calls += 1
+        if node.files is None:
+            # one allocation per partition; each block fills its own slice
+            n = params.vectors_per_block
+            arr = np.empty((len(block_ids) * n, 3), dtype=np.float64)
+            for i, b in enumerate(block_ids):
+                generate_vectors(params.seed, b, n, out=arr[i * n:(i + 1) * n])
+            with self._lock:
+                self.counters.generate_calls += len(block_ids)
+            return arr
+        codec = RecordCodec(params.source.record_bytes)
+        pieces = [self._load_block(node.files[b], codec) for b in block_ids]
+        with self._lock:
+            self.counters.file_loads += len(pieces)
         if not pieces:
             return np.empty((0, 3), dtype=np.float64)
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+    @staticmethod
+    def _load_block(path: str, codec: RecordCodec) -> np.ndarray:
+        try:
+            data = Path(path).read_bytes()
+        except OSError as e:
+            raise RecomputeFailure(f"block file unreadable: {path}: {e}") from e
+        try:
+            return decode_vectors(data, codec)
+        except IndivisibleLength as e:
+            raise RecomputeFailure(f"block file misaligned: {path}: {e}") from e
 
     def _store(self, d: Dataset, p: int, arr: np.ndarray):
         key = (d, p)

@@ -14,6 +14,7 @@ from scalemap import cluster as cluster_mod
 from scalemap.bench import MODE_CLUSTER, MODE_LOCAL, run_pipeline
 from scalemap.core import BenchmarkParams, Vec3
 from scalemap.engine import Engine, StorageLevel
+from scalemap.errors import ConfigError
 from scalemap.cluster import (
     ACTION_FORCE,
     MAX_FRAME,
@@ -542,6 +543,20 @@ class TestJobScope:
 
 
 class TestWorkerProtocol:
+    @pytest.mark.parametrize("slots", [0, -1, 65536])
+    def test_slots_outside_u16_rejected_before_connecting(self, tmp_path, slots):
+        # REGISTER carries slots as a u16, and a worker needs at least one
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            cfg = ClusterConfig(host="127.0.0.1", port=listener.getsockname()[1],
+                                slots=slots, registration_retries=0)
+            with pytest.raises(ConfigError, match="slots"):
+                Worker(cfg, tmp_path, 1 << 26).run()
+            listener.settimeout(0.2)
+            with pytest.raises(socket.timeout):
+                listener.accept()
+
     def test_malformed_task_answered_with_error_and_connection_survives(self, tmp_path):
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))

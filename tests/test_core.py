@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import reference as R
 from conftest import assert_bit_equal
+from scalemap import core
 from scalemap.core import (
     RECORD_BYTES_F32,
     RECORD_BYTES_F64,
@@ -64,11 +66,50 @@ class TestGeneration:
         assert_bit_equal(got, want)
 
     def test_chunk_boundary_continuity(self):
-        # n chosen so the draw count crosses the internal chunk size
-        n = (1 << 21) // 3 + 17
-        got = generate_vectors(7, 5, n)
-        tail = R.block_vectors(7, 5, n)[-4:]
-        assert got[-4:].tolist() == [list(t) for t in tail]
+        # draws just below, at and just above the first and second chunk edges
+        edges = (core._GEN_CHUNK, 2 * core._GEN_CHUNK)
+        n = (edges[-1] + 3) // 3 + 1
+        got = generate_vectors(7, 5, n).reshape(-1)
+        want = R.block_floats(7, 5, 3 * n)
+        for edge in edges:
+            for i in range(edge - 3, edge + 3):
+                assert got[i] == want[i], i
+
+    def test_out_fills_exactly_its_slice(self):
+        # enough vectors that the slice spans a chunk edge
+        n = core._GEN_CHUNK // 3 + 5
+        big = np.full((n + 7, 3), np.nan)
+        view = big[3:3 + n]
+        assert generate_vectors(11, 4, n, out=view) is view
+        assert_bit_equal(view, generate_vectors(11, 4, n))
+        assert np.isnan(big[:3]).all() and np.isnan(big[3 + n:]).all()
+
+    @pytest.mark.parametrize("make_out", [
+        lambda: np.full((5, 3), np.nan),
+        lambda: np.full((12,), np.nan),
+        lambda: np.full((4, 3), np.nan, dtype=np.float32),
+        lambda: np.full((4, 6), np.nan)[:, ::2],
+        lambda: np.full((4, 3), np.nan, order="F"),
+    ], ids=["rows", "flat", "float32", "strided", "fortran"])
+    def test_out_of_wrong_layout_rejected_unwritten(self, make_out):
+        out = make_out()
+        with pytest.raises(ValueError, match="out must be"):
+            generate_vectors(1, 2, 4, out=out)
+        assert np.isnan(out).all()
+
+    def test_in_place_temporaries_bounded(self):
+        # the scratch buffers are a fixed chunk, not a multiple of the block;
+        # the first call builds the per-process step table, once
+        generate_vectors(3, 1, 1)
+        out = np.empty((1 << 18, 3))
+        tracemalloc.start()
+        try:
+            generate_vectors(3, 1, 1 << 18, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes / 4
+        assert_bit_equal(out, generate_vectors(3, 1, 1 << 18))
 
     def test_deterministic(self):
         assert_bit_equal(generate_vectors(99, 7, 1024), generate_vectors(99, 7, 1024))

@@ -94,6 +94,20 @@ class TestSource:
             want = np.concatenate([arrays[b] for b in ids]) if ids else np.empty((0, 3))
             assert_bit_equal(got, want)
 
+    @pytest.mark.parametrize("blocks,partitions", [(5, 3), (3, 3), (3, 4)])
+    def test_generate_covers_all_blocks_once(self, make_engine, blocks, partitions):
+        # each partition is filled in place; it must equal its blocks generated
+        # one by one and concatenated, and 3 blocks over 4 leave one empty
+        e = make_engine()
+        d = e.source(desk_params(blocks=blocks, vpu=40, cores=partitions))
+        for pidx in range(partitions):
+            ids = R.partition_blocks(blocks, partitions, pidx)
+            got = e.materialize(d, pidx)[0]
+            want = (np.concatenate([generate_vectors(42, b, 40) for b in ids]) if ids
+                    else np.empty((0, 3)))
+            assert_bit_equal(got, want)
+        assert e.counters.generate_calls == blocks
+
     def test_load_binary_missing_dir(self, make_engine, tmp_path):
         p = desk_params(blocks=1, source=LoadBinary(str(tmp_path / "nope"), 24))
         with pytest.raises(InvalidParams):
