@@ -5,26 +5,33 @@ tag byte plus payload), one tag byte, then a tag-specific payload whose
 integers are little-endian and whose floats are IEEE-754 little-endian.
 Partial reduce sums cross the wire as raw float64 bits, so the distributed
 result is bit-identical to a single-process run at the same partition count.
-A job is its params and storage level.  A TASK names its job and the stage
-it reads, 0 (the source) or 1 (the shifted source); a job's spec rides only
-on the first TASK each worker gets in that job.  Workers run each job on a
+A job is its params and storage level.  Tasks travel in runs: one RUN frame
+carries tasks of one job, one stage and one action, and its header names
+the job and the stage they read, 0 (the source) or 1 (the shifted source);
+a job's spec rides only on the first RUN each worker gets in that job.  The
+worker answers a run with RUN_RESULT frames holding each task's result
+(one frame, unless the run outlasts a quarter of the network timeout), and
+each task that failed with its own ERROR.  Workers run each job on a
 fresh engine, so every job is computed from scratch, as a local run is.
 
 Scheduling places each task on its partition's holder: the worker that
 returned that partition's last result in the job, and so has its parent
-partition cached.  The master pushes up to `slots` tasks to each worker and
-sends the next whenever a result arrives: the worker's own held tasks
-first, then tasks no live worker holds, and only then the tail of the
-longest queue of another holder whose slots are all busy.  A dead worker's
-in-flight and held tasks are requeued to survivors, which rebuild them from
-lineage; that is safe because every task is a pure function of its job's
-spec, its stage and its partition, and the result bits do not depend
-on placement because partial sums combine in partition order.
+partition cached.  The master keeps up to `slots` runs in flight on each
+worker and sends the next run whenever one is answered: the first half of
+the worker's own held tasks, else a 1/(2 x live slots) share of the tasks no
+live worker holds, and only then the last half of the longest queue of
+another holder whose slots are all busy.  Runs so shrink as queues drain,
+as in guided self-scheduling, and a task's launch costs a share of a frame
+rather than a round trip.  A dead worker's in-flight and held tasks are
+requeued to survivors, which rebuild them from lineage; that is safe
+because every task is a pure function of its job's spec, its stage and its
+partition, and the result bits do not depend on placement because partial
+sums combine in partition order.
 
 The master runs each job through engine.run_job, the driver local runs use
 too; its phase runner turns a phase into one task per partition and
-combines partial sums with engine.combine_partials.  A RESULT carries the
-spill writes its task triggered, so cluster phases report the same
+combines partial sums with engine.combine_partials.  A task's result carries
+the spill writes it triggered, so cluster phases report the same
 {bytes, recomputed, spilled} counters as local ones.
 """
 
@@ -47,6 +54,12 @@ from .engine import (Dataset, Engine, StorageLevel, build_pipeline, combine_part
 from .errors import ConfigError, ScalemapError
 
 MAX_FRAME = 64 * 1024 * 1024
+# the most tasks in one run: its RUN_RESULT frame (54 bytes a task) is then
+# 3.4 MiB and its RUN frame 0.5 MiB plus the spec, both far under MAX_FRAME
+MAX_RUN = 1 << 16
+# the task id of an ERROR that answers no task, such as the reply to a frame
+# the worker could not decode
+NO_TASK = 2**32 - 1
 
 
 class ProtocolError(ScalemapError):
@@ -82,6 +95,8 @@ class MessageTag(IntEnum):
     DATA = 8
     SUBMIT = 9
     JOB_DONE = 10
+    RUN = 11
+    RUN_RESULT = 12
 
 
 ACTION_FORCE = 0
@@ -101,7 +116,7 @@ class Task:
     task_id: int
     partition: int
     action: int
-    pipeline_json: str  # the job's spec on a worker's first task of a job, else ""
+    pipeline_json: str  # "" in a run, which carries its job's spec once
     job_id: int = 0  # a worker runs each job on its own engine
     stage: int = 0  # the dataset the task reads: 0 the source, 1 the shifted source
 
@@ -118,6 +133,26 @@ class TaskResult:
     nbytes: int
     computed: bool
     spilled: int = 0  # spill files the task's materialize wrote
+
+
+@dataclass(frozen=True)
+class TaskRun:
+    """Tasks of one job, stage and action, dispatched in one frame."""
+    job_id: int
+    stage: int
+    action: int
+    tasks: tuple[tuple[int, int], ...]  # (task_id, partition) pairs
+    pipeline_json: str = ""  # the job's spec on a worker's first run of a job, else ""
+
+    def expand(self) -> list[Task]:
+        return [Task(tid, part, self.action, "", self.job_id, self.stage)
+                for tid, part in self.tasks]
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """The results of a run's tasks that did not fail, in one frame."""
+    results: tuple[TaskResult, ...]
 
 
 @dataclass(frozen=True)
@@ -159,8 +194,35 @@ class JobDone:
 _REGISTER = struct.Struct("<H")
 _TASK = struct.Struct("<IIBIH")
 _RESULT = struct.Struct("<IIBdddQQBI")
+_RUN = struct.Struct("<IHBI")  # job_id, stage, action, task count
+_RUN_TASK = struct.Struct("<II")  # task_id, partition
 _HEARTBEAT = struct.Struct("<I")
 _ERROR = struct.Struct("<I")
+
+
+def _pack_result(r: TaskResult) -> bytes:
+    return _RESULT.pack(r.task_id, r.partition, r.action, r.sum_x, r.sum_y, r.sum_z,
+                        r.count, r.nbytes, int(r.computed), r.spilled)
+
+
+def _unpack_result(f: tuple) -> TaskResult:
+    return TaskResult(*f[:8], bool(f[8]), f[9])
+
+
+def _encode_run(run: TaskRun) -> bytes:
+    """A _RUN header, one _RUN_TASK per task, then the spec."""
+    return b"".join([_RUN.pack(run.job_id, run.stage, run.action, len(run.tasks)),
+                     *(_RUN_TASK.pack(*t) for t in run.tasks),
+                     run.pipeline_json.encode()])
+
+
+def _decode_run(payload: bytes) -> TaskRun:
+    job, stage, action, n = _RUN.unpack_from(payload)
+    end = _RUN.size + n * _RUN_TASK.size
+    if len(payload) < end:
+        raise ProtocolError(f"run of {n} tasks cut short at {len(payload)} bytes")
+    return TaskRun(job, stage, action, tuple(_RUN_TASK.iter_unpack(payload[_RUN.size:end])),
+                   payload[end:].decode())
 
 
 def encode_message(msg) -> tuple[int, bytes]:
@@ -171,10 +233,11 @@ def encode_message(msg) -> tuple[int, bytes]:
         head = _TASK.pack(msg.task_id, msg.partition, msg.action, msg.job_id, msg.stage)
         return MessageTag.TASK, head + msg.pipeline_json.encode()
     if isinstance(msg, TaskResult):
-        return MessageTag.RESULT, _RESULT.pack(
-            msg.task_id, msg.partition, msg.action,
-            msg.sum_x, msg.sum_y, msg.sum_z,
-            msg.count, msg.nbytes, int(msg.computed), msg.spilled)
+        return MessageTag.RESULT, _pack_result(msg)
+    if isinstance(msg, TaskRun):
+        return MessageTag.RUN, _encode_run(msg)
+    if isinstance(msg, RunResult):
+        return MessageTag.RUN_RESULT, b"".join(map(_pack_result, msg.results))
     if isinstance(msg, Heartbeat):
         return MessageTag.HEARTBEAT, _HEARTBEAT.pack(msg.seq)
     if isinstance(msg, ErrorMsg):
@@ -201,8 +264,11 @@ def decode_message(tag: int, payload: bytes):
             tid, part, action, job, stage = _TASK.unpack_from(payload)
             return Task(tid, part, action, payload[_TASK.size:].decode(), job, stage)
         if tag == MessageTag.RESULT:
-            f = _RESULT.unpack(payload)
-            return TaskResult(*f[:8], bool(f[8]), f[9])
+            return _unpack_result(_RESULT.unpack(payload))
+        if tag == MessageTag.RUN:
+            return _decode_run(payload)
+        if tag == MessageTag.RUN_RESULT:
+            return RunResult(tuple(map(_unpack_result, _RESULT.iter_unpack(payload))))
         if tag == MessageTag.HEARTBEAT:
             return Heartbeat(_HEARTBEAT.unpack(payload)[0])
         if tag == MessageTag.ERROR:
@@ -316,9 +382,20 @@ class _WorkerConn:
         self.slots = max(1, slots)
         self.name = name or f"worker-{wid}"
         self.alive = True
-        self.in_flight: set[int] = set()
+        self.runs: list[set[int]] = []  # the unanswered task ids of each run in flight
         self.spec_job: int | None = None  # the job whose spec it was last sent
         self.wlock = threading.Lock()
+
+    def answered(self, tid: int) -> bool:
+        """Marks task tid answered, which ends its run if it was the run's
+        last; false when tid is not in flight here."""
+        for i, run in enumerate(self.runs):
+            if tid in run:
+                run.discard(tid)
+                if not run:
+                    del self.runs[i]
+                return True
+        return False
 
 
 class _Phase:
@@ -344,19 +421,26 @@ class _Phase:
     def complete(self) -> bool:
         return len(self.done) + len(self.failed) == len(self.tasks)
 
-    def take(self, wid: int, busy) -> int | None:
-        """The next task for free worker wid, or None: the head of its own
-        queue, else the head of the unheld queue, else the tail of the
+    def take(self, wid: int, busy, live_slots: int) -> list[int]:
+        """The next run of task ids for free worker wid, in ascending order,
+        or []: the first half of its own queue, else the first
+        1/(2 * live_slots) of the unheld queue, else the last half of the
         longest other queue whose holder is busy (busy(holder) is true when
-        every slot of that holder is taken)."""
-        if self.queues.get(wid):
-            return self.queues[wid].popleft()
+        every slot of that holder holds a run).  Shares round up, and no
+        run is longer than MAX_RUN."""
+        def share(q: deque, parts: int) -> int:
+            return min(-(-len(q) // parts), MAX_RUN)
+
+        own = self.queues.get(wid)
+        if own:
+            return [own.popleft() for _ in range(share(own, 2))]
         if self.unheld:
-            return self.unheld.popleft()
+            return [self.unheld.popleft() for _ in range(share(self.unheld, 2 * live_slots))]
         victims = [h for h, q in self.queues.items() if q and busy(h)]  # own queue is empty
         if not victims:
-            return None
-        return self.queues[max(victims, key=lambda h: len(self.queues[h]))].pop()
+            return []
+        q = self.queues[max(victims, key=lambda h: len(self.queues[h]))]
+        return [q.pop() for _ in range(share(q, 2))][::-1]
 
     def drop_worker(self, wid: int, in_flight) -> int:
         """Moves a lost worker's unanswered in-flight tasks and its queue to
@@ -370,7 +454,7 @@ class _Phase:
 class Master:
     """Accepts worker registrations and client job submissions on one port.
 
-    Worker connections send REGISTER then stream RESULT/HEARTBEAT/ERROR;
+    Worker connections send REGISTER then stream RUN_RESULT/HEARTBEAT/ERROR;
     client connections send SUBMIT (answered with JOB_DONE), PING (echoed),
     or SHUTDOWN (stops the whole cluster).
     """
@@ -477,7 +561,7 @@ class Master:
                 msg = recv_message(sock)
             except socket.timeout:
                 with self._lock:
-                    busy = bool(w.in_flight)
+                    busy = bool(w.runs)
                 if busy:
                     self._worker_lost(w, f"no response within {self.cfg.network_timeout_ms} ms")
                     return
@@ -491,8 +575,8 @@ class Master:
             if isinstance(msg, Heartbeat):
                 with self._lock:
                     self.stats.heartbeats[w.wid] += 1
-            elif isinstance(msg, TaskResult):
-                self._on_result(w, msg)
+            elif isinstance(msg, RunResult):
+                self._on_results(w, msg.results)
             elif isinstance(msg, ErrorMsg):
                 self._on_error(w, msg)
 
@@ -520,61 +604,66 @@ class Master:
 
     def _busy(self, wid: int) -> bool:
         w = self._workers[wid]
-        return len(w.in_flight) >= w.slots
+        return len(w.runs) >= w.slots
 
     def _pump(self):
-        """Dispatch pending tasks to free slots; caller holds the lock."""
+        """Dispatch runs of pending tasks to free slots; caller holds the lock."""
         phase = self._phase
         while phase is not None:
-            free = sorted((w for w in self._workers.values()
-                           if w.alive and len(w.in_flight) < w.slots),
-                          key=lambda x: (len(x.in_flight), x.wid))
-            for w in free:
-                tid = phase.take(w.wid, self._busy)
-                if tid is not None:
+            live = [w for w in self._workers.values() if w.alive]
+            live_slots = sum(w.slots for w in live)
+            for w in sorted((w for w in live if len(w.runs) < w.slots),
+                            key=lambda x: (len(x.runs), x.wid)):
+                run = phase.take(w.wid, self._busy, live_slots)
+                if run:
                     break
             else:
                 return
-            task = phase.tasks[tid]
+            tasks = [phase.tasks[tid] for tid in run]
             # a partition absent from _holders was never computed in this job
-            if self._holders.get(task.partition, w.wid) != w.wid:
-                self.stats.remote_tasks += 1
-            if w.spec_job != task.job_id:
-                task = replace(task, pipeline_json=self._spec_json)
-                w.spec_job = task.job_id
-            w.in_flight.add(tid)
+            self.stats.remote_tasks += sum(
+                self._holders.get(t.partition, w.wid) != w.wid for t in tasks)
+            first = tasks[0]
+            spec = ""
+            if w.spec_job != first.job_id:
+                spec, w.spec_job = self._spec_json, first.job_id
+            w.runs.append(set(run))
             try:
                 with w.wlock:
-                    send_message(w.sock, task)
+                    send_message(w.sock, TaskRun(first.job_id, first.stage, first.action,
+                                                 tuple((t.task_id, t.partition) for t in tasks),
+                                                 spec))
             except OSError:
                 self._worker_lost_locked(w, "send failed")
                 phase = self._phase
 
-    def _on_result(self, w: _WorkerConn, res: TaskResult):
-        hook = None
+    def _on_results(self, w: _WorkerConn, results: tuple[TaskResult, ...]):
         with self._lock:
-            w.in_flight.discard(res.task_id)
             phase = self._phase
-            if phase is not None and res.task_id in phase.tasks and res.task_id not in phase.done:
-                phase.done[res.task_id] = res
-                if w.alive:
-                    self._holders[res.partition] = w.wid
-                if phase.complete():
-                    phase.finished.set()
+            for res in results:
+                tid = res.task_id
+                w.answered(tid)
+                if phase is not None and tid in phase.tasks and tid not in phase.done:
+                    phase.done[tid] = res
+                    if w.alive:
+                        self._holders[res.partition] = w.wid
+            if phase is not None and phase.complete():
+                phase.finished.set()
             self._pump()
-            if self.on_result is not None:
-                hook = self.on_result
+            hook = self.on_result
         if hook is not None:
-            hook(res, w.wid)
+            for res in results:
+                hook(res, w.wid)
 
     def _on_error(self, w: _WorkerConn, err: ErrorMsg):
         with self._lock:
             self.stats.worker_errors += 1
-            w.in_flight.discard(err.task_id)
             phase = self._phase
-            if phase is not None and err.task_id in phase.tasks:
-                task = phase.tasks[err.task_id]
-                phase.failed[task.partition] = err.message
+            # an ERROR for a task w does not hold in flight, such as the
+            # reply to a frame w could not decode, fails no partition
+            if (w.answered(err.task_id) and phase is not None
+                    and err.task_id in phase.tasks and err.task_id not in phase.done):
+                phase.failed[phase.tasks[err.task_id].partition] = err.message
                 if phase.complete():
                     phase.finished.set()
             self._pump()
@@ -597,8 +686,8 @@ class Master:
                 self._holders[p] = None
         phase = self._phase
         if phase is not None:
-            self.stats.rescheduled += phase.drop_worker(w.wid, w.in_flight)
-        w.in_flight.clear()
+            self.stats.rescheduled += phase.drop_worker(w.wid, set().union(*w.runs))
+        w.runs.clear()
         if not any(x.alive for x in self._workers.values()):
             if phase is not None:
                 phase.aborted = f"no live workers remain (last lost: {w.name}: {why})"
@@ -681,18 +770,24 @@ class Master:
 # ---- worker ------------------------------------------------------------------
 
 class Worker:
-    """Executes tasks against a local engine, one concurrent task per slot.
+    """Executes runs of tasks against a local engine, one concurrent run per
+    slot.
 
-    The first task of a new job id opens the job on a fresh engine, building
-    its datasets (engine.build_pipeline) from the job spec that task
-    carries; a task reads datasets[task.stage], and every task of a job with
-    no usable spec is answered with an ERROR.  The master sends a
-    partition's map task to the worker that ran its create task, and its
-    reduce task to the one that ran its map task, so each reads the
-    partition its parent phase persisted here; a task placed elsewhere
-    rebuilds that parent from lineage.  A job's datasets, partitions and
-    spill files go with its engine, which is safe because the master starts
-    a job only after every task of the last one answered.
+    The first run of a new job id opens the job on a fresh engine, building
+    its datasets (engine.build_pipeline) from the job spec that run carries.
+    Each run is one pool job that executes its tasks in order, each reading
+    datasets[task.stage].  A task that fails is answered at once with its
+    own ERROR (every task of a job with no usable spec fails), and the
+    results of the others go back together in one RUN_RESULT frame when the
+    run ends, or every quarter of the network timeout while it runs.  A RUN
+    frame that does not decode is answered with an ERROR for NO_TASK.
+
+    The master sends a partition's map task to the worker that ran its
+    create task, and its reduce task to the one that ran its map task, so
+    each reads the partition its parent phase persisted here; a task placed
+    elsewhere rebuilds that parent from lineage.  A job's datasets,
+    partitions and spill files go with its engine, which is safe because the
+    master starts a job only after every task of the last one answered.
     """
 
     def __init__(self, cfg: ClusterConfig, scratch_dir, memory_budget_bytes: int,
@@ -742,15 +837,15 @@ class Worker:
                     tag, payload = frame
                     if tag == MessageTag.SHUTDOWN:
                         break
-                    if tag == MessageTag.TASK:
+                    if tag == MessageTag.RUN:
                         try:
-                            task = decode_message(tag, payload)
+                            run = decode_message(tag, payload)
                         except ProtocolError as e:
-                            self._send(ErrorMsg(0, f"malformed task: {e}"))
+                            self._send(ErrorMsg(NO_TASK, f"malformed run: {e}"))
                             continue
-                        if task.job_id != self._job_id:
-                            self._open_job(task)
-                        pool.submit(self._execute, task)
+                        if run.tasks and run.job_id != self._job_id:
+                            self._open_job(run.job_id, run.pipeline_json)
+                        pool.submit(self._run_tasks, run)
         finally:
             self._stop.set()
             self.engine.close()
@@ -785,30 +880,50 @@ class Worker:
                 return
             self._send(Heartbeat(seq))
 
-    def _open_job(self, task: Task):
-        """A fresh engine, and the datasets of the job spec task carries."""
+    def _open_job(self, job_id: int, spec_json: str):
+        """A fresh engine, and the datasets of the job's spec."""
         self.engine.close()
         self.engine = self._new_engine()
-        self._job_id, self.datasets, self._job_error = task.job_id, [], None
+        self._job_id, self.datasets, self._job_error = job_id, [], None
         try:
-            spec = json.loads(task.pipeline_json)
+            spec = json.loads(spec_json)
             self.datasets = build_pipeline(self.engine, BenchmarkParams.from_json_dict(
                 spec["params"]), StorageLevel(spec["storage"]))
         except Exception as e:  # noqa: BLE001 - answered per task by _execute
-            self._job_error = f"no usable spec for job {task.job_id}: {type(e).__name__}: {e}"
+            self._job_error = f"no usable spec for job {job_id}: {type(e).__name__}: {e}"
 
-    def _execute(self, task: Task):
+    def _run_tasks(self, run: TaskRun):
+        """One run, as one pool job.  Results gathered for a quarter of the
+        network timeout go out at once, so that a long run of short tasks
+        does not leave the master silent long enough to declare this worker
+        lost."""
+        flush_s = self.cfg.network_timeout_ms / 4000.0
+        results, sent = [], time.monotonic()
+        for task in run.expand():
+            answer = self._execute(task)
+            if isinstance(answer, ErrorMsg):
+                self._send(answer)
+                sent = time.monotonic()
+                continue
+            results.append(answer)
+            if time.monotonic() - sent >= flush_s:
+                self._send(RunResult(tuple(results)))
+                results, sent = [], time.monotonic()
+        if results:
+            self._send(RunResult(tuple(results)))
+
+    def _execute(self, task: Task) -> TaskResult | ErrorMsg:
         try:
             if task.stage >= len(self.datasets):  # any stage of a job with no datasets
                 raise ProtocolError(self._job_error or f"job has no stage {task.stage}")
             d = self.datasets[task.stage]
             arr, computed, spilled = self.engine.materialize(d, task.partition)
             s = leftfold_sum(arr) if task.action == ACTION_PARTIAL_REDUCE else (0.0, 0.0, 0.0)
-            self._send(TaskResult(task.task_id, task.partition, task.action,
-                                  float(s[0]), float(s[1]), float(s[2]),
-                                  arr.shape[0], arr.nbytes, computed, spilled))
+            return TaskResult(task.task_id, task.partition, task.action,
+                              float(s[0]), float(s[1]), float(s[2]),
+                              arr.shape[0], arr.nbytes, computed, spilled)
         except Exception as e:  # noqa: BLE001 - reported to master, never silent
-            self._send(ErrorMsg(task.task_id, f"{type(e).__name__}: {e}"))
+            return ErrorMsg(task.task_id, f"{type(e).__name__}: {e}")
 
 
 def run_worker(cfg: ClusterConfig, scratch_dir, memory_budget_bytes: int, name: str = ""):

@@ -18,6 +18,8 @@ from scalemap.errors import ConfigError
 from scalemap.cluster import (
     ACTION_FORCE,
     MAX_FRAME,
+    MAX_RUN,
+    NO_TASK,
     BindFailure,
     ClusterConfig,
     ConnectFailure,
@@ -31,10 +33,12 @@ from scalemap.cluster import (
     Ping,
     ProtocolError,
     Register,
+    RunResult,
     Shutdown,
     Submit,
     Task,
     TaskResult,
+    TaskRun,
     TruncatedFrame,
     Worker,
     _Phase,
@@ -54,13 +58,25 @@ u32 = st.integers(0, 2**32 - 1)
 u64 = st.integers(0, 2**64 - 1)
 f64 = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
+results = st.builds(TaskResult, task_id=u32, partition=u32, action=st.integers(0, 255),
+                    sum_x=f64, sum_y=f64, sum_z=f64, count=u64, nbytes=u64,
+                    computed=st.booleans(), spilled=u32)
+
+
+def run_of(ids, action=ACTION_FORCE, job_id=0, stage=0, spec="") -> TaskRun:
+    """A run of (task id, partition) pairs."""
+    return TaskRun(job_id, stage, action, tuple(ids), spec)
+
+
 messages = st.one_of(
     st.builds(Register, slots=st.integers(0, 65535), name=st.text(max_size=40)),
     st.builds(Task, task_id=u32, partition=u32, action=st.integers(0, 255),
               pipeline_json=st.text(max_size=200), job_id=u32, stage=st.integers(0, 65535)),
-    st.builds(TaskResult, task_id=u32, partition=u32, action=st.integers(0, 255),
-              sum_x=f64, sum_y=f64, sum_z=f64, count=u64, nbytes=u64,
-              computed=st.booleans(), spilled=u32),
+    results,
+    st.builds(run_of, ids=st.lists(st.tuples(u32, u32), max_size=20),
+              action=st.integers(0, 255), job_id=u32, stage=st.integers(0, 65535),
+              spec=st.text(max_size=200)),
+    st.builds(RunResult, results=st.lists(results, max_size=10).map(tuple)),
     st.builds(Heartbeat, seq=u32),
     st.builds(ErrorMsg, task_id=u32, message=st.text(max_size=100)),
     st.builds(Shutdown),
@@ -148,6 +164,29 @@ class TestFraming:
         got = recv_message(ByteSource(frame_of(msg)))
         assert struct.pack("<d", got.sum_x) == struct.pack("<d", val)
 
+    @pytest.mark.parametrize("n", [0, 1, MAX_RUN])
+    @pytest.mark.parametrize("spec", ["", '{"params": {}, "storage": "memory_only"}'])
+    def test_run_frames_round_trip_up_to_the_cap(self, n, spec):
+        run = run_of([(7 + i, i) for i in range(n)], ACTION_FORCE, 2**32 - 1, 65535, spec)
+        answer = RunResult(tuple(TaskResult(t.task_id, t.partition, t.action, -0.1 + 0.7,
+                                            0.0, 1e300, 2**64 - 1, 24, True, 3)
+                                 for t in run.expand()))
+        for msg in (run, answer):
+            raw = frame_of(msg)
+            assert len(raw) - 4 <= MAX_FRAME // 8  # far under MAX_FRAME at the cap
+            assert recv_message(ByteSource(raw)) == msg
+            if raw[5:]:
+                with pytest.raises(TruncatedFrame):
+                    recv_frame(ByteSource(raw[:-1]))
+
+    def test_short_run_payloads_rejected(self):
+        run = frame_of(run_of([(1, 1), (2, 2)], spec="{}"))[5:]
+        with pytest.raises(ProtocolError):
+            decode_message(MessageTag.RUN, run[:-2 - 8])  # count says 2, one task present
+        answer = frame_of(RunResult((TaskResult(1, 2, 1, 0.0, 0.0, 0.0, 3, 4, True),)))[5:]
+        with pytest.raises(ProtocolError):
+            decode_message(MessageTag.RUN_RESULT, answer[:-1])
+
     def test_parse_addr(self):
         assert parse_addr("10.0.0.1:7077") == ("10.0.0.1", 7077)
         assert parse_addr(":7077") == ("127.0.0.1", 7077)
@@ -229,6 +268,31 @@ class TestMasterWorker:
         delta = Vec3(0.5, 0.5, 0.5)
         jr = submit(addr, job_spec(params, delta), timeout_s=120)
         assert jr.result == local_run(tmp_path, params, delta)
+
+    def test_same_bits_as_local_at_slots_1_2_and_4(self, cluster, tmp_path):
+        params = BenchmarkParams(blocks=40, vectors_per_unit=64, cores=20, seed=5)
+        delta = Vec3(-0.75, 1e-3, 2.5)
+        local = local_run(tmp_path, params, delta)
+        for slots in (1, 2, 4):
+            _, addr, _ = cluster(n_workers=2, slots=slots)
+            got = submit(addr, job_spec(params, delta), timeout_s=60).result
+            assert struct.pack("<3d", *got.as_tuple()) == struct.pack("<3d", *local.as_tuple())
+
+    def test_frames_per_job_stay_few(self, cluster, monkeypatch):
+        # one frame per task and per result would be 2 x 3 x 1024 = 6144
+        master, addr, _ = cluster(n_workers=2, slots=1)
+        real_send, frames = cluster_mod.send_frame, []
+
+        def count(sock, tag, payload):
+            frames.append(tag)
+            real_send(sock, tag, payload)
+
+        monkeypatch.setattr(cluster_mod, "send_frame", count)
+        params = BenchmarkParams(blocks=1024, vectors_per_unit=4, nodes=2, nparts=512)
+        assert params.partitions == 1024
+        submit(addr, job_spec(params, Vec3(1, 2, 3)), timeout_s=120)
+        assert frames.count(MessageTag.RUN) >= 3  # at least one per phase
+        assert len(frames) <= 400
 
     def test_skip_reduce(self, cluster):
         master, addr, _ = cluster(n_workers=1)
@@ -362,6 +426,32 @@ class TestMasterWorker:
         # one timeout quantum per phase at most, plus slack
         assert elapsed < 6.0
 
+    def test_run_longer_than_the_timeout_keeps_its_worker(self, cluster, monkeypatch,
+                                                          tmp_path):
+        # heartbeats are off, so the master hears from a busy worker only
+        # through its answers; the first run is 8 create tasks of 100 ms each
+        real_execute, real_send, runs = Worker._execute, cluster_mod.send_message, []
+
+        def slow(self, task):
+            if task.stage == 0 and task.action == ACTION_FORCE:
+                time.sleep(0.1)
+            return real_execute(self, task)
+
+        def record(sock, msg):
+            if isinstance(msg, TaskRun):
+                runs.append(len(msg.tasks))
+            real_send(sock, msg)
+
+        monkeypatch.setattr(Worker, "_execute", slow)
+        monkeypatch.setattr(cluster_mod, "send_message", record)
+        master, addr, _ = cluster(n_workers=1, slots=1, timeout_ms=300)
+        params = BenchmarkParams(blocks=16, vectors_per_unit=64, cores=16)
+        delta = Vec3(1.0, 2.0, 3.0)
+        jr = submit(addr, job_spec(params, delta), timeout_s=60)
+        assert runs[0] == 8
+        assert jr.stats["workers_lost"] == 0 and jr.stats["rescheduled"] == 0
+        assert jr.result == local_run(tmp_path, params, delta)
+
     def test_job_report_counts_its_own_job(self, cluster):
         master, addr, _ = cluster(n_workers=1, slots=4, timeout_ms=500)
         hang = socket.create_connection(addr, timeout=5)
@@ -381,7 +471,7 @@ class TestMasterWorker:
 
 
 class FakeSock:
-    """Worker socket stand-in that keeps the tasks sent to it."""
+    """Worker socket stand-in that keeps the runs sent to it."""
 
     def __init__(self):
         self.sent = []
@@ -404,27 +494,27 @@ class TestPlacement:
         return master
 
     def start(self, master, partitions):
-        tasks = {p: Task(p, p, ACTION_FORCE, "{}") for p in range(partitions)}
+        tasks = {p: Task(p, p, ACTION_FORCE, "") for p in range(partitions)}
         with master._lock:
             master._phase = _Phase(tasks, master._holders)
             master._pump()
         return master._phase
 
-    def answer(self, master, wid, partition):
-        master._on_result(master._workers[wid],
-                          TaskResult(partition, partition, ACTION_FORCE, 0.0, 0.0, 0.0,
-                                     1, 24, True))
+    def answer(self, master, wid, *partitions):
+        master._on_results(master._workers[wid], tuple(
+            TaskResult(p, p, ACTION_FORCE, 0.0, 0.0, 0.0, 1, 24, True) for p in partitions))
 
-    def sent(self, master, wid):
-        return [t.partition for t in master._workers[wid].sock.sent]
+    def runs(self, master, wid):
+        """The partitions of each run sent to worker wid."""
+        return [[p for _, p in run.tasks] for run in master._workers[wid].sock.sent]
 
     def test_held_task_goes_to_its_holder(self):
         master = self.master([1, 1], {0: 1, 1: 0, 2: 1, 3: 0})
         self.start(master, 4)
-        assert self.sent(master, 0) == [1] and self.sent(master, 1) == [0]
+        assert self.runs(master, 0) == [[1]] and self.runs(master, 1) == [[0]]
         self.answer(master, 0, 1)
         self.answer(master, 1, 0)
-        assert self.sent(master, 0) == [1, 3] and self.sent(master, 1) == [0, 2]
+        assert self.runs(master, 0) == [[1], [3]] and self.runs(master, 1) == [[0], [2]]
         assert master.stats.remote_tasks == 0
         assert master._holders == {0: 1, 1: 0, 2: 1, 3: 0}
 
@@ -432,28 +522,28 @@ class TestPlacement:
         # worker 0 is less loaded, but worker 1 holds both and has 2 slots
         master = self.master([1, 2], {0: 1, 1: 1})
         self.start(master, 2)
-        assert self.sent(master, 0) == [] and self.sent(master, 1) == [0, 1]
+        assert self.runs(master, 0) == [] and self.runs(master, 1) == [[0], [1]]
 
     def test_unheld_task_before_a_steal(self):
         master = self.master([1, 1], {0: 0, 1: 0})
         self.start(master, 4)
-        assert self.sent(master, 0) == [0] and self.sent(master, 1) == [2]
+        assert self.runs(master, 0) == [[0]] and self.runs(master, 1) == [[2]]
         assert master.stats.remote_tasks == 0
 
     def test_steal_only_from_a_busy_holder_and_from_the_tail(self):
-        tasks = {p: Task(p, p, ACTION_FORCE, "{}") for p in range(4)}
+        tasks = {p: Task(p, p, ACTION_FORCE, "") for p in range(4)}
         phase = _Phase(tasks, {p: 0 for p in range(4)})
-        assert phase.take(1, lambda h: False) is None
-        assert phase.take(1, lambda h: True) == 3
-        assert phase.take(0, lambda h: True) == 0
+        assert phase.take(1, lambda h: False, 2) == []
+        assert phase.take(1, lambda h: True, 2) == [2, 3]
+        assert phase.take(0, lambda h: True, 2) == [0]
 
         master = self.master([1, 1], {p: 0 for p in range(4)})
         self.start(master, 4)
-        assert self.sent(master, 0) == [0] and self.sent(master, 1) == [3]
+        assert self.runs(master, 0) == [[0, 1]] and self.runs(master, 1) == [[3]]
         self.answer(master, 1, 3)
-        assert self.sent(master, 1) == [3, 2]
-        self.answer(master, 0, 0)
-        assert self.sent(master, 0) == [0, 1]
+        assert self.runs(master, 1) == [[3], [2]]
+        self.answer(master, 0, 0, 1)
+        assert self.runs(master, 0) == [[0, 1]]
         assert master.stats.remote_tasks == 2
         assert master._holders[3] == 1 and master._holders[2] == 0
 
@@ -462,12 +552,12 @@ class TestPlacement:
         phase = self.start(master, 4)
         with master._lock:
             master._worker_lost_locked(master._workers[0], "lost")
-        assert master.stats.rescheduled == 1
+        assert master.stats.rescheduled == 2  # its in-flight run
         assert set(master._holders.values()) == {None}
-        for p in (3, 0, 1, 2):
-            assert self.sent(master, 1)[-1] == p
-            self.answer(master, 1, p)
-        assert self.sent(master, 0) == [0]
+        for run in ([3], [0, 1], [2]):
+            assert self.runs(master, 1)[-1] == run
+            self.answer(master, 1, *run)
+        assert self.runs(master, 0) == [[0, 1]]
         assert phase.complete() and phase.finished.is_set() and not phase.aborted
         assert master.stats.remote_tasks == 4
         assert master._holders == {p: 1 for p in range(4)}
@@ -475,16 +565,60 @@ class TestPlacement:
     def test_worker_added_mid_phase_gets_the_stage_list_first(self):
         master = self.master([1], {})
         master._spec_json = spec = '{"params": {}, "storage": "none"}'
-        tasks = {p: Task(p, p, ACTION_FORCE, "", job_id=3) for p in range(4)}
+        tasks = {p: Task(p, p, ACTION_FORCE, "", job_id=3) for p in range(6)}
         with master._lock:
             master._phase = _Phase(tasks, master._holders)
             master._pump()
             master._workers[1] = _WorkerConn(1, FakeSock(), 1, "")
             master._pump()
-        self.answer(master, 0, 0)
-        self.answer(master, 1, 1)
+        assert self.runs(master, 0) == [[0, 1, 2]] and self.runs(master, 1) == [[3]]
+        self.answer(master, 0, 0, 1, 2)
+        self.answer(master, 1, 3)
+        assert self.runs(master, 0) == [[0, 1, 2], [4]] and self.runs(master, 1) == [[3], [5]]
         for wid in (0, 1):
-            assert [t.pipeline_json for t in master._workers[wid].sock.sent] == [spec, ""]
+            assert [r.pipeline_json for r in master._workers[wid].sock.sent] == [spec, ""]
+
+    def test_run_shapes(self):
+        tasks = {p: Task(p, p, ACTION_FORCE, "") for p in range(20)}
+        busy = lambda h: True  # noqa: E731
+        # own queue: the first half, rounded up
+        phase = _Phase(tasks, {p: 0 for p in range(10)})
+        assert [phase.take(0, busy, 4) for _ in range(4)] == [
+            [0, 1, 2, 3, 4], [5, 6, 7], [8], [9]]
+        # unheld queue: its share of 2 x live slots, rounded up
+        assert phase.take(0, busy, 4) == [10, 11]
+        assert phase.take(1, busy, 4) == [12]
+        assert phase.take(1, busy, 1) == [13, 14, 15, 16]
+        # a steal: the last half of the longest busy holder's queue
+        phase = _Phase(tasks, {p: 0 if p < 7 else 1 for p in range(20)})
+        assert phase.take(2, lambda h: False, 3) == []
+        assert phase.take(2, busy, 3) == list(range(13, 20))
+        assert phase.take(2, busy, 3) == [3, 4, 5, 6]
+        assert phase.take(2, lambda h: h == 1, 3) == [10, 11, 12]
+        # no run is longer than MAX_RUN, whatever queue it comes from
+        n = 2 * MAX_RUN + 2
+        many = {p: Task(p, p, ACTION_FORCE, "") for p in range(n)}
+        for holders in ({p: 0 for p in range(n)}, {}, {p: 1 for p in range(n)}):
+            assert len(_Phase(many, holders).take(0, busy, 1)) == MAX_RUN
+
+    def test_stray_error_fails_no_partition(self):
+        master = self.master([1], {})
+        phase = self.start(master, 3)
+        w = master._workers[0]
+        assert self.runs(master, 0) == [[0, 1]]
+        self.answer(master, 0, 0)
+        # task 0 is answered already, task 2 is not sent yet, and NO_TASK
+        # names no task at all
+        master._on_error(w, ErrorMsg(0, "stray"))
+        master._on_error(w, ErrorMsg(2, "stray"))
+        master._on_error(w, ErrorMsg(NO_TASK, "malformed run: ..."))
+        assert not phase.failed and not phase.finished.is_set()
+        self.answer(master, 0, 1)
+        assert self.runs(master, 0) == [[0, 1], [2]]
+        master._on_error(w, ErrorMsg(2, "boom"))
+        assert phase.failed == {2: "boom"} and sorted(phase.done) == [0, 1]
+        assert phase.complete() and phase.finished.is_set()
+        assert master.stats.worker_errors == 4 and w.runs == []
 
 
 class TestJobScope:
@@ -492,7 +626,7 @@ class TestJobScope:
         real_send, sent = cluster_mod.send_message, []
 
         def record(sock, msg):
-            if isinstance(msg, Task):
+            if isinstance(msg, TaskRun):
                 sent.append((sock, msg))
             real_send(sock, msg)
 
@@ -503,13 +637,14 @@ class TestJobScope:
         for job_id in range(2):
             submit(addr, spec, timeout_s=60)
             per_worker = {}
-            for sock, task in sent:
-                if task.job_id == job_id:
-                    per_worker.setdefault(sock, []).append(task)
-            assert sum(map(len, per_worker.values())) == 3 * params.partitions
-            for tasks in per_worker.values():
-                assert json.loads(tasks[0].pipeline_json) == spec
-                assert all(t.pipeline_json == "" for t in tasks[1:])
+            for sock, run in sent:
+                if run.job_id == job_id:
+                    per_worker.setdefault(sock, []).append(run)
+            assert sum(len(r.tasks) for runs in per_worker.values()
+                       for r in runs) == 3 * params.partitions
+            for runs in per_worker.values():
+                assert json.loads(runs[0].pipeline_json) == spec
+                assert all(r.pipeline_json == "" for r in runs[1:])
 
     def test_warm_rep_recomputes_like_a_local_run(self, cluster, tmp_path):
         master, addr, _ = cluster(n_workers=1, slots=2)
@@ -571,14 +706,15 @@ class TestWorkerProtocol:
             conn.settimeout(10)
             reg = recv_message(conn)
             assert isinstance(reg, Register)
-            send_frame(conn, MessageTag.TASK, b"\x01")  # far too short
+            send_frame(conn, MessageTag.RUN, b"\x01")  # far too short
             err = recv_message(conn)
-            assert isinstance(err, ErrorMsg)
+            assert isinstance(err, ErrorMsg) and err.task_id == NO_TASK
             params = BenchmarkParams(blocks=1, vectors_per_unit=8)
-            task = Task(5, 0, 1, json.dumps(job_spec(params, Vec3(0, 0, 0))))
-            send_message(conn, task)
-            res = recv_message(conn)
-            assert isinstance(res, TaskResult)
+            run = run_of([(5, 0)], 1, spec=json.dumps(job_spec(params, Vec3(0, 0, 0))))
+            send_message(conn, run)
+            reply = recv_message(conn)
+            assert isinstance(reply, RunResult)
+            (res,) = reply.results
             assert res.task_id == 5 and res.count == 8
         finally:
             send_message(conn, Shutdown())
@@ -598,10 +734,10 @@ class TestWorkerProtocol:
         try:
             conn.settimeout(10)
             recv_message(conn)
-            send_message(conn, Task(9, 0, 0, "{not json"))
+            send_message(conn, run_of([(9, 0)], spec="{not json"))
             err = recv_message(conn)
             assert isinstance(err, ErrorMsg) and err.task_id == 9
-            send_message(conn, Task(10, 1, 0, ""))  # the same job, no spec
+            send_message(conn, run_of([(10, 1)]))  # the same job, no spec
             err = recv_message(conn)
             assert isinstance(err, ErrorMsg) and err.task_id == 10
             good = job_spec(BenchmarkParams(blocks=1, vectors_per_unit=8), Vec3(0, 0, 0))
@@ -609,7 +745,8 @@ class TestWorkerProtocol:
             for job_id, bad in enumerate([{"params": good["params"]},
                                           {**good, "storage": "tape"},
                                           {"stages": stages}], start=1):
-                send_message(conn, Task(10 + job_id, 0, 0, json.dumps(bad), job_id=job_id))
+                send_message(conn, run_of([(10 + job_id, 0)], job_id=job_id,
+                                          spec=json.dumps(bad)))
                 err = recv_message(conn)
                 assert isinstance(err, ErrorMsg) and err.task_id == 10 + job_id, bad
         finally:
@@ -617,6 +754,36 @@ class TestWorkerProtocol:
             t.join(timeout=10)
             conn.close()
             listener.close()
+
+    def test_failing_task_in_a_run_answered_alone(self, tmp_path):
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        cfg = ClusterConfig(host="127.0.0.1", port=listener.getsockname()[1],
+                            slots=1, registration_retries=0)
+        t = threading.Thread(target=Worker(cfg, tmp_path, 1 << 26).run, daemon=True)
+        t.start()
+        conn, _ = listener.accept()
+        try:
+            conn.settimeout(10)
+            recv_message(conn)
+            params = BenchmarkParams(blocks=2, vectors_per_unit=8, cores=2)
+            spec = json.dumps(job_spec(params, Vec3(0, 0, 0)))
+            # the dataset has partitions 0 and 1 only
+            send_message(conn, run_of([(4, 0), (5, 99), (6, 1)], spec=spec))
+            err = recv_message(conn)
+            assert isinstance(err, ErrorMsg) and err.task_id == 5
+            assert "UnknownPartition" in err.message
+            res = recv_message(conn)
+            assert isinstance(res, RunResult)
+            assert [(r.task_id, r.partition, r.count)
+                    for r in res.results] == [(4, 0, 8), (6, 1, 8)]
+        finally:
+            send_message(conn, Shutdown())
+            t.join(timeout=10)
+            conn.close()
+            listener.close()
+        assert not t.is_alive()
 
     def test_out_of_range_stage_answered_with_its_task_id(self, tmp_path):
         listener = socket.socket()
@@ -631,10 +798,10 @@ class TestWorkerProtocol:
             conn.settimeout(10)
             recv_message(conn)
             spec = json.dumps(job_spec(BenchmarkParams(blocks=1, vectors_per_unit=8), Vec3(0, 0, 0)))
-            send_message(conn, Task(4, 0, 0, spec, job_id=3, stage=1))
+            send_message(conn, run_of([(4, 0)], job_id=3, stage=1, spec=spec))
             res = recv_message(conn)
-            assert isinstance(res, TaskResult) and res.task_id == 4
-            send_message(conn, Task(5, 0, 0, "", job_id=3, stage=2))
+            assert isinstance(res, RunResult) and [r.task_id for r in res.results] == [4]
+            send_message(conn, run_of([(5, 0)], job_id=3, stage=2))
             err = recv_message(conn)
             assert isinstance(err, ErrorMsg) and err.task_id == 5
         finally:
@@ -658,7 +825,7 @@ class TestWorkerProtocol:
             recv_message(conn)
             good = job_spec(BenchmarkParams(blocks=1, vectors_per_unit=8), Vec3(0, 0, 0))
             bad = {**good, "params": {**good["params"], "blocks": 0}}
-            send_message(conn, Task(9, 0, 0, json.dumps(bad)))
+            send_message(conn, run_of([(9, 0)], spec=json.dumps(bad)))
             err = recv_message(conn)
             assert isinstance(err, ErrorMsg) and err.task_id == 9
         finally:

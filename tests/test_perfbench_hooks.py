@@ -39,14 +39,13 @@ if role == "runner":
     bench.run_pipeline(params, scratch=scratch, memory_budget=params.total_bytes // 4,
                        storage=engine.StorageLevel.MEMORY_AND_DISK)
 elif role == "master":
-    cluster.send_message(Sink(), cluster.Task(7, 0, cluster.ACTION_FORCE, "{}"))
+    cluster.send_message(Sink(), cluster.TaskRun(0, 0, cluster.ACTION_FORCE, ((7, 0),), "{}"))
 elif role == "worker":
     w = cluster.Worker(cluster.ClusterConfig(), scratch, 1 << 20)
     w._sock = Sink()
     spec = bench.make_pipeline_spec(params, engine.StorageLevel.MEMORY_ONLY)
-    task = cluster.Task(7, 0, cluster.ACTION_PARTIAL_REDUCE, json.dumps(spec))
-    w._open_job(task)
-    w._execute(task)
+    w._open_job(0, json.dumps(spec))
+    w._run_tasks(cluster.TaskRun(0, 0, cluster.ACTION_PARTIAL_REDUCE, ((7, 0),)))
     w.engine.close()
 else:
     cluster.send_frame(Sink(), cluster.MessageTag.DATA, b"x")
@@ -62,7 +61,7 @@ EXPECTED = {
         ("engine.force", ("slots",)), ("engine.reduce", ("slots",)),
         ("engine.close", ("counters",)),
     },
-    "master": {("wire.send_frame", ("bytes",)), ("cluster.send_message", ("task",))},
+    "master": {("wire.send_frame", ("bytes",)), ("cluster.send_message", ())},
     "worker": {
         ("core.generate", ("bytes",)), ("engine.fold", ()),
         ("engine.materialize", ()), ("wire.send_frame", ("bytes",)),
@@ -72,14 +71,24 @@ EXPECTED = {
 }
 
 
-@pytest.mark.parametrize("role", sorted(EXPECTED))
-def test_tracer_installs_and_records(role, tmp_path):
+def traced_spans(role, tmp_path) -> set:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])}
     out = subprocess.run([sys.executable, "-c", SCRIPT, role, str(tmp_path)],
                          capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr
-    spans = {(name, tuple(attrs)) for name, attrs in json.loads(out.stdout)}
-    assert EXPECTED[role] <= spans
+    return {(name, tuple(attrs)) for name, attrs in json.loads(out.stdout)}
+
+
+@pytest.mark.parametrize("role", sorted(EXPECTED))
+def test_tracer_installs_and_records(role, tmp_path):
+    assert EXPECTED[role] <= traced_spans(role, tmp_path)
+
+
+@pytest.mark.xfail(strict=True, reason="the master's send_message seam records task ids "
+                   "only for Task messages, and the master sends TaskRuns (the tracer "
+                   "item in ROADMAP.md and its FOUND line in CHANGES.md)")
+def test_master_seam_records_the_task_ids_of_a_run(tmp_path):
+    assert ("cluster.send_message", ("task",)) in traced_spans("master", tmp_path)
 
 
 def test_launcher_names_exist():
