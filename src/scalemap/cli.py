@@ -156,16 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, required=True)
     p.add_argument("--workers", type=int, required=True,
                    help="worker registrations to wait for before accepting jobs")
-    p.add_argument("--timeout-ms", type=int, default=None,
-                   help="declare a busy worker dead after this long without traffic")
     p.add_argument("--host", default="0.0.0.0")
 
     p = sub.add_parser("worker", help="run one worker process")
     p.add_argument("--master", metavar="HOST:PORT",
                    help=f"master address (default: ${ENV_MASTER})")
-    p.add_argument("--slots", type=int, default=1, help="concurrent tasks")
-    p.add_argument("--heartbeat-ms", type=int, default=0,
-                   help="send liveness pings this often (0 = disabled)")
+    p.add_argument("--slots", type=int, default=1, help="concurrent runs of tasks")
     p.add_argument("--name", default="", help="worker label in master logs")
 
     p = sub.add_parser("bench", help="run the generate/shift/average pipeline once")
@@ -282,10 +278,8 @@ def _run_kwargs(args, cfg: GlobalConfig) -> dict:
 
 
 def cmd_master(args, cfg: GlobalConfig) -> int:
-    ccfg = ClusterConfig(
-        host=args.host, port=args.port, expected_workers=args.workers,
-        network_timeout_ms=args.timeout_ms if args.timeout_ms is not None
-        else cfg.network_timeout_ms)
+    ccfg = ClusterConfig(host=args.host, port=args.port, expected_workers=args.workers,
+                         network_timeout_ms=cfg.network_timeout_ms)
     master = Master(ccfg).start()
     _install_stop_handler(master.shutdown)
     _emit({"role": "master", "port": master.port, "workers_expected": args.workers})
@@ -301,7 +295,6 @@ def cmd_worker(args, cfg: GlobalConfig) -> int:
         raise UsageError(f"worker needs --master or ${ENV_MASTER}")
     host, port = parse_addr(addr_text)
     ccfg = ClusterConfig(host=host, port=port, slots=args.slots,
-                         heartbeat_interval_ms=args.heartbeat_ms,
                          network_timeout_ms=cfg.network_timeout_ms,
                          registration_retries=10)
     worker = Worker(ccfg, scratch_dir=cfg.scratch_dir,

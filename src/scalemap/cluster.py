@@ -9,10 +9,13 @@ A job is its params and storage level.  Tasks travel in runs: one RUN frame
 carries tasks of one job, one stage and one action, and its header names
 the job and the stage they read, 0 (the source) or 1 (the shifted source);
 a job's spec rides only on the first RUN each worker gets in that job.  The
-worker answers a run with RUN_RESULT frames holding each task's result
-(one frame, unless the run outlasts a quarter of the network timeout), and
-each task that failed with its own ERROR.  Workers run each job on a
-fresh engine, so every job is computed from scratch, as a local run is.
+worker answers a run with one RUN_RESULT frame holding the results of its
+tasks, and each task that failed with its own ERROR.  Workers run each job
+on a fresh engine, so every job is computed from scratch, as a local run is.
+
+Liveness: every worker sends a HEARTBEAT each quarter of its network
+timeout, busy or idle, and the master declares a worker lost after a
+network timeout without a frame from it.
 
 Scheduling places each task on its partition's holder: the worker that
 returned that partition's last result in the job, and so has its parent
@@ -352,7 +355,6 @@ class ClusterConfig:
     host: str = "127.0.0.1"
     port: int = 0
     expected_workers: int = 1
-    heartbeat_interval_ms: int = 0
     network_timeout_ms: int = 120_000
     slots: int = 1
     registration_retries: int = 1
@@ -401,17 +403,19 @@ class _WorkerConn:
 class _Phase:
     """Scheduling state for one wave of tasks; guarded by the master lock.
 
-    A pending task waits in the queue of its partition's holder (holders
-    maps partition to worker id), or in the unheld queue when the partition
-    has no live holder.
+    The tasks share one job, stage and action, the header of every run sent
+    for them, and the task id of partition p is tids[p].  A pending task
+    waits in the queue of its partition's holder (holders maps partition to
+    worker id), or in the unheld queue when the partition has no live holder.
     """
 
-    def __init__(self, tasks: dict[int, Task], holders: dict[int, int | None]):
-        self.tasks = tasks
+    def __init__(self, job_id: int, stage: int, action: int, tids: range,
+                 holders: dict[int, int | None]):
+        self.job_id, self.stage, self.action, self.tids = job_id, stage, action, tids
         self.queues: dict[int, deque] = {}
         self.unheld: deque = deque()
-        for tid in sorted(tasks):
-            wid = holders.get(tasks[tid].partition)
+        for p, tid in enumerate(tids):
+            wid = holders.get(p)
             (self.unheld if wid is None else self.queues.setdefault(wid, deque())).append(tid)
         self.done: dict[int, TaskResult] = {}
         self.failed: dict[int, str] = {}
@@ -419,7 +423,7 @@ class _Phase:
         self.aborted: str | None = None
 
     def complete(self) -> bool:
-        return len(self.done) + len(self.failed) == len(self.tasks)
+        return len(self.done) + len(self.failed) == len(self.tids)
 
     def take(self, wid: int, busy, live_slots: int) -> list[int]:
         """The next run of task ids for free worker wid, in ascending order,
@@ -560,12 +564,8 @@ class Master:
             try:
                 msg = recv_message(sock)
             except socket.timeout:
-                with self._lock:
-                    busy = bool(w.runs)
-                if busy:
-                    self._worker_lost(w, f"no response within {self.cfg.network_timeout_ms} ms")
-                    return
-                continue
+                self._worker_lost(w, f"silent for {self.cfg.network_timeout_ms} ms")
+                return
             except (ProtocolError, OSError):
                 self._worker_lost(w, "connection error")
                 return
@@ -619,20 +619,18 @@ class Master:
                     break
             else:
                 return
-            tasks = [phase.tasks[tid] for tid in run]
+            tasks = tuple((tid, tid - phase.tids.start) for tid in run)
             # a partition absent from _holders was never computed in this job
             self.stats.remote_tasks += sum(
-                self._holders.get(t.partition, w.wid) != w.wid for t in tasks)
-            first = tasks[0]
+                self._holders.get(p, w.wid) != w.wid for _, p in tasks)
             spec = ""
-            if w.spec_job != first.job_id:
-                spec, w.spec_job = self._spec_json, first.job_id
+            if w.spec_job != phase.job_id:
+                spec, w.spec_job = self._spec_json, phase.job_id
             w.runs.append(set(run))
             try:
                 with w.wlock:
-                    send_message(w.sock, TaskRun(first.job_id, first.stage, first.action,
-                                                 tuple((t.task_id, t.partition) for t in tasks),
-                                                 spec))
+                    send_message(w.sock, TaskRun(phase.job_id, phase.stage, phase.action,
+                                                 tasks, spec))
             except OSError:
                 self._worker_lost_locked(w, "send failed")
                 phase = self._phase
@@ -643,7 +641,7 @@ class Master:
             for res in results:
                 tid = res.task_id
                 w.answered(tid)
-                if phase is not None and tid in phase.tasks and tid not in phase.done:
+                if phase is not None and tid in phase.tids and tid not in phase.done:
                     phase.done[tid] = res
                     if w.alive:
                         self._holders[res.partition] = w.wid
@@ -662,8 +660,8 @@ class Master:
             # an ERROR for a task w does not hold in flight, such as the
             # reply to a frame w could not decode, fails no partition
             if (w.answered(err.task_id) and phase is not None
-                    and err.task_id in phase.tasks and err.task_id not in phase.done):
-                phase.failed[phase.tasks[err.task_id].partition] = err.message
+                    and err.task_id in phase.tids and err.task_id not in phase.done):
+                phase.failed[err.task_id - phase.tids.start] = err.message
                 if phase.complete():
                     phase.finished.set()
             self._pump()
@@ -708,9 +706,11 @@ class Master:
                 return {"ok": False, "error": f"{type(e).__name__}: {e}", "causes": {}}
 
     def _run_job_inner(self, job: dict) -> dict:
+        params = BenchmarkParams.from_json_dict(job["params"])
+        params.validate()  # a phase of no tasks would never finish
         if not self.wait_ready(self.cfg.network_timeout_ms / 1000.0):
             raise JobFailure("master not ready: expected workers never registered")
-        partitions = BenchmarkParams.from_json_dict(job["params"]).partitions
+        partitions = params.partitions
         job_id = self._next_job  # the caller holds _job_lock
         self._next_job += 1
         with self._lock:
@@ -746,11 +746,9 @@ class Master:
     def _run_phase(self, action: int, stage: int, partitions: int, job_id: int) -> list[TaskResult]:
         """One task per partition; the results in ascending partition order."""
         with self._lock:
-            tasks = {}
-            for p in range(partitions):
-                tasks[self._next_tid] = Task(self._next_tid, p, action, "", job_id, stage)
-                self._next_tid += 1
-            phase = _Phase(tasks, self._holders)
+            tids = range(self._next_tid, self._next_tid + partitions)
+            self._next_tid = tids.stop
+            phase = _Phase(job_id, stage, action, tids, self._holders)
             self._phase = phase
             if not any(w.alive for w in self._workers.values()):
                 phase.aborted = "no live workers"
@@ -764,14 +762,15 @@ class Master:
             raise JobFailure(f"NoWorkers: {phase.aborted}")
         if phase.failed:
             raise JobFailure(f"{len(phase.failed)} partition(s) failed", causes=phase.failed)
-        return [phase.done[tid] for tid in phase.tasks]  # tasks were made in partition order
+        return [phase.done[tid] for tid in phase.tids]
 
 
 # ---- worker ------------------------------------------------------------------
 
 class Worker:
     """Executes runs of tasks against a local engine, one concurrent run per
-    slot.
+    slot, and sends a HEARTBEAT every quarter of its network timeout, so the
+    master hears from it while it is busy on a long run or idle.
 
     The first run of a new job id opens the job on a fresh engine, building
     its datasets (engine.build_pipeline) from the job spec that run carries.
@@ -779,8 +778,8 @@ class Worker:
     datasets[task.stage].  A task that fails is answered at once with its
     own ERROR (every task of a job with no usable spec fails), and the
     results of the others go back together in one RUN_RESULT frame when the
-    run ends, or every quarter of the network timeout while it runs.  A RUN
-    frame that does not decode is answered with an ERROR for NO_TASK.
+    run ends.  A RUN frame that does not decode is answered with an ERROR
+    for NO_TASK.
 
     The master sends a partition's map task to the worker that ran its
     create task, and its reduce task to the one that ran its map task, so
@@ -794,6 +793,9 @@ class Worker:
                  name: str = ""):
         if not 1 <= cfg.slots <= 65535:  # REGISTER carries slots as a u16
             raise ConfigError(f"worker slots must be in 1..65535, got {cfg.slots}")
+        if cfg.network_timeout_ms <= 0:  # it paces the heartbeats
+            raise ConfigError(f"network_timeout_ms must be positive, "
+                              f"got {cfg.network_timeout_ms}")
         self.cfg = cfg
         self.name = name
         self._new_engine = partial(Engine, memory_budget_bytes, scratch_dir)
@@ -823,8 +825,7 @@ class Worker:
         sock.settimeout(None)  # idle is legal; EOF or SHUTDOWN ends the worker
         self._sock = sock
         send_message(sock, Register(self.cfg.slots, self.name))
-        if self.cfg.heartbeat_interval_ms > 0:
-            threading.Thread(target=self._heartbeat_loop, daemon=True).start()
+        threading.Thread(target=self._heartbeat_loop, daemon=True).start()
         try:
             with ThreadPoolExecutor(max_workers=self.cfg.slots) as pool:
                 while not self._stop.is_set():
@@ -870,7 +871,7 @@ class Worker:
                 self._stop.set()
 
     def _heartbeat_loop(self):
-        interval = self.cfg.heartbeat_interval_ms / 1000.0
+        interval = self.cfg.network_timeout_ms / 4000.0
         t0 = time.monotonic()
         seq = 0
         while not self._stop.is_set():
@@ -893,22 +894,14 @@ class Worker:
             self._job_error = f"no usable spec for job {job_id}: {type(e).__name__}: {e}"
 
     def _run_tasks(self, run: TaskRun):
-        """One run, as one pool job.  Results gathered for a quarter of the
-        network timeout go out at once, so that a long run of short tasks
-        does not leave the master silent long enough to declare this worker
-        lost."""
-        flush_s = self.cfg.network_timeout_ms / 4000.0
-        results, sent = [], time.monotonic()
+        """One run, as one pool job."""
+        results = []
         for task in run.expand():
             answer = self._execute(task)
             if isinstance(answer, ErrorMsg):
                 self._send(answer)
-                sent = time.monotonic()
-                continue
-            results.append(answer)
-            if time.monotonic() - sent >= flush_s:
-                self._send(RunResult(tuple(results)))
-                results, sent = [], time.monotonic()
+            else:
+                results.append(answer)
         if results:
             self._send(RunResult(tuple(results)))
 

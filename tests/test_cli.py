@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from scalemap import cli
 from scalemap.bench import read_records_jsonl
 from scalemap.cli import (
     DESK_VECTORS_PER_UNIT,
@@ -347,6 +348,38 @@ class TestNetprobeCLI:
 
 
 class TestClusterCLI:
+    def test_master_and_worker_take_the_timeout_from_one_config(self, tmp_path, monkeypatch):
+        # the worker beats each quarter of its timeout, and the master loses
+        # a worker after a timeout of silence: the two must agree
+        seen = []
+
+        class Role:
+            port = 0
+
+            def __init__(self, ccfg, *args, **kwargs):
+                seen.append(ccfg.network_timeout_ms)
+
+            def start(self):
+                return self
+
+            def wait_stopped(self):
+                pass
+
+            run = shutdown = stop = wait_stopped
+
+        monkeypatch.setattr(cli, "Master", Role)
+        monkeypatch.setattr(cli, "Worker", Role)
+        monkeypatch.setattr(cli, "_install_stop_handler", lambda stop_fn: None)
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"network_timeout_ms": 4321}))
+        master = ["master", "--port", "0", "--workers", "1"]
+        worker = ["worker", "--master", "127.0.0.1:7077"]
+        assert main(["--config", str(conf), *master]) == EXIT_OK
+        assert main(["--config", str(conf), *worker]) == EXIT_OK
+        assert seen == [4321, 4321]
+        assert main([*master, "--timeout-ms", "1000"]) == EXIT_USAGE
+        assert main([*worker, "--heartbeat-ms", "100"]) == EXIT_USAGE
+
     def test_master_worker_bench_round_trip(self, tmp_path, capsys):
         master = spawn(["master", "--port", "0", "--workers", "1",
                         "--host", "127.0.0.1"], tmp_path)

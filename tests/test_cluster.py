@@ -211,12 +211,10 @@ def local_run(tmp_path, params: BenchmarkParams, delta: Vec3) -> Vec3:
 def cluster(tmp_path):
     started = []
 
-    def make(n_workers=2, slots=2, hb_ms=0, timeout_ms=120_000, expected=None,
-             budget=1 << 30):
+    def make(n_workers=2, slots=2, timeout_ms=120_000, expected=None, budget=1 << 30):
         cfg = ClusterConfig(
             port=0,
             expected_workers=n_workers if expected is None else expected,
-            heartbeat_interval_ms=hb_ms,
             network_timeout_ms=timeout_ms,
             slots=slots,
         )
@@ -224,7 +222,6 @@ def cluster(tmp_path):
         workers, threads = [], []
         for i in range(n_workers):
             wcfg = ClusterConfig(host="127.0.0.1", port=master.port,
-                                 heartbeat_interval_ms=hb_ms,
                                  network_timeout_ms=timeout_ms, slots=slots)
             w = Worker(wcfg, tmp_path / f"w{i}", budget, name=f"w{i}")
             t = threading.Thread(target=w.run, daemon=True, name=f"worker-{i}")
@@ -352,6 +349,20 @@ class TestMasterWorker:
         params = BenchmarkParams(blocks=2, vectors_per_unit=16)
         assert submit(addr, job_spec(params, Vec3(0, 0, 0)), timeout_s=10).result is not None
 
+    @pytest.mark.parametrize("field", ["nodes", "cores", "nparts"])
+    def test_job_with_no_partitions_fails_fast(self, cluster, tmp_path, field):
+        # a phase of no tasks never finishes, and would hold the master's
+        # job lock against every later job
+        master, addr, _ = cluster(n_workers=1)
+        params = BenchmarkParams(blocks=4, vectors_per_unit=64, cores=2)
+        delta = Vec3(1.0, 2.0, 3.0)
+        bad = job_spec(params, delta)
+        bad["params"][field] = 0
+        with pytest.raises(JobFailure, match=f"InvalidParams: {field}"):
+            submit(addr, bad, timeout_s=3)
+        assert submit(addr, job_spec(params, delta), timeout_s=30).result == local_run(
+            tmp_path, params, delta)
+
     def test_zero_workers_fails_fast(self, cluster):
         master, addr, _ = cluster(n_workers=0, expected=0)
         with pytest.raises(JobFailure, match="NoWorkers"):
@@ -370,17 +381,27 @@ class TestMasterWorker:
             submit(addr, spec)
         assert ei.value.causes
 
-    def test_heartbeats_disabled_means_zero(self, cluster):
-        master, addr, _ = cluster(n_workers=1, hb_ms=0)
-        submit(addr, job_spec(BenchmarkParams(blocks=2, vectors_per_unit=32), Vec3(0, 0, 0)))
-        assert all(v == 0 for v in master.stats.heartbeats.values())
-
-    def test_heartbeat_rate_when_enabled(self, cluster):
-        master, _, _ = cluster(n_workers=1, hb_ms=100)
+    def test_heartbeat_rate_is_a_quarter_of_the_timeout(self, cluster):
+        master, _, _ = cluster(n_workers=1, timeout_ms=400)  # a beat each 100 ms
         time.sleep(0.55)
         counts = list(master.stats.heartbeats.values())
         assert len(counts) == 1
         assert 3 <= counts[0] <= 7
+
+    def test_silent_idle_worker_is_lost_and_beating_ones_stay(self, cluster):
+        # no job runs, so only heartbeats tell the idle workers from the hung one
+        master, addr, _ = cluster(n_workers=2, timeout_ms=400)
+        t0 = time.monotonic()
+        with socket.create_connection(addr, timeout=5) as silent:
+            send_message(silent, Register(1, "silent"))
+            while master.stats.workers_lost == 0 and time.monotonic() < t0 + 10:
+                time.sleep(0.01)
+            assert 0.35 <= time.monotonic() - t0 < 2.0
+            assert recv_frame(silent) is None  # the master closed its end
+        time.sleep(1.6)  # four more timeouts
+        assert master.live_workers() == 2 and master.stats.workers_lost == 1
+        assert master.stats.heartbeats[2] == 0
+        assert master.stats.heartbeats[0] >= 4 and master.stats.heartbeats[1] >= 4
 
     def test_ping_echo(self, cluster):
         master, addr, _ = cluster(n_workers=1)
@@ -428,8 +449,8 @@ class TestMasterWorker:
 
     def test_run_longer_than_the_timeout_keeps_its_worker(self, cluster, monkeypatch,
                                                           tmp_path):
-        # heartbeats are off, so the master hears from a busy worker only
-        # through its answers; the first run is 8 create tasks of 100 ms each
+        # the first run is 8 create tasks of 100 ms each, so only the
+        # worker's heartbeats keep the master hearing from it while it runs
         real_execute, real_send, runs = Worker._execute, cluster_mod.send_message, []
 
         def slow(self, task):
@@ -494,9 +515,8 @@ class TestPlacement:
         return master
 
     def start(self, master, partitions):
-        tasks = {p: Task(p, p, ACTION_FORCE, "") for p in range(partitions)}
         with master._lock:
-            master._phase = _Phase(tasks, master._holders)
+            master._phase = _Phase(0, 0, ACTION_FORCE, range(partitions), master._holders)
             master._pump()
         return master._phase
 
@@ -531,8 +551,7 @@ class TestPlacement:
         assert master.stats.remote_tasks == 0
 
     def test_steal_only_from_a_busy_holder_and_from_the_tail(self):
-        tasks = {p: Task(p, p, ACTION_FORCE, "") for p in range(4)}
-        phase = _Phase(tasks, {p: 0 for p in range(4)})
+        phase = _Phase(0, 0, ACTION_FORCE, range(4), {p: 0 for p in range(4)})
         assert phase.take(1, lambda h: False, 2) == []
         assert phase.take(1, lambda h: True, 2) == [2, 3]
         assert phase.take(0, lambda h: True, 2) == [0]
@@ -565,9 +584,8 @@ class TestPlacement:
     def test_worker_added_mid_phase_gets_the_stage_list_first(self):
         master = self.master([1], {})
         master._spec_json = spec = '{"params": {}, "storage": "none"}'
-        tasks = {p: Task(p, p, ACTION_FORCE, "", job_id=3) for p in range(6)}
         with master._lock:
-            master._phase = _Phase(tasks, master._holders)
+            master._phase = _Phase(3, 0, ACTION_FORCE, range(6), master._holders)
             master._pump()
             master._workers[1] = _WorkerConn(1, FakeSock(), 1, "")
             master._pump()
@@ -579,10 +597,9 @@ class TestPlacement:
             assert [r.pipeline_json for r in master._workers[wid].sock.sent] == [spec, ""]
 
     def test_run_shapes(self):
-        tasks = {p: Task(p, p, ACTION_FORCE, "") for p in range(20)}
         busy = lambda h: True  # noqa: E731
         # own queue: the first half, rounded up
-        phase = _Phase(tasks, {p: 0 for p in range(10)})
+        phase = _Phase(0, 0, ACTION_FORCE, range(20), {p: 0 for p in range(10)})
         assert [phase.take(0, busy, 4) for _ in range(4)] == [
             [0, 1, 2, 3, 4], [5, 6, 7], [8], [9]]
         # unheld queue: its share of 2 x live slots, rounded up
@@ -590,16 +607,15 @@ class TestPlacement:
         assert phase.take(1, busy, 4) == [12]
         assert phase.take(1, busy, 1) == [13, 14, 15, 16]
         # a steal: the last half of the longest busy holder's queue
-        phase = _Phase(tasks, {p: 0 if p < 7 else 1 for p in range(20)})
+        phase = _Phase(0, 0, ACTION_FORCE, range(20), {p: 0 if p < 7 else 1 for p in range(20)})
         assert phase.take(2, lambda h: False, 3) == []
         assert phase.take(2, busy, 3) == list(range(13, 20))
         assert phase.take(2, busy, 3) == [3, 4, 5, 6]
         assert phase.take(2, lambda h: h == 1, 3) == [10, 11, 12]
         # no run is longer than MAX_RUN, whatever queue it comes from
         n = 2 * MAX_RUN + 2
-        many = {p: Task(p, p, ACTION_FORCE, "") for p in range(n)}
         for holders in ({p: 0 for p in range(n)}, {}, {p: 1 for p in range(n)}):
-            assert len(_Phase(many, holders).take(0, busy, 1)) == MAX_RUN
+            assert len(_Phase(0, 0, ACTION_FORCE, range(n), holders).take(0, busy, 1)) == MAX_RUN
 
     def test_stray_error_fails_no_partition(self):
         master = self.master([1], {})
@@ -691,6 +707,12 @@ class TestWorkerProtocol:
             listener.settimeout(0.2)
             with pytest.raises(socket.timeout):
                 listener.accept()
+
+    @pytest.mark.parametrize("timeout_ms", [0, -1])
+    def test_nonpositive_timeout_rejected(self, tmp_path, timeout_ms):
+        # the timeout paces the heartbeats, which must not spin
+        with pytest.raises(ConfigError, match="network_timeout_ms"):
+            Worker(ClusterConfig(network_timeout_ms=timeout_ms), tmp_path, 1 << 20)
 
     def test_malformed_task_answered_with_error_and_connection_survives(self, tmp_path):
         listener = socket.socket()
