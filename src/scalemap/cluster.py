@@ -2,16 +2,19 @@
 
 Wire format: every frame is a 4-byte big-endian length prefix (counting the
 tag byte plus payload), one tag byte, then a tag-specific payload whose
-integers are little-endian and whose floats are IEEE-754 little-endian.
-Partial reduce sums cross the wire as raw float64 bits, so the distributed
-result is bit-identical to a single-process run at the same partition count.
-A job is its params and storage level.  Tasks travel in runs: one RUN frame
-carries tasks of one job, one stage and one action, and its header names
-the job and the stage they read, 0 (the source) or 1 (the shifted source);
-a job's spec rides only on the first RUN each worker gets in that job.  The
-worker answers a run with one RUN_RESULT frame holding the results of its
-tasks, and each task that failed with its own ERROR.  Workers run each job
-on a fresh engine, so every job is computed from scratch, as a local run is.
+integers are little-endian and whose floats are IEEE-754 little-endian.  The
+_LAYOUTS table, which both encoding and decoding read, is that payload for
+every type but RUN and RUN_RESULT.  Partial reduce sums cross the wire as
+raw float64 bits, so the distributed result is bit-identical to a
+single-process run at the same partition count.  A job is its params and
+storage level.  Tasks travel in runs: one RUN frame carries tasks of one
+job, one stage and one action, and its header names the job and the stage
+they read, 0 (the source) or 1 (the shifted source); a job's spec rides only
+on the first RUN each worker gets in that job.  The worker answers a run
+with one RUN_RESULT frame holding the results of its tasks, and each task
+that failed with its own ERROR.  Workers run each job on a fresh engine, so
+every job is computed from scratch, as a local run is, and task ids restart
+at 0 with each job, which keeps them within RUN's u32s.
 
 Liveness: every worker sends a HEARTBEAT each quarter of its network
 timeout, busy or idle, and the master declares a worker lost after a
@@ -47,9 +50,11 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
 from functools import partial
+from itertools import starmap
+from operator import attrgetter
 
 from .core import BenchmarkParams, Vec3
 from .engine import (Dataset, Engine, StorageLevel, build_pipeline, combine_partials,
@@ -194,102 +199,92 @@ class JobDone:
     report_json: str
 
 
-_REGISTER = struct.Struct("<H")
-_TASK = struct.Struct("<IIBIH")
-_RESULT = struct.Struct("<IIBdddQQBI")
+class _Layout:
+    """One message type's tag and payload: a head struct of the fields that
+    spec names as space-separated name:format pairs, in wire order, then the
+    text (str) or raw (bytes) field, if one is named, filling the rest of the
+    frame.  Without one, the head must fill the frame exactly."""
+
+    def __init__(self, cls, tag: MessageTag, spec: str = "", text: str = "", raw: str = ""):
+        self.cls, self.tag, self.tail, self.text = cls, tag, text or raw, bool(text)
+        names, fmt = zip(*(f.split(":") for f in spec.split())) if spec else ((), ())
+        self.head = struct.Struct("<" + "".join(fmt))
+        # attrgetter of one name gives the bare value, not a 1-tuple
+        self.values = (attrgetter(*names) if len(names) > 1
+                       else lambda msg: tuple(getattr(msg, n) for n in names))
+        order = names + ((self.tail,) if self.tail else ())
+        # positional when the wire order is the constructor's, as it is for RESULT
+        self.make = (cls if order == tuple(f.name for f in fields(cls))
+                     else lambda *values: cls(**dict(zip(order, values))))
+
+    def encode(self, msg) -> bytes:
+        tail = getattr(msg, self.tail) if self.tail else b""
+        return self.head.pack(*self.values(msg)) + (tail.encode() if self.text else tail)
+
+    def decode(self, payload: bytes):
+        if not self.tail:
+            return self.make(*self.head.unpack(payload))
+        tail = payload[self.head.size:]
+        return self.make(*self.head.unpack_from(payload), tail.decode() if self.text else tail)
+
+
+# every message type but the variable-length RUN and RUN_RESULT
+_LAYOUTS = {layout.cls: layout for layout in (
+    _Layout(Register, MessageTag.REGISTER, "slots:H", text="name"),
+    _Layout(Task, MessageTag.TASK, "task_id:I partition:I action:B job_id:I stage:H",
+            text="pipeline_json"),
+    _Layout(TaskResult, MessageTag.RESULT, "task_id:I partition:I action:B sum_x:d sum_y:d "
+            "sum_z:d count:Q nbytes:Q computed:? spilled:I"),
+    _Layout(Heartbeat, MessageTag.HEARTBEAT, "seq:I"),
+    _Layout(ErrorMsg, MessageTag.ERROR, "task_id:I", text="message"),
+    _Layout(Shutdown, MessageTag.SHUTDOWN),
+    _Layout(Ping, MessageTag.PING, raw="nonce"),
+    _Layout(Data, MessageTag.DATA, raw="payload"),
+    _Layout(Submit, MessageTag.SUBMIT, text="job_json"),
+    _Layout(JobDone, MessageTag.JOB_DONE, text="report_json"),
+)}
+_BY_TAG = {layout.tag: layout for layout in _LAYOUTS.values()}
+_RESULT = _LAYOUTS[TaskResult]  # a RUN_RESULT is RESULT payloads back to back
 _RUN = struct.Struct("<IHBI")  # job_id, stage, action, task count
 _RUN_TASK = struct.Struct("<II")  # task_id, partition
-_HEARTBEAT = struct.Struct("<I")
-_ERROR = struct.Struct("<I")
-
-
-def _pack_result(r: TaskResult) -> bytes:
-    return _RESULT.pack(r.task_id, r.partition, r.action, r.sum_x, r.sum_y, r.sum_z,
-                        r.count, r.nbytes, int(r.computed), r.spilled)
-
-
-def _unpack_result(f: tuple) -> TaskResult:
-    return TaskResult(*f[:8], bool(f[8]), f[9])
-
-
-def _encode_run(run: TaskRun) -> bytes:
-    """A _RUN header, one _RUN_TASK per task, then the spec."""
-    return b"".join([_RUN.pack(run.job_id, run.stage, run.action, len(run.tasks)),
-                     *(_RUN_TASK.pack(*t) for t in run.tasks),
-                     run.pipeline_json.encode()])
-
-
-def _decode_run(payload: bytes) -> TaskRun:
-    job, stage, action, n = _RUN.unpack_from(payload)
-    end = _RUN.size + n * _RUN_TASK.size
-    if len(payload) < end:
-        raise ProtocolError(f"run of {n} tasks cut short at {len(payload)} bytes")
-    return TaskRun(job, stage, action, tuple(_RUN_TASK.iter_unpack(payload[_RUN.size:end])),
-                   payload[end:].decode())
 
 
 def encode_message(msg) -> tuple[int, bytes]:
     """Returns (tag, payload)."""
-    if isinstance(msg, Register):
-        return MessageTag.REGISTER, _REGISTER.pack(msg.slots) + msg.name.encode()
-    if isinstance(msg, Task):
-        head = _TASK.pack(msg.task_id, msg.partition, msg.action, msg.job_id, msg.stage)
-        return MessageTag.TASK, head + msg.pipeline_json.encode()
-    if isinstance(msg, TaskResult):
-        return MessageTag.RESULT, _pack_result(msg)
-    if isinstance(msg, TaskRun):
-        return MessageTag.RUN, _encode_run(msg)
-    if isinstance(msg, RunResult):
-        return MessageTag.RUN_RESULT, b"".join(map(_pack_result, msg.results))
-    if isinstance(msg, Heartbeat):
-        return MessageTag.HEARTBEAT, _HEARTBEAT.pack(msg.seq)
-    if isinstance(msg, ErrorMsg):
-        return MessageTag.ERROR, _ERROR.pack(msg.task_id) + msg.message.encode()
-    if isinstance(msg, Shutdown):
-        return MessageTag.SHUTDOWN, b""
-    if isinstance(msg, Ping):
-        return MessageTag.PING, msg.nonce
-    if isinstance(msg, Data):
-        return MessageTag.DATA, msg.payload
-    if isinstance(msg, Submit):
-        return MessageTag.SUBMIT, msg.job_json.encode()
-    if isinstance(msg, JobDone):
-        return MessageTag.JOB_DONE, msg.report_json.encode()
-    raise ProtocolError(f"cannot encode {type(msg).__name__}")
+    try:
+        if isinstance(msg, TaskRun):  # a _RUN header, one _RUN_TASK per task, then the spec
+            return MessageTag.RUN, b"".join([
+                _RUN.pack(msg.job_id, msg.stage, msg.action, len(msg.tasks)),
+                *(_RUN_TASK.pack(*t) for t in msg.tasks), msg.pipeline_json.encode()])
+        if isinstance(msg, RunResult):
+            pack = _RESULT.head.pack
+            return MessageTag.RUN_RESULT, b"".join(
+                [pack(*values) for values in map(_RESULT.values, msg.results)])
+        layout = _LAYOUTS.get(type(msg))
+        if layout is None:
+            raise ProtocolError(f"cannot encode {type(msg).__name__}")
+        return layout.tag, layout.encode(msg)
+    except (struct.error, UnicodeEncodeError) as e:
+        raise ProtocolError(f"cannot encode {type(msg).__name__}: {e}") from e
 
 
 def decode_message(tag: int, payload: bytes):
     try:
-        if tag == MessageTag.REGISTER:
-            (slots,) = _REGISTER.unpack_from(payload)
-            return Register(slots, payload[_REGISTER.size:].decode())
-        if tag == MessageTag.TASK:
-            tid, part, action, job, stage = _TASK.unpack_from(payload)
-            return Task(tid, part, action, payload[_TASK.size:].decode(), job, stage)
-        if tag == MessageTag.RESULT:
-            return _unpack_result(_RESULT.unpack(payload))
         if tag == MessageTag.RUN:
-            return _decode_run(payload)
+            job, stage, action, n = _RUN.unpack_from(payload)
+            end = _RUN.size + n * _RUN_TASK.size
+            if len(payload) < end:
+                raise ProtocolError(f"run of {n} tasks cut short at {len(payload)} bytes")
+            return TaskRun(job, stage, action, tuple(
+                _RUN_TASK.iter_unpack(payload[_RUN.size:end])), payload[end:].decode())
         if tag == MessageTag.RUN_RESULT:
-            return RunResult(tuple(map(_unpack_result, _RESULT.iter_unpack(payload))))
-        if tag == MessageTag.HEARTBEAT:
-            return Heartbeat(_HEARTBEAT.unpack(payload)[0])
-        if tag == MessageTag.ERROR:
-            (tid,) = _ERROR.unpack_from(payload)
-            return ErrorMsg(tid, payload[_ERROR.size:].decode())
-        if tag == MessageTag.SHUTDOWN:
-            return Shutdown()
-        if tag == MessageTag.PING:
-            return Ping(payload)
-        if tag == MessageTag.DATA:
-            return Data(payload)
-        if tag == MessageTag.SUBMIT:
-            return Submit(payload.decode())
-        if tag == MessageTag.JOB_DONE:
-            return JobDone(payload.decode())
+            return RunResult(tuple(starmap(_RESULT.make, _RESULT.head.iter_unpack(payload))))
+        layout = _BY_TAG.get(tag)
+        if layout is None:
+            raise ProtocolError(f"unknown message tag {tag}")
+        return layout.decode(payload)
     except (struct.error, UnicodeDecodeError) as e:
         raise ProtocolError(f"malformed payload for tag {tag}: {e}") from e
-    raise ProtocolError(f"unknown message tag {tag}")
 
 
 # ---- framing ----------------------------------------------------------------
@@ -358,6 +353,10 @@ class ClusterConfig:
     network_timeout_ms: int = 120_000
     slots: int = 1
     registration_retries: int = 1
+
+    def __post_init__(self):  # the master's socket timeout and the workers' heartbeat pace
+        if self.network_timeout_ms <= 0:
+            raise ConfigError(f"network_timeout_ms must be positive, got {self.network_timeout_ms}")
 
 
 @dataclass(frozen=True)
@@ -640,11 +639,12 @@ class Master:
             phase = self._phase
             for res in results:
                 tid = res.task_id
-                w.answered(tid)
-                if phase is not None and tid in phase.tids and tid not in phase.done:
+                # a result for a task w does not hold in flight, such as one
+                # a lost worker sent late, counts for no partition
+                if (w.answered(tid) and phase is not None
+                        and tid in phase.tids and tid not in phase.done):
                     phase.done[tid] = res
-                    if w.alive:
-                        self._holders[res.partition] = w.wid
+                    self._holders[res.partition] = w.wid
             if phase is not None and phase.complete():
                 phase.finished.set()
             self._pump()
@@ -714,6 +714,7 @@ class Master:
         job_id = self._next_job  # the caller holds _job_lock
         self._next_job += 1
         with self._lock:
+            self._next_tid = 0  # RUN carries task ids as u32s
             self._holders = {}
             self._spec_json = json.dumps({"params": job["params"], "storage": job["storage"]})
             before = replace(self.stats)  # cumulative; the report gives this job's share
@@ -793,9 +794,6 @@ class Worker:
                  name: str = ""):
         if not 1 <= cfg.slots <= 65535:  # REGISTER carries slots as a u16
             raise ConfigError(f"worker slots must be in 1..65535, got {cfg.slots}")
-        if cfg.network_timeout_ms <= 0:  # it paces the heartbeats
-            raise ConfigError(f"network_timeout_ms must be positive, "
-                              f"got {cfg.network_timeout_ms}")
         self.cfg = cfg
         self.name = name
         self._new_engine = partial(Engine, memory_budget_bytes, scratch_dir)

@@ -85,21 +85,6 @@ class ProbeReport:
             "bytes_acked": self.bytes_acked,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ProbeReport":
-        return cls(
-            connections_requested=int(d["connections_requested"]),
-            connections_established=int(d["connections_established"]),
-            failures=int(d["failures"]),
-            setup_total_s=float(d["setup_total_s"]),
-            response_times_ms=tuple(float(x) for x in d["response_times_ms"]),
-            max_response_ms=float(d["max_response_ms"]),
-            mean_response_ms=float(d["mean_response_ms"]),
-            throughput_bytes_per_s=float(d["throughput_bytes_per_s"]),
-            bytes_sent=int(d["bytes_sent"]),
-            bytes_acked=int(d["bytes_acked"]),
-        )
-
 
 class ProbeServer:
     """Echo/sink server with deterministic fault injection.

@@ -380,6 +380,18 @@ class TestClusterCLI:
         assert main([*master, "--timeout-ms", "1000"]) == EXIT_USAGE
         assert main([*worker, "--heartbeat-ms", "100"]) == EXIT_USAGE
 
+    def test_master_with_a_nonpositive_timeout_exits_1(self, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"network_timeout_ms": 0}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "scalemap", "--config", str(conf), "master",
+             "--port", "0", "--workers", "1", "--host", "127.0.0.1"],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "SCALEMAP_SCRATCH": str(tmp_path / "scratch")})
+        assert proc.returncode == EXIT_RUNTIME and proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "ConfigError"
+
     def test_master_worker_bench_round_trip(self, tmp_path, capsys):
         master = spawn(["master", "--port", "0", "--workers", "1",
                         "--host", "127.0.0.1"], tmp_path)

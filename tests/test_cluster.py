@@ -17,6 +17,7 @@ from scalemap.engine import Engine, StorageLevel
 from scalemap.errors import ConfigError
 from scalemap.cluster import (
     ACTION_FORCE,
+    ACTION_PARTIAL_REDUCE,
     MAX_FRAME,
     MAX_RUN,
     NO_TASK,
@@ -87,6 +88,35 @@ messages = st.one_of(
 )
 
 
+# one message of each type and the exact (tag, payload) it travels as, one
+# space-separated group of hex digits a field
+GOLDEN = [
+    (Register(6, "w0"), MessageTag.REGISTER, "0600 7730"),
+    (Task(7, 3, ACTION_PARTIAL_REDUCE, '{"a": 1}', 2, 1), MessageTag.TASK,
+     "07000000 03000000 01 02000000 0100 7b2261223a20317d"),
+    (TaskResult(7, 3, ACTION_PARTIAL_REDUCE, -0.1 + 0.7, 1.5, -2.0, 64, 1536, True, 2),
+     MessageTag.RESULT,
+     "07000000 03000000 01 333333333333e33f 000000000000f83f 00000000000000c0"
+     " 4000000000000000 0006000000000000 01 02000000"),
+    (run_of([(7, 3), (8, 4)], ACTION_FORCE, 2, 1, "{}"), MessageTag.RUN,
+     "02000000 0100 00 02000000 07000000 03000000 08000000 04000000 7b7d"),
+    (RunResult((TaskResult(7, 3, ACTION_FORCE, 0.0, 0.0, 0.0, 64, 1536, True, 0),
+                TaskResult(8, 4, ACTION_FORCE, 0.0, 0.0, 0.0, 64, 1536, False, 1))),
+     MessageTag.RUN_RESULT,
+     "07000000 03000000 00 0000000000000000 0000000000000000 0000000000000000"
+     " 4000000000000000 0006000000000000 01 00000000"
+     " 08000000 04000000 00 0000000000000000 0000000000000000 0000000000000000"
+     " 4000000000000000 0006000000000000 00 01000000"),
+    (Heartbeat(9), MessageTag.HEARTBEAT, "09000000"),
+    (ErrorMsg(NO_TASK, "boom ✓"), MessageTag.ERROR, "ffffffff 626f6f6d20e29c93"),
+    (Shutdown(), MessageTag.SHUTDOWN, ""),
+    (Ping(b"\x00\x01nonce"), MessageTag.PING, "00016e6f6e6365"),
+    (Data(b"\xffdata"), MessageTag.DATA, "ff64617461"),
+    (Submit('{"job": 1}'), MessageTag.SUBMIT, "7b226a6f62223a20317d"),
+    (JobDone('{"ok": true}'), MessageTag.JOB_DONE, "7b226f6b223a20747275657d"),
+]
+
+
 class ByteSource:
     """Socket stand-in replaying a fixed byte string."""
 
@@ -149,6 +179,40 @@ class TestFraming:
     def test_oversized_send_rejected(self):
         with pytest.raises(ProtocolError):
             send_frame(ByteSink(), MessageTag.DATA, b"\x00" * MAX_FRAME)
+
+    @pytest.mark.parametrize("msg, tag, payload", GOLDEN, ids=[t.name for _, t, _ in GOLDEN])
+    def test_golden_bytes(self, msg, tag, payload):
+        raw = bytes.fromhex(payload)
+        assert encode_message(msg) == (tag, raw)
+        got = decode_message(tag, raw)
+        assert got == msg
+        for res in got.results if isinstance(got, RunResult) else [got]:
+            if isinstance(res, TaskResult):
+                assert type(res.computed) is bool
+
+    def test_each_tag_is_one_message_class(self):
+        assert sorted(tag for _, tag, _ in GOLDEN) == sorted(MessageTag)
+        assert len({type(msg) for msg, _, _ in GOLDEN}) == len(MessageTag)
+        for msg, tag, payload in GOLDEN:
+            assert type(decode_message(tag, bytes.fromhex(payload))) is type(msg)
+
+    @pytest.mark.parametrize("msg", [
+        Register(65536), Heartbeat(-1), ErrorMsg(2**32, ""),
+        Task(0, 0, 256, ""), Task(0, 0, 0, "", stage=65536),
+        TaskResult(0, 0, 0, 0.0, 0.0, 0.0, 2**64, 0, True),
+        run_of([(2**32, 0)]), run_of([], stage=-1),
+        RunResult((TaskResult(0, 2**32, 0, 0.0, 0.0, 0.0, 0, 0, False),)),
+    ])
+    def test_out_of_range_field_rejected_on_encode(self, msg):
+        with pytest.raises(ProtocolError):
+            encode_message(msg)
+
+    @pytest.mark.parametrize("tag", [MessageTag.SHUTDOWN, MessageTag.HEARTBEAT,
+                                     MessageTag.RESULT], ids=lambda t: t.name)
+    def test_frame_without_a_tail_must_be_filled_exactly(self, tag):
+        payload = dict((t, bytes.fromhex(p)) for _, t, p in GOLDEN)[tag]
+        with pytest.raises(ProtocolError):
+            decode_message(tag, payload + b"\x00")
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ProtocolError):
@@ -636,8 +700,38 @@ class TestPlacement:
         assert phase.complete() and phase.finished.is_set()
         assert master.stats.worker_errors == 4 and w.runs == []
 
+    def test_result_for_a_task_its_sender_does_not_hold_counts_for_none(self):
+        master = self.master([1, 1], {0: 0, 1: 1})
+        phase = self.start(master, 2)
+        assert self.runs(master, 0) == [[0]] and self.runs(master, 1) == [[1]]
+        self.answer(master, 1, 0)  # task 0 is in flight on worker 0
+        assert phase.done == {} and not phase.failed
+        assert master._holders == {0: 0, 1: 1} and len(master._workers[0].runs) == 1
+        self.answer(master, 0, 0)
+        self.answer(master, 1, 1)
+        assert sorted(phase.done) == [0, 1] and phase.finished.is_set()
+
 
 class TestJobScope:
+    def test_task_ids_restart_with_each_job(self, cluster, tmp_path, monkeypatch):
+        real_send, sent = cluster_mod.send_message, []
+
+        def record(sock, msg):
+            if isinstance(msg, TaskRun):
+                sent.append(msg)
+            real_send(sock, msg)
+
+        monkeypatch.setattr(cluster_mod, "send_message", record)
+        master, addr, _ = cluster(n_workers=2, slots=2)
+        master._next_tid = 2**32 - 4  # as on a master that ran ~2^32 tasks before this job
+        params = BenchmarkParams(blocks=8, vectors_per_unit=64, cores=4)
+        delta = Vec3(1, 2, 3)
+        local = local_run(tmp_path, params, delta)
+        for _ in range(2):
+            assert submit(addr, job_spec(params, delta), timeout_s=30).result == local
+        ids = [sorted(t for r in sent if r.job_id == job for t, _ in r.tasks) for job in (0, 1)]
+        assert ids[0] == ids[1] == list(range(3 * params.partitions))
+
     def test_stage_list_sent_once_per_worker_per_job(self, cluster, monkeypatch):
         real_send, sent = cluster_mod.send_message, []
 
@@ -710,9 +804,12 @@ class TestWorkerProtocol:
 
     @pytest.mark.parametrize("timeout_ms", [0, -1])
     def test_nonpositive_timeout_rejected(self, tmp_path, timeout_ms):
-        # the timeout paces the heartbeats, which must not spin
+        # the timeout paces the worker's heartbeats, which must not spin, and
+        # is the master's socket timeout, which 0 would make non-blocking
         with pytest.raises(ConfigError, match="network_timeout_ms"):
             Worker(ClusterConfig(network_timeout_ms=timeout_ms), tmp_path, 1 << 20)
+        with pytest.raises(ConfigError, match="network_timeout_ms"):
+            Master(ClusterConfig(network_timeout_ms=timeout_ms))
 
     def test_malformed_task_answered_with_error_and_connection_survives(self, tmp_path):
         listener = socket.socket()

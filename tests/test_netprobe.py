@@ -1,5 +1,7 @@
 """Connection-storm, latency-floor, and throughput probe behavior."""
 
+import dataclasses
+import json
 import socket
 
 import pytest
@@ -175,7 +177,9 @@ class TestReport:
             bytes_sent=1000,
             bytes_acked=1000,
         )
-        assert ProbeReport.from_json_dict(rep.to_json_dict()) == rep
+        back = json.loads(json.dumps(rep.to_json_dict()))
+        assert back.keys() == {f.name for f in dataclasses.fields(ProbeReport)}
+        assert ProbeReport(**{**back, "response_times_ms": tuple(back["response_times_ms"])}) == rep
 
     def test_conservation_enforced(self):
         with pytest.raises(ConfigError):

@@ -92,6 +92,9 @@ def test_master_seam_records_the_task_ids_of_a_run(tmp_path):
 
 
 def test_launcher_names_exist():
+    # the two configs perfbench/launch.py builds, for its master and its workers
+    cluster.ClusterConfig(expected_workers=2)
+    cluster.ClusterConfig(port=7077, slots=1, registration_retries=10)
     master = cluster.Master(cluster.ClusterConfig())
     assert master.on_result is None
     assert {"rescheduled", "heartbeats", "worker_errors", "workers_lost"} <= set(
