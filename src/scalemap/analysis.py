@@ -73,13 +73,6 @@ class ScalingSeries:
     base_units: int
     points: tuple[SeriesPoint, ...]
 
-    @property
-    def base_time_s(self) -> float:
-        for p in self.points:
-            if p.units == self.base_units:
-                return p.median_time_s
-        raise MissingBasePoint(f"series has no point at base_units={self.base_units}")
-
 
 def _stage_time(rec: RunRecord, stage: str) -> float:
     return {
@@ -116,12 +109,12 @@ def series_from_medians(medians: Sequence[tuple[int, float]], scaling: ScalingMo
 
     points = []
     for units, t in pairs:
-        sp = t_base / t
+        sp = speedup(t_base, t)
         if scaling is ScalingMode.STRONG:
-            eff = sp / (units / base_units)
+            eff = strong_efficiency(sp, units / base_units)
             ideal = t_base * base_units / units
         else:
-            eff = t_base / t
+            eff = sp  # weak-scaling efficiency, t_base / t
             ideal = t_base
         points.append(SeriesPoint(units=units, median_time_s=t, speedup=sp,
                                   efficiency=eff, ideal_time_s=ideal))

@@ -19,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 
 from .core import BenchmarkParams, LoadBinary, Vec3
-from .engine import Engine, StorageLevel, build_pipeline, phase_counts, run_job
+from .engine import Engine, StorageLevel, build_pipeline, make_pipeline_spec, phase_counts, run_job
 from . import cluster as cluster_mod
 from .errors import ConfigError
 
@@ -94,12 +94,6 @@ class RunRecord:
             timestamp=float(d["timestamp"]),
             scaling=None if scaling is None else ScalingMode(scaling),
         )
-
-
-def make_pipeline_spec(params: BenchmarkParams, storage: StorageLevel) -> dict:
-    """The job a cluster runs: its params and the storage level of both its
-    datasets (engine.build_pipeline)."""
-    return {"params": params.to_json_dict(), "storage": storage.value}
 
 
 def run_pipeline(params: BenchmarkParams, mode: str = MODE_LOCAL, *,

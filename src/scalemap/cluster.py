@@ -18,7 +18,9 @@ at 0 with each job, which keeps them within RUN's u32s.
 
 Liveness: every worker sends a HEARTBEAT each quarter of its network
 timeout, busy or idle, and the master declares a worker lost after a
-network timeout without a frame from it.
+network timeout without a frame from it.  One master method settles every
+answer, RUN_RESULT or ERROR, by one rule: it counts only for a task its
+sender holds in flight, in the current phase, whose partition is unsettled.
 
 Scheduling places each task on its partition's holder: the worker that
 returned that partition's last result in the job, and so has its parent
@@ -56,9 +58,9 @@ from functools import partial
 from itertools import starmap
 from operator import attrgetter
 
-from .core import BenchmarkParams, Vec3
-from .engine import (Dataset, Engine, StorageLevel, build_pipeline, combine_partials,
-                     leftfold_sum, phase_counts, run_job)
+from .core import Vec3
+from .engine import (Dataset, Engine, build_pipeline, combine_partials, leftfold_sum,
+                     make_pipeline_spec, parse_pipeline_spec, phase_counts, run_job)
 from .errors import ConfigError, ScalemapError
 
 MAX_FRAME = 64 * 1024 * 1024
@@ -406,6 +408,7 @@ class _Phase:
     for them, and the task id of partition p is tids[p].  A pending task
     waits in the queue of its partition's holder (holders maps partition to
     worker id), or in the unheld queue when the partition has no live holder.
+    done and failed map each settled partition to its result or error text.
     """
 
     def __init__(self, job_id: int, stage: int, action: int, tids: range,
@@ -448,7 +451,7 @@ class _Phase:
     def drop_worker(self, wid: int, in_flight) -> int:
         """Moves a lost worker's unanswered in-flight tasks and its queue to
         the unheld queue; returns how many in-flight tasks were requeued."""
-        requeue = sorted(tid for tid in in_flight if tid not in self.done)
+        requeue = sorted(tid for tid in in_flight if tid - self.tids.start not in self.done)
         self.unheld.extend(requeue)
         self.unheld.extend(self.queues.pop(wid, ()))
         return len(requeue)
@@ -459,7 +462,11 @@ class Master:
 
     Worker connections send REGISTER then stream RUN_RESULT/HEARTBEAT/ERROR;
     client connections send SUBMIT (answered with JOB_DONE), PING (echoed),
-    or SHUTDOWN (stops the whole cluster).
+    or SHUTDOWN (stops the whole cluster).  _on_answers settles both kinds
+    of answer: one settles its task's partition only when its sender holds
+    that task in flight, the task is in the current phase and the partition
+    is not settled yet; any other, such as a lost worker's late result or
+    the reply to a frame the worker could not decode, settles none.
     """
 
     def __init__(self, cfg: ClusterConfig):
@@ -556,35 +563,38 @@ class Master:
             self._next_wid += 1
             self._workers[w.wid] = w
             self.stats.heartbeats.setdefault(w.wid, 0)
-            if sum(1 for x in self._workers.values() if x.alive) >= self.cfg.expected_workers:
+            if self.live_workers() >= self.cfg.expected_workers:
                 self._ready.set()
             self._pump()
         while not self._stopping.is_set():
             try:
                 msg = recv_message(sock)
             except socket.timeout:
-                self._worker_lost(w, f"silent for {self.cfg.network_timeout_ms} ms")
-                return
+                why = f"silent for {self.cfg.network_timeout_ms} ms"
+                break
             except (ProtocolError, OSError):
-                self._worker_lost(w, "connection error")
-                return
+                why = "connection error"
+                break
             if msg is None:
-                self._worker_lost(w, "connection closed")
-                return
+                why = "connection closed"
+                break
             if isinstance(msg, Heartbeat):
                 with self._lock:
                     self.stats.heartbeats[w.wid] += 1
             elif isinstance(msg, RunResult):
-                self._on_results(w, msg.results)
+                self._on_answers(w, msg.results)
             elif isinstance(msg, ErrorMsg):
-                self._on_error(w, msg)
+                self._on_answers(w, msg)
+        else:
+            return  # the master is stopping
+        self._worker_lost(w, why)
 
     def _serve_client(self, sock: socket.socket, first):
         msg = first
         try:
             while msg is not None and not self._stopping.is_set():
                 if isinstance(msg, Submit):
-                    report = self._run_job(json.loads(msg.job_json))
+                    report = self._run_job(msg.job_json)
                     send_message(sock, JobDone(json.dumps(report)))
                 elif isinstance(msg, Ping):
                     send_message(sock, Ping(msg.nonce))
@@ -631,74 +641,63 @@ class Master:
                     send_message(w.sock, TaskRun(phase.job_id, phase.stage, phase.action,
                                                  tasks, spec))
             except OSError:
-                self._worker_lost_locked(w, "send failed")
+                self._worker_lost(w, "send failed")
                 phase = self._phase
 
-    def _on_results(self, w: _WorkerConn, results: tuple[TaskResult, ...]):
+    def _on_answers(self, w: _WorkerConn, answers: tuple[TaskResult, ...] | ErrorMsg):
+        """Settles partitions from a run's results or from one ERROR, by the
+        rule in the class docstring; every ERROR counts in worker_errors."""
+        error = isinstance(answers, ErrorMsg)
         with self._lock:
+            self.stats.worker_errors += error
             phase = self._phase
-            for res in results:
-                tid = res.task_id
-                # a result for a task w does not hold in flight, such as one
-                # a lost worker sent late, counts for no partition
-                if (w.answered(tid) and phase is not None
-                        and tid in phase.tids and tid not in phase.done):
-                    phase.done[tid] = res
-                    self._holders[res.partition] = w.wid
+            for a in (answers,) if error else answers:
+                tid = a.task_id
+                if (w.answered(tid) and phase is not None and tid in phase.tids
+                        and (p := tid - phase.tids.start) not in phase.done
+                        and p not in phase.failed):
+                    if error:
+                        phase.failed[p] = a.message
+                    else:
+                        phase.done[p] = a
+                        self._holders[p] = w.wid
             if phase is not None and phase.complete():
                 phase.finished.set()
             self._pump()
             hook = self.on_result
-        if hook is not None:
-            for res in results:
+        if hook is not None and not error:
+            for res in answers:
                 hook(res, w.wid)
-
-    def _on_error(self, w: _WorkerConn, err: ErrorMsg):
-        with self._lock:
-            self.stats.worker_errors += 1
-            phase = self._phase
-            # an ERROR for a task w does not hold in flight, such as the
-            # reply to a frame w could not decode, fails no partition
-            if (w.answered(err.task_id) and phase is not None
-                    and err.task_id in phase.tids and err.task_id not in phase.done):
-                phase.failed[err.task_id - phase.tids.start] = err.message
-                if phase.complete():
-                    phase.finished.set()
-            self._pump()
 
     def _worker_lost(self, w: _WorkerConn, why: str):
         with self._lock:
-            self._worker_lost_locked(w, why)
-
-    def _worker_lost_locked(self, w: _WorkerConn, why: str):
-        if not w.alive:
-            return
-        w.alive = False
-        self.stats.workers_lost += 1
-        try:
-            w.sock.close()
-        except OSError:
-            pass
-        for p, wid in self._holders.items():
-            if wid == w.wid:
-                self._holders[p] = None
-        phase = self._phase
-        if phase is not None:
-            self.stats.rescheduled += phase.drop_worker(w.wid, set().union(*w.runs))
-        w.runs.clear()
-        if not any(x.alive for x in self._workers.values()):
+            if not w.alive:
+                return
+            w.alive = False
+            self.stats.workers_lost += 1
+            try:
+                w.sock.close()
+            except OSError:
+                pass
+            for p, wid in self._holders.items():
+                if wid == w.wid:
+                    self._holders[p] = None
+            phase = self._phase
             if phase is not None:
+                self.stats.rescheduled += phase.drop_worker(w.wid, set().union(*w.runs))
+            w.runs.clear()
+            if self.live_workers():
+                self._pump()
+            elif phase is not None:
                 phase.aborted = f"no live workers remain (last lost: {w.name}: {why})"
                 phase.finished.set()
-        else:
-            self._pump()
 
     # -- job orchestration
 
-    def _run_job(self, job: dict) -> dict:
+    def _run_job(self, job_json: str) -> dict:
         with self._job_lock:
             try:
-                return self._run_job_inner(job)
+                return self._run_job_inner(json.loads(job_json))
             except JobFailure as e:
                 return {"ok": False, "error": str(e),
                         "causes": {str(k): v for k, v in e.causes.items()}}
@@ -706,8 +705,7 @@ class Master:
                 return {"ok": False, "error": f"{type(e).__name__}: {e}", "causes": {}}
 
     def _run_job_inner(self, job: dict) -> dict:
-        params = BenchmarkParams.from_json_dict(job["params"])
-        params.validate()  # a phase of no tasks would never finish
+        params, storage = parse_pipeline_spec(job)  # a bad job fails before any run is sent
         if not self.wait_ready(self.cfg.network_timeout_ms / 1000.0):
             raise JobFailure("master not ready: expected workers never registered")
         partitions = params.partitions
@@ -716,7 +714,7 @@ class Master:
         with self._lock:
             self._next_tid = 0  # RUN carries task ids as u32s
             self._holders = {}
-            self._spec_json = json.dumps({"params": job["params"], "storage": job["storage"]})
+            self._spec_json = json.dumps(make_pipeline_spec(params, storage))
             before = replace(self.stats)  # cumulative; the report gives this job's share
 
         def counts(results) -> dict:
@@ -751,7 +749,7 @@ class Master:
             self._next_tid = tids.stop
             phase = _Phase(job_id, stage, action, tids, self._holders)
             self._phase = phase
-            if not any(w.alive for w in self._workers.values()):
+            if not self.live_workers():
                 phase.aborted = "no live workers"
                 phase.finished.set()
             else:
@@ -763,7 +761,7 @@ class Master:
             raise JobFailure(f"NoWorkers: {phase.aborted}")
         if phase.failed:
             raise JobFailure(f"{len(phase.failed)} partition(s) failed", causes=phase.failed)
-        return [phase.done[tid] for tid in phase.tids]
+        return [phase.done[p] for p in range(partitions)]
 
 
 # ---- worker ------------------------------------------------------------------
@@ -885,9 +883,7 @@ class Worker:
         self.engine = self._new_engine()
         self._job_id, self.datasets, self._job_error = job_id, [], None
         try:
-            spec = json.loads(spec_json)
-            self.datasets = build_pipeline(self.engine, BenchmarkParams.from_json_dict(
-                spec["params"]), StorageLevel(spec["storage"]))
+            self.datasets = build_pipeline(self.engine, *parse_pipeline_spec(json.loads(spec_json)))
         except Exception as e:  # noqa: BLE001 - answered per task by _execute
             self._job_error = f"no usable spec for job {job_id}: {type(e).__name__}: {e}"
 

@@ -17,7 +17,8 @@ materialize() call that caused them: a spill runs on the thread whose cache
 insert evicted, so the calling thread's spill-write count across one call is
 exactly that call's spills, however many other slots are busy.
 
-A job is its params and a storage level.  build_pipeline builds its two
+A job is its params and a storage level, written by make_pipeline_spec and
+read back, checked, by parse_pipeline_spec.  build_pipeline builds its two
 datasets, the source and the source shifted by params.shift_delta, so a job
 names them by stage index, 0 and 1.  run_job is the one job driver of local
 and cluster execution: create forces dataset 0, map forces dataset 1 and
@@ -508,6 +509,21 @@ def combine_partials(partials) -> Vec3:
 
 
 # ---- the job's datasets and the job driver ------------------------------------
+
+def make_pipeline_spec(params: BenchmarkParams, storage: StorageLevel) -> dict:
+    """The job a cluster runs: its params and the storage level of both its
+    datasets (build_pipeline)."""
+    return {"params": params.to_json_dict(), "storage": storage.value}
+
+
+def parse_pipeline_spec(spec: dict) -> tuple[BenchmarkParams, StorageLevel]:
+    """The (params, storage) of a make_pipeline_spec dict, both checked, so
+    a bad job fails before any of its tasks runs."""
+    params = BenchmarkParams.from_json_dict(spec["params"])
+    params.validate()
+    storage = StorageLevel(spec["storage"])
+    return params, storage
+
 
 def build_pipeline(engine: Engine, params: BenchmarkParams,
                    storage: StorageLevel) -> list[Dataset]:

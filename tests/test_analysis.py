@@ -252,10 +252,6 @@ class TestPlotData:
 
 
 class TestSeriesFromMedians:
-    def test_base_time_property(self):
-        s = series_from_medians([(2, 8.0), (4, 4.0)], ScalingMode.STRONG)
-        assert s.base_time_s == 8.0
-
     def test_empty_rejected(self):
         with pytest.raises(MissingBasePoint):
             series_from_medians([], ScalingMode.STRONG)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from scalemap import cluster as cluster_mod
 from scalemap.bench import MODE_CLUSTER, MODE_LOCAL, run_pipeline
-from scalemap.core import BenchmarkParams, Vec3
+from scalemap.core import BenchmarkParams, LoadBinary, Vec3
 from scalemap.engine import Engine, StorageLevel
 from scalemap.errors import ConfigError
 from scalemap.cluster import (
@@ -262,6 +262,19 @@ def job_spec(params: BenchmarkParams, delta: Vec3, storage="memory_only") -> dic
     return {"params": params.replaced(shift_delta=delta).to_json_dict(), "storage": storage}
 
 
+def record_runs(monkeypatch) -> list:
+    """The TaskRuns the master sends from now on."""
+    real_send, runs = cluster_mod.send_message, []
+
+    def record(sock, msg):
+        if isinstance(msg, TaskRun):
+            runs.append(msg)
+        real_send(sock, msg)
+
+    monkeypatch.setattr(cluster_mod, "send_message", record)
+    return runs
+
+
 def local_run(tmp_path, params: BenchmarkParams, delta: Vec3) -> Vec3:
     with Engine(1 << 30, tmp_path / "local") as e:
         d = e.persist(e.source(params), StorageLevel.MEMORY_ONLY)
@@ -413,6 +426,40 @@ class TestMasterWorker:
         params = BenchmarkParams(blocks=2, vectors_per_unit=16)
         assert submit(addr, job_spec(params, Vec3(0, 0, 0)), timeout_s=10).result is not None
 
+    @pytest.mark.parametrize("storage", ["bogus", None], ids=["bogus", "missing"])
+    def test_job_with_a_bad_storage_level_fails_before_any_run(self, cluster, tmp_path,
+                                                                 monkeypatch, storage):
+        runs = record_runs(monkeypatch)
+        master, addr, _ = cluster(n_workers=1)
+        params = BenchmarkParams(blocks=4, vectors_per_unit=64, cores=2)
+        delta = Vec3(1.0, 2.0, 3.0)
+        bad = job_spec(params, delta, storage)
+        if storage is None:
+            del bad["storage"]
+        with pytest.raises(JobFailure, match="'storage'|'bogus' is not a valid StorageLevel"):
+            submit(addr, bad, timeout_s=3)
+        assert runs == [] and master.stats.worker_errors == 0
+        assert submit(addr, job_spec(params, delta), timeout_s=30).result == local_run(
+            tmp_path, params, delta)
+
+    def test_submit_that_does_not_parse_gets_an_error_report(self, cluster, tmp_path,
+                                                             monkeypatch):
+        runs = record_runs(monkeypatch)
+        master, addr, _ = cluster(n_workers=1)
+        params = BenchmarkParams(blocks=4, vectors_per_unit=64, cores=2)
+        delta = Vec3(1.0, 2.0, 3.0)
+        with socket.create_connection(addr, timeout=30) as sock:
+            send_message(sock, Submit("{not json"))
+            reply = recv_message(sock)
+            assert isinstance(reply, JobDone)
+            report = json.loads(reply.report_json)
+            assert not report["ok"] and report["error"].startswith("JSONDecodeError: ")
+            assert runs == [] and master.stats.worker_errors == 0
+            # the same connection is still served
+            send_message(sock, Submit(json.dumps(job_spec(params, delta))))
+            report = json.loads(recv_message(sock).report_json)
+        assert Vec3(*report["result"]) == local_run(tmp_path, params, delta)
+
     @pytest.mark.parametrize("field", ["nodes", "cores", "nparts"])
     def test_job_with_no_partitions_fails_fast(self, cluster, tmp_path, field):
         # a phase of no tasks never finishes, and would hold the master's
@@ -437,13 +484,29 @@ class TestMasterWorker:
         missing = tmp_path / "gone"
         missing.mkdir()
         (missing / "b0.bin").write_bytes(b"\x00" * 24)
-        from scalemap.core import LoadBinary
         params = BenchmarkParams(blocks=1, source=LoadBinary(str(missing), 24))
         spec = job_spec(params, Vec3(0, 0, 0))
         (missing / "b0.bin").unlink()
         with pytest.raises(JobFailure) as ei:
             submit(addr, spec)
         assert ei.value.causes
+
+    def test_misaligned_block_file_fails_its_partition_alone(self, cluster, tmp_path):
+        # block b is partition b's only block, and b2.bin is one byte too long
+        master, addr, _ = cluster(n_workers=1, slots=2)
+        root = tmp_path / "blocks"
+        root.mkdir()
+        for b in range(4):
+            (root / f"b{b}.bin").write_bytes(b"\x00" * (24 * 16 + (b == 2)))
+        params = BenchmarkParams(blocks=4, vectors_per_unit=16, cores=4,
+                                 source=LoadBinary(str(root), 24))
+        errors = master.stats.worker_errors
+        with pytest.raises(JobFailure, match="1 partition") as ei:
+            submit(addr, job_spec(params, Vec3(0, 0, 0)), timeout_s=30)
+        assert list(ei.value.causes) == ["2"]
+        assert ei.value.causes["2"].startswith(
+            f"RecomputeFailure: block file misaligned: {root / 'b2.bin'}: ")
+        assert master.stats.worker_errors == errors + 1
 
     def test_heartbeat_rate_is_a_quarter_of_the_timeout(self, cluster):
         master, _, _ = cluster(n_workers=1, timeout_ms=400)  # a beat each 100 ms
@@ -585,7 +648,7 @@ class TestPlacement:
         return master._phase
 
     def answer(self, master, wid, *partitions):
-        master._on_results(master._workers[wid], tuple(
+        master._on_answers(master._workers[wid], tuple(
             TaskResult(p, p, ACTION_FORCE, 0.0, 0.0, 0.0, 1, 24, True) for p in partitions))
 
     def runs(self, master, wid):
@@ -633,8 +696,7 @@ class TestPlacement:
     def test_lost_holders_tasks_served_by_survivors(self):
         master = self.master([1, 1], {p: 0 for p in range(4)})
         phase = self.start(master, 4)
-        with master._lock:
-            master._worker_lost_locked(master._workers[0], "lost")
+        master._worker_lost(master._workers[0], "lost")
         assert master.stats.rescheduled == 2  # its in-flight run
         assert set(master._holders.values()) == {None}
         for run in ([3], [0, 1], [2]):
@@ -689,13 +751,13 @@ class TestPlacement:
         self.answer(master, 0, 0)
         # task 0 is answered already, task 2 is not sent yet, and NO_TASK
         # names no task at all
-        master._on_error(w, ErrorMsg(0, "stray"))
-        master._on_error(w, ErrorMsg(2, "stray"))
-        master._on_error(w, ErrorMsg(NO_TASK, "malformed run: ..."))
+        master._on_answers(w, ErrorMsg(0, "stray"))
+        master._on_answers(w, ErrorMsg(2, "stray"))
+        master._on_answers(w, ErrorMsg(NO_TASK, "malformed run: ..."))
         assert not phase.failed and not phase.finished.is_set()
         self.answer(master, 0, 1)
         assert self.runs(master, 0) == [[0, 1], [2]]
-        master._on_error(w, ErrorMsg(2, "boom"))
+        master._on_answers(w, ErrorMsg(2, "boom"))
         assert phase.failed == {2: "boom"} and sorted(phase.done) == [0, 1]
         assert phase.complete() and phase.finished.is_set()
         assert master.stats.worker_errors == 4 and w.runs == []
@@ -714,14 +776,7 @@ class TestPlacement:
 
 class TestJobScope:
     def test_task_ids_restart_with_each_job(self, cluster, tmp_path, monkeypatch):
-        real_send, sent = cluster_mod.send_message, []
-
-        def record(sock, msg):
-            if isinstance(msg, TaskRun):
-                sent.append(msg)
-            real_send(sock, msg)
-
-        monkeypatch.setattr(cluster_mod, "send_message", record)
+        sent = record_runs(monkeypatch)
         master, addr, _ = cluster(n_workers=2, slots=2)
         master._next_tid = 2**32 - 4  # as on a master that ran ~2^32 tasks before this job
         params = BenchmarkParams(blocks=8, vectors_per_unit=64, cores=4)
