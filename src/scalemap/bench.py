@@ -5,6 +5,9 @@ shift every vector and force that (map), then take the global average
 (reduce).  A job is its params and storage level; local and cluster runs
 share one driver, engine.run_job, so both time the phases alike and record
 the same counter shape, {create, map, reduce: {bytes, recomputed, spilled}}.
+A cluster record also keeps the master's report of its job in stats
+(rescheduled, workers_lost, worker_errors, remote_tasks, workers,
+partitions); a local record's stats are empty.
 
 A strong sweep holds total blocks fixed while node count grows; a weak
 sweep holds blocks per node fixed, so totals grow with node count.
@@ -54,6 +57,7 @@ class RunRecord:
     rep: int
     timestamp: float
     scaling: ScalingMode | None = None
+    stats: dict = field(default_factory=dict)
 
     @property
     def units_nodes(self) -> int:
@@ -73,6 +77,7 @@ class RunRecord:
             "timestamp": self.timestamp,
             "scaling": None if self.scaling is None else self.scaling.value,
             "counters": self.timings.counters,
+            "stats": self.stats,
         }
 
     @classmethod
@@ -93,6 +98,7 @@ class RunRecord:
             rep=int(d["rep"]),
             timestamp=float(d["timestamp"]),
             scaling=None if scaling is None else ScalingMode(scaling),
+            stats=d.get("stats", {}),
         )
 
 
@@ -117,17 +123,19 @@ def run_pipeline(params: BenchmarkParams, mode: str = MODE_LOCAL, *,
 
             timings, phases, result = run_job(
                 lambda i: engine.force(datasets[i]), reduce, skip_reduce)
+        stats = {}
     elif mode == MODE_CLUSTER:
         if master_addr is None:
             raise ConfigError("cluster mode needs a master address")
         jr = cluster_mod.submit(master_addr, make_pipeline_spec(params, storage),
                                 skip_reduce=skip_reduce)
-        timings, phases, result = jr.timings, jr.phases, jr.result
+        timings, phases, result, stats = jr.timings, jr.phases, jr.result, jr.stats
     else:
         raise ConfigError(f"unknown mode {mode!r}")
     return RunRecord(params=params, mode=mode,
                      timings=StageTimings(**timings, counters=phases),
-                     result=result, rep=rep, timestamp=time.time(), scaling=scaling)
+                     result=result, rep=rep, timestamp=time.time(), scaling=scaling,
+                     stats=stats)
 
 
 def sweep_configurations(base: BenchmarkParams, node_counts: list[int],

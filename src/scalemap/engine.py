@@ -26,6 +26,12 @@ reduce folds dataset 1, each phase timed, with the work delegated to a
 phase runner.  phase_counts builds every phase's counts, and
 combine_partials is the one ordered combine behind every reduce, in-process
 or remote.
+
+leftfold_sum is the one fold of a partition's records, in the local reduce
+and on a cluster worker alike.  It sums in record order, so its bits are
+fixed, and it is built from contiguous, out-of-place 1-D accumulates, the
+one accumulate shape numpy runs in parallel across threads, so the reduce
+stage scales with slots as create and map do.
 """
 
 from __future__ import annotations
@@ -220,22 +226,38 @@ class CacheManager:
             self.resident_bytes = 0
 
 
-_FOLD_CHUNK = 1 << 16
+_FOLD_CHUNK = 1 << 15
 
 
 def leftfold_sum(arr: np.ndarray) -> np.ndarray:
-    """Sequential left-fold component sums down axis 0.
+    """Sequential left-fold component sums down axis 0 of an (n, 3) array.
 
     np.add.accumulate evaluates the recurrence r[i] = r[i-1] + a[i], which
-    is exactly a record-order fold; the accumulator row is carried across
-    chunks so temporaries stay small.  Plain np.sum would use pairwise
+    is exactly a record-order fold; plain np.sum would use pairwise
     summation and round differently.
+
+    Each chunk of rows is copied, transposed, into columns 1.. of src,
+    behind the running sums in column 0, and each component is folded by
+    its own contiguous, out-of-place 1-D accumulate into dst.  That is the
+    one accumulate shape numpy runs in parallel across threads.  With a
+    2-D axis-0, a strided or an in-place accumulate, two slots folding at
+    once take as long as one slot folding both in turn.  The recurrence
+    per component is that of a row-by-row fold, so every result bit is
+    too, inf, nan, -0.0 and overflow included.  src and dst are allocated
+    per call, since slots fold at the same time.
     """
-    acc = np.zeros(3, dtype=np.float64)
-    for lo in range(0, arr.shape[0], _FOLD_CHUNK):
-        rows = np.vstack((acc[None, :], arr[lo:lo + _FOLD_CHUNK]))
-        acc = np.add.accumulate(rows, axis=0)[-1]
-    return acc
+    n = arr.shape[0]
+    width = min(n, _FOLD_CHUNK) + 1
+    src = np.zeros((3, width))
+    dst = np.empty((3, width))
+    for lo in range(0, n, _FOLD_CHUNK):
+        rows = arr[lo:lo + _FOLD_CHUNK]
+        m = rows.shape[0]
+        src[:, 1:m + 1] = rows.T
+        for j in range(3):
+            np.add.accumulate(src[j, :m + 1], out=dst[j, :m + 1])
+        src[:, 0] = dst[:, m]
+    return src[:, 0].copy()
 
 
 class Engine:

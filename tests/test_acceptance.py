@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import spawn_worker_proc
 from scalemap.analysis import build_series, parse_plot_data, strong_efficiency
 from scalemap.bench import (
     MODE_LOCAL,
@@ -123,15 +124,6 @@ def test_criterion_04_storage_level_independence(tmp_path):
     verdict(4, identical and pressure >= 1,
             f"3 storage levels bit-identical={identical}, constrained run "
             f"shows {pressure} spilled/recomputed partition(s) beyond baseline")
-
-
-def spawn_worker_proc(port: int, scratch, slots: int) -> subprocess.Popen:
-    code = (
-        "from scalemap.cluster import ClusterConfig, run_worker\n"
-        f"cfg = ClusterConfig(host='127.0.0.1', port={port}, slots={slots})\n"
-        f"run_worker(cfg, {str(scratch)!r}, 1 << 30)\n"
-    )
-    return subprocess.Popen([sys.executable, "-c", code])
 
 
 def test_criterion_05_distributed_equals_local_with_worker_loss(tmp_path):

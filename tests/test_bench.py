@@ -1,5 +1,6 @@
 import json
 import math
+import socket
 import threading
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from scalemap.core import BenchmarkParams, LoadBinary, RecordCodec, Vec3, encode_vectors, generate_vectors
 from scalemap.engine import Engine, StorageLevel
 from scalemap import bench
-from scalemap.cluster import ClusterConfig, Master, Worker
+from scalemap.cluster import ClusterConfig, Master, Register, Worker, send_message
 from scalemap.bench import (
     ConfigError,
     RunRecord,
@@ -122,6 +123,37 @@ class TestRunPipeline:
             master.shutdown()
             worker.stop()
             thread.join(timeout=10)
+
+    def test_cluster_record_keeps_the_job_stats_through_jsonl(self, tmp_path):
+        # a second "worker" registers and never answers, so the master loses
+        # it after one 500 ms timeout and requeues the tasks it held
+        cfg = ClusterConfig(port=0, expected_workers=2, slots=4, network_timeout_ms=500)
+        master = Master(cfg).start()
+        worker = Worker(ClusterConfig(port=master.port, slots=4, network_timeout_ms=500),
+                        tmp_path / "w", 1 << 30)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        hang = socket.create_connection(("127.0.0.1", master.port), timeout=5)
+        try:
+            send_message(hang, Register(4, "hung"))
+            assert master.wait_ready(15)
+            params = desk_params(blocks=16, vpu=64, cores=8)
+            far = run_pipeline(params, mode="cluster", master_addr=("127.0.0.1", master.port))
+            near = run_pipeline(params, scratch=tmp_path / "local")
+        finally:
+            hang.close()
+            master.shutdown()
+            worker.stop()
+            thread.join(timeout=10)
+        assert far.result == near.result
+        assert far.stats["workers_lost"] == 1 and far.stats["rescheduled"] >= 1
+        assert far.stats["worker_errors"] == 0 and far.stats["partitions"] == 8
+        assert {"remote_tasks", "workers"} <= set(far.stats)
+        assert near.stats == {}
+        write_records_jsonl([far, near], tmp_path / "runs.jsonl")
+        assert read_records_jsonl(tmp_path / "runs.jsonl") == [far, near]
+        old = {k: v for k, v in far.to_json_dict().items() if k != "stats"}
+        assert RunRecord.from_json_dict(old).stats == {}
 
 
 class TestSweep:

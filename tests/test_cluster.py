@@ -1,8 +1,8 @@
 import json
+import os
+import signal
 import socket
 import struct
-import subprocess
-import sys
 import threading
 import time
 
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import spawn_worker_proc
 from scalemap import cluster as cluster_mod
 from scalemap.bench import MODE_CLUSTER, MODE_LOCAL, run_pipeline
 from scalemap.core import BenchmarkParams, LoadBinary, Vec3
@@ -1009,15 +1010,6 @@ class TestWorkerProtocol:
             listener.close()
 
 
-def spawn_worker_proc(port: int, scratch, slots: int) -> subprocess.Popen:
-    code = (
-        "from scalemap.cluster import ClusterConfig, run_worker\n"
-        f"cfg = ClusterConfig(host='127.0.0.1', port={port}, slots={slots})\n"
-        f"run_worker(cfg, {str(scratch)!r}, 1 << 30)\n"
-    )
-    return subprocess.Popen([sys.executable, "-c", code])
-
-
 class TestWorkerLoss:
     def test_sigkill_mid_job_still_completes_identically(self, tmp_path):
         cfg = ClusterConfig(port=0, expected_workers=2, slots=6)
@@ -1077,3 +1069,53 @@ class TestWorkerLoss:
             for p in procs:
                 p.kill()
                 p.wait(timeout=10)
+
+    def test_sigstopped_holder_is_lost_in_one_timeout_and_job_completes(self, tmp_path):
+        # a stopped process keeps its connection open and its runs in
+        # flight; only the missing heartbeats tell the master it is gone
+        timeout_ms = 1000
+        cfg = ClusterConfig(port=0, expected_workers=2, slots=2, network_timeout_ms=timeout_ms)
+        master = Master(cfg).start()
+        procs = []
+        stopped, lost_at, done = [], [], threading.Event()
+
+        def hook(res, wid):
+            if not stopped:
+                os.kill(procs[wid].pid, signal.SIGSTOP)  # it holds res.partition
+                stopped.append((procs[wid], time.monotonic()))
+
+        def watch_for_loss():
+            while not done.wait(0.005):
+                if master.stats.workers_lost:
+                    lost_at.append(time.monotonic())
+                    return
+
+        watcher = threading.Thread(target=watch_for_loss, daemon=True)
+        try:
+            # one at a time, so worker id i is procs[i]
+            for i in range(2):
+                procs.append(spawn_worker_proc(master.port, tmp_path / f"wp{i}", 2,
+                                               timeout_ms=timeout_ms))
+                deadline = time.monotonic() + 30
+                while master.live_workers() <= i and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            assert master.wait_ready(30), "subprocess workers never registered"
+            params = BenchmarkParams(blocks=32, vectors_per_unit=4096, cores=16)
+            delta = Vec3(0.5, 0.5, 0.5)
+            master.on_result = hook
+            watcher.start()
+            jr = submit(("127.0.0.1", master.port), job_spec(params, delta), timeout_s=120)
+            assert jr.result == local_run(tmp_path, params, delta)
+            assert jr.stats["workers_lost"] >= 1 and jr.stats["rescheduled"] >= 1
+            assert lost_at, "the stopped worker was never lost"
+            # silence starts at most a quarter timeout (one beat) before the stop
+            assert lost_at[0] - stopped[0][1] < timeout_ms / 1000 + 1.5
+        finally:
+            done.set()
+            master.shutdown()
+            for p in procs:
+                os.kill(p.pid, signal.SIGCONT)
+                p.kill()
+                p.wait(timeout=10)
+            if watcher.is_alive():
+                watcher.join(timeout=5)

@@ -3,6 +3,7 @@ import gc
 import json
 import sys
 import tempfile
+import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -32,6 +33,7 @@ from scalemap.engine import (
     SpillIOFailure,
     StorageLevel,
     UnknownPartition,
+    _FOLD_CHUNK,
     build_pipeline,
     fnv1a64,
     leftfold_sum,
@@ -379,6 +381,64 @@ class TestLeftFold:
         got = leftfold_sum(arr)
         want = R.left_fold_sum(rows)
         assert got.tobytes() == np.array(want).tobytes()
+
+    @staticmethod
+    def oracle_bits(arr: np.ndarray) -> bytes:
+        return np.array(R.left_fold_sum(arr.tolist()), dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, _FOLD_CHUNK - 1, _FOLD_CHUNK, _FOLD_CHUNK + 1,
+                                   2 * _FOLD_CHUNK + 1])
+    def test_matches_oracle_at_chunk_edges(self, n):
+        # magnitudes spread over 12 decades, so every rounding step counts
+        arr = generate_vectors(29, 1, n) * np.logspace(-6, 6, 3 * n).reshape(n, 3)
+        got = leftfold_sum(arr)
+        assert got.dtype == np.float64 and got.shape == (3,)
+        assert got.tobytes() == self.oracle_bits(arr)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n", [7, _FOLD_CHUNK + 5])
+    def test_special_values_bit_exact(self, n):
+        specials = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -2.5e-320,
+                             2.2250738585072014e-308, 1.7976931348623157e308,
+                             -1.7976931348623157e308, 1e308, 1.0, -1.0])
+        arr = np.random.default_rng(n).choice(specials, size=(n, 3))
+        assert leftfold_sum(arr).tobytes() == self.oracle_bits(arr)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("column", [
+        [-0.0, -0.0],                          # 0.0 + -0.0 is 0.0, as in the oracle
+        [1e308, 1e308, -1e308],                # overflow is sticky
+        [np.inf, -np.inf, 1.0],                # inf - inf is nan
+        [5e-324, 5e-324, -5e-324],             # subnormals add exactly
+    ])
+    def test_each_special_column(self, column):
+        arr = np.repeat(np.array(column)[:, None], 3, axis=1)
+        assert leftfold_sum(arr).tobytes() == self.oracle_bits(arr)
+
+    def test_non_contiguous_and_read_only_inputs_are_left_unchanged(self):
+        base = generate_vectors(31, 0, 2 * _FOLD_CHUNK + 6)
+        view = base[::2]
+        assert not view.flags.c_contiguous
+        frozen = generate_vectors(31, 1, _FOLD_CHUNK + 3)
+        frozen.flags.writeable = False
+        for arr in (view, frozen):
+            before = arr.tobytes()
+            assert leftfold_sum(arr).tobytes() == self.oracle_bits(arr)
+            assert arr.tobytes() == before
+
+    def test_concurrent_folds_give_the_sequential_bits(self):
+        arrays = [generate_vectors(37, b, 3 * _FOLD_CHUNK + b) for b in range(2)]
+        want = [leftfold_sum(a).tobytes() for a in arrays]
+        assert want[0] == self.oracle_bits(arrays[0])
+        start = threading.Barrier(2)
+
+        def fold(arr):
+            start.wait()
+            return [leftfold_sum(arr).tobytes() for _ in range(5)]
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(fold, arrays))
+        assert got == [[w] * 5 for w in want]
 
 
 class TestRecompute:
