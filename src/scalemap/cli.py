@@ -81,6 +81,7 @@ _ENV_FIELDS = {
 }
 
 _INT_FIELDS = ("memory_budget_bytes", "vectors_per_unit", "seed", "network_timeout_ms")
+_STR_FIELDS = ("scratch_dir", "master_addr", "log_level")  # each may also be None
 
 
 def resolve_config(flags: dict | None = None, config_file: str | None = None,
@@ -97,6 +98,9 @@ def resolve_config(flags: dict | None = None, config_file: str | None = None,
             raise ConfigError(f"cannot read config file {config_file}: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {config_file} is not valid JSON: {e}") from e
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {config_file} must hold a JSON object, "
+                              f"got {type(loaded).__name__}")
         unknown = set(loaded) - set(values)
         if unknown:
             raise ConfigError(f"unknown config keys in {config_file}: {sorted(unknown)}")
@@ -110,6 +114,9 @@ def resolve_config(flags: dict | None = None, config_file: str | None = None,
                 raise ConfigError(f"unknown config field {field_name!r}")
             values[field_name] = v
 
+    for field_name in _STR_FIELDS:
+        if not isinstance(values[field_name], (str, type(None))):
+            raise ConfigError(f"{field_name} must be a string, got {values[field_name]!r}")
     if values["scratch_dir"] is None:
         values["scratch_dir"] = str(Path(tempfile.gettempdir()) / "scalemap")
     for field_name in _INT_FIELDS:

@@ -2,9 +2,10 @@
 
 Wire format: every frame is a 4-byte big-endian length prefix (counting the
 tag byte plus payload), one tag byte, then a tag-specific payload whose
-integers are little-endian and whose floats are IEEE-754 little-endian.  The
-_LAYOUTS table, which both encoding and decoding read, is that payload for
-every type but RUN and RUN_RESULT.  Partial reduce sums cross the wire as
+integers are little-endian and whose floats are IEEE-754 little-endian.
+Each message class but TaskRun and RunResult is a named tuple of its wire
+fields in wire order, built by _message from its one layout row, which both
+encoding and decoding read.  Partial reduce sums cross the wire as
 raw float64 bits, so the distributed result is bit-identical to a
 single-process run at the same partition count.  A job is its params and
 storage level.  Tasks travel in runs: one RUN frame carries tasks of one
@@ -50,13 +51,11 @@ import socket
 import struct
 import threading
 import time
-from collections import deque
+from collections import deque, namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from functools import partial
-from itertools import starmap
-from operator import attrgetter
 
 from .core import Vec3
 from .engine import (Dataset, Engine, build_pipeline, combine_partials, leftfold_sum,
@@ -115,138 +114,78 @@ ACTION_PARTIAL_REDUCE = 1
 
 # ---- messages -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Register:
-    slots: int
-    name: str = ""
-
-
-@dataclass(frozen=True)
-class Task:
-    task_id: int
-    partition: int
-    action: int
-    pipeline_json: str  # "" in a run, which carries its job's spec once
-    job_id: int = 0  # a worker runs each job on its own engine
-    stage: int = 0  # the dataset the task reads: 0 the source, 1 the shifted source
-
-
-@dataclass(frozen=True)
-class TaskResult:
-    task_id: int
-    partition: int
-    action: int
-    sum_x: float
-    sum_y: float
-    sum_z: float
-    count: int
-    nbytes: int
-    computed: bool
-    spilled: int = 0  # spill files the task's materialize wrote
-
-
-@dataclass(frozen=True)
-class TaskRun:
-    """Tasks of one job, stage and action, dispatched in one frame."""
-    job_id: int
-    stage: int
-    action: int
-    tasks: tuple[tuple[int, int], ...]  # (task_id, partition) pairs
-    pipeline_json: str = ""  # the job's spec on a worker's first run of a job, else ""
-
-    def expand(self) -> list[Task]:
-        return [Task(tid, part, self.action, "", self.job_id, self.stage)
-                for tid, part in self.tasks]
-
-
-@dataclass(frozen=True)
-class RunResult:
-    """The results of a run's tasks that did not fail, in one frame."""
-    results: tuple[TaskResult, ...]
-
-
-@dataclass(frozen=True)
-class Heartbeat:
-    seq: int
-
-
-@dataclass(frozen=True)
-class ErrorMsg:
-    task_id: int
-    message: str
-
-
-@dataclass(frozen=True)
-class Shutdown:
-    pass
-
-
-@dataclass(frozen=True)
-class Ping:
-    nonce: bytes
-
-
-@dataclass(frozen=True)
-class Data:
-    payload: bytes
-
-
-@dataclass(frozen=True)
-class Submit:
-    job_json: str
-
-
-@dataclass(frozen=True)
-class JobDone:
-    report_json: str
-
-
 class _Layout:
-    """One message type's tag and payload: a head struct of the fields that
-    spec names as space-separated name:format pairs, in wire order, then the
-    text (str) or raw (bytes) field, if one is named, filling the rest of the
-    frame.  Without one, the head must fill the frame exactly."""
+    """A message type's tag and payload: a head struct of its fields in wire
+    order, then its text (str) or raw (bytes) tail field, if it has one,
+    filling the rest of the frame.  Without a tail, the head must fill the
+    frame exactly."""
 
-    def __init__(self, cls, tag: MessageTag, spec: str = "", text: str = "", raw: str = ""):
-        self.cls, self.tag, self.tail, self.text = cls, tag, text or raw, bool(text)
-        names, fmt = zip(*(f.split(":") for f in spec.split())) if spec else ((), ())
-        self.head = struct.Struct("<" + "".join(fmt))
-        # attrgetter of one name gives the bare value, not a 1-tuple
-        self.values = (attrgetter(*names) if len(names) > 1
-                       else lambda msg: tuple(getattr(msg, n) for n in names))
-        order = names + ((self.tail,) if self.tail else ())
-        # positional when the wire order is the constructor's, as it is for RESULT
-        self.make = (cls if order == tuple(f.name for f in fields(cls))
-                     else lambda *values: cls(**dict(zip(order, values))))
+    def __init__(self, cls, tag: MessageTag, head: struct.Struct, tail: str, text: bool):
+        self.cls, self.tag, self.head, self.tail, self.text = cls, tag, head, tail, text
 
     def encode(self, msg) -> bytes:
-        tail = getattr(msg, self.tail) if self.tail else b""
-        return self.head.pack(*self.values(msg)) + (tail.encode() if self.text else tail)
+        if not self.tail:
+            return self.head.pack(*msg)
+        *head, tail = msg
+        return self.head.pack(*head) + (tail.encode() if self.text else tail)
 
     def decode(self, payload: bytes):
         if not self.tail:
-            return self.make(*self.head.unpack(payload))
+            return self.cls._make(self.head.unpack(payload))
         tail = payload[self.head.size:]
-        return self.make(*self.head.unpack_from(payload), tail.decode() if self.text else tail)
+        return self.cls(*self.head.unpack_from(payload), tail.decode() if self.text else tail)
 
 
-# every message type but the variable-length RUN and RUN_RESULT
-_LAYOUTS = {layout.cls: layout for layout in (
-    _Layout(Register, MessageTag.REGISTER, "slots:H", text="name"),
-    _Layout(Task, MessageTag.TASK, "task_id:I partition:I action:B job_id:I stage:H",
-            text="pipeline_json"),
-    _Layout(TaskResult, MessageTag.RESULT, "task_id:I partition:I action:B sum_x:d sum_y:d "
-            "sum_z:d count:Q nbytes:Q computed:? spilled:I"),
-    _Layout(Heartbeat, MessageTag.HEARTBEAT, "seq:I"),
-    _Layout(ErrorMsg, MessageTag.ERROR, "task_id:I", text="message"),
-    _Layout(Shutdown, MessageTag.SHUTDOWN),
-    _Layout(Ping, MessageTag.PING, raw="nonce"),
-    _Layout(Data, MessageTag.DATA, raw="payload"),
-    _Layout(Submit, MessageTag.SUBMIT, text="job_json"),
-    _Layout(JobDone, MessageTag.JOB_DONE, text="report_json"),
-)}
-_BY_TAG = {layout.tag: layout for layout in _LAYOUTS.values()}
-_RESULT = _LAYOUTS[TaskResult]  # a RUN_RESULT is RESULT payloads back to back
+# every message type but the variable-length RUN and RUN_RESULT, by class and by tag
+_LAYOUTS, _BY_TAG = {}, {}
+
+
+def _message(name: str, tag: MessageTag, spec: str = "", text: str = "", raw: str = "",
+             defaults: tuple = ()):
+    """A message class whose payload is spec's space-separated name:format
+    pairs, then the text or raw tail field if one is named: a named tuple of
+    those fields in that wire order, with defaults for the last ones."""
+    names, fmt = zip(*(f.split(":") for f in spec.split())) if spec else ((), ())
+    tail = text or raw
+    cls = namedtuple(name, names + ((tail,) if tail else ()), defaults=defaults)
+    _LAYOUTS[cls] = _BY_TAG[tag] = _Layout(cls, tag, struct.Struct("<" + "".join(fmt)),
+                                           tail, bool(text))
+    return cls
+
+
+Register = _message("Register", MessageTag.REGISTER, "slots:H", text="name", defaults=("",))
+# job_id picks the engine a worker runs the task on, and stage the dataset it
+# reads: 0 the source, 1 the shifted source; a run's tasks carry no spec
+Task = _message("Task", MessageTag.TASK, "task_id:I partition:I action:B job_id:I stage:H",
+                text="pipeline_json", defaults=(0, 0, ""))
+# spilled counts the spill files the task's materialize wrote
+TaskResult = _message("TaskResult", MessageTag.RESULT, "task_id:I partition:I action:B "
+                      "sum_x:d sum_y:d sum_z:d count:Q nbytes:Q computed:? spilled:I",
+                      defaults=(0,))
+Heartbeat = _message("Heartbeat", MessageTag.HEARTBEAT, "seq:I")
+ErrorMsg = _message("ErrorMsg", MessageTag.ERROR, "task_id:I", text="message")
+Shutdown = _message("Shutdown", MessageTag.SHUTDOWN)
+Ping = _message("Ping", MessageTag.PING, raw="nonce")
+Data = _message("Data", MessageTag.DATA, raw="payload")
+Submit = _message("Submit", MessageTag.SUBMIT, text="job_json")
+JobDone = _message("JobDone", MessageTag.JOB_DONE, text="report_json")
+
+
+class TaskRun(namedtuple("TaskRun", "job_id stage action tasks pipeline_json", defaults=("",))):
+    """Tasks of one job, stage and action, dispatched in one frame: tasks
+    holds (task_id, partition) pairs, and pipeline_json the job's spec on a
+    worker's first run of the job, else ""."""
+    __slots__ = ()
+
+    def expand(self) -> list[Task]:
+        action, job_id, stage = self.action, self.job_id, self.stage
+        return [Task(tid, part, action, job_id, stage) for tid, part in self.tasks]
+
+
+# the results of a run's tasks that did not fail, in one frame
+RunResult = namedtuple("RunResult", "results")
+
+_RESULT = _LAYOUTS[TaskResult].head  # a RUN_RESULT is RESULT payloads back to back
 _RUN = struct.Struct("<IHBI")  # job_id, stage, action, task count
 _RUN_TASK = struct.Struct("<II")  # task_id, partition
 
@@ -259,9 +198,8 @@ def encode_message(msg) -> tuple[int, bytes]:
                 _RUN.pack(msg.job_id, msg.stage, msg.action, len(msg.tasks)),
                 *(_RUN_TASK.pack(*t) for t in msg.tasks), msg.pipeline_json.encode()])
         if isinstance(msg, RunResult):
-            pack = _RESULT.head.pack
-            return MessageTag.RUN_RESULT, b"".join(
-                [pack(*values) for values in map(_RESULT.values, msg.results)])
+            pack = _RESULT.pack
+            return MessageTag.RUN_RESULT, b"".join([pack(*r) for r in msg.results])
         layout = _LAYOUTS.get(type(msg))
         if layout is None:
             raise ProtocolError(f"cannot encode {type(msg).__name__}")
@@ -280,7 +218,7 @@ def decode_message(tag: int, payload: bytes):
             return TaskRun(job, stage, action, tuple(
                 _RUN_TASK.iter_unpack(payload[_RUN.size:end])), payload[end:].decode())
         if tag == MessageTag.RUN_RESULT:
-            return RunResult(tuple(starmap(_RESULT.make, _RESULT.head.iter_unpack(payload))))
+            return RunResult(tuple(map(TaskResult._make, _RESULT.iter_unpack(payload))))
         layout = _BY_TAG.get(tag)
         if layout is None:
             raise ProtocolError(f"unknown message tag {tag}")
@@ -338,11 +276,18 @@ def recv_message(sock: socket.socket):
     return decode_message(*frame)
 
 
+def check_port(port: int) -> int:
+    """port, if a socket can take it; the OS would wrap a larger one."""
+    if not 0 <= port <= 65535:
+        raise ConfigError(f"port must be in 0..65535, got {port}")
+    return port
+
+
 def parse_addr(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not port.isdigit():
         raise ScalemapError(f"expected HOST:PORT, got {text!r}")
-    return host or "127.0.0.1", int(port)
+    return host or "127.0.0.1", check_port(int(port))
 
 
 # ---- configuration ---------------------------------------------------------
@@ -356,7 +301,9 @@ class ClusterConfig:
     slots: int = 1
     registration_retries: int = 1
 
-    def __post_init__(self):  # the master's socket timeout and the workers' heartbeat pace
+    def __post_init__(self):
+        check_port(self.port)
+        # the master's socket timeout and the workers' heartbeat pace
         if self.network_timeout_ms <= 0:
             raise ConfigError(f"network_timeout_ms must be positive, got {self.network_timeout_ms}")
 

@@ -18,7 +18,7 @@ import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .cluster import (
     BindFailure,
@@ -26,6 +26,7 @@ from .cluster import (
     Ping,
     ProtocolError,
     Shutdown,
+    check_port,
     recv_message,
     send_message,
 )
@@ -72,18 +73,7 @@ class ProbeReport:
             raise ConfigError("max_response_ms inconsistent with response_times_ms")
 
     def to_json_dict(self) -> dict:
-        return {
-            "connections_requested": self.connections_requested,
-            "connections_established": self.connections_established,
-            "failures": self.failures,
-            "setup_total_s": self.setup_total_s,
-            "response_times_ms": list(self.response_times_ms),
-            "max_response_ms": self.max_response_ms,
-            "mean_response_ms": self.mean_response_ms,
-            "throughput_bytes_per_s": self.throughput_bytes_per_s,
-            "bytes_sent": self.bytes_sent,
-            "bytes_acked": self.bytes_acked,
-        }
+        return {**asdict(self), "response_times_ms": list(self.response_times_ms)}
 
 
 class ProbeServer:
@@ -96,7 +86,7 @@ class ProbeServer:
                  host: str = "127.0.0.1"):
         self.policy = fault_policy
         self.host = host
-        self._requested_port = port
+        self._requested_port = check_port(port)
         self._accepted = 0
         self._stopped = threading.Event()
         self._listener: socket.socket | None = None

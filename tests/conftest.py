@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,11 @@ settings.register_profile(
     derandomize=True,
 )
 settings.load_profile("default")
+
+# the interpreters that tests start import scalemap from this checkout too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -87,6 +87,21 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve_config(env={"SCALEMAP_LOG": "CHATTY"})
 
+    @pytest.mark.parametrize("top", [["scratch_dir"], "scratch_dir", 5, None])
+    def test_config_file_must_hold_an_object(self, tmp_path, top):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(top))
+        with pytest.raises(ConfigError, match="JSON object"):
+            resolve_config(config_file=str(f), env={})
+
+    @pytest.mark.parametrize("field", ["scratch_dir", "master_addr", "log_level"])
+    @pytest.mark.parametrize("value", [5, ["a"], {"a": 1}, True])
+    def test_non_string_text_field_rejected(self, tmp_path, field, value):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({field: value}))
+        with pytest.raises(ConfigError, match=field):
+            resolve_config(config_file=str(f), env={})
+
     def test_non_integer_budget_rejected(self, tmp_path):
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps({"memory_budget_bytes": "plenty"}))
@@ -125,6 +140,19 @@ class TestDispatch:
         parsed = json.loads(err)
         assert "missing.jsonl" in parsed["message"]
         assert parsed["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["master", "--port", "70000", "--workers", "1", "--host", "127.0.0.1"],
+        ["worker", "--master", "127.0.0.1:70000"],
+        ["netprobe", "serve", "--port", "70000"],
+        ["netprobe", "connections", "--server", "127.0.0.1:70000", "--k", "1",
+         "--json", "unused.json"],
+    ], ids=["master", "worker", "netprobe-serve", "netprobe-connections"])
+    def test_port_outside_u16_exits_1_with_one_json_line(self, argv, capsys):
+        assert main(argv) == EXIT_RUNTIME
+        out, err = capsys.readouterr()
+        [line] = err.splitlines()
+        assert out == "" and json.loads(line)["error"] == "ConfigError"
 
     def test_delta_parse_failure_is_usage(self):
         assert main(["bench", "--generate", "--blocks", "4", "--json", "x",

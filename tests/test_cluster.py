@@ -93,7 +93,7 @@ messages = st.one_of(
 # space-separated group of hex digits a field
 GOLDEN = [
     (Register(6, "w0"), MessageTag.REGISTER, "0600 7730"),
-    (Task(7, 3, ACTION_PARTIAL_REDUCE, '{"a": 1}', 2, 1), MessageTag.TASK,
+    (Task(7, 3, ACTION_PARTIAL_REDUCE, 2, 1, '{"a": 1}'), MessageTag.TASK,
      "07000000 03000000 01 02000000 0100 7b2261223a20317d"),
     (TaskResult(7, 3, ACTION_PARTIAL_REDUCE, -0.1 + 0.7, 1.5, -2.0, 64, 1536, True, 2),
      MessageTag.RESULT,
@@ -149,7 +149,7 @@ class TestFraming:
     @given(messages)
     def test_message_round_trip(self, msg):
         got = recv_message(ByteSource(frame_of(msg)))
-        assert got == msg
+        assert got == msg and type(got) is type(msg)
 
     def test_length_prefix_counts_tag_plus_payload(self):
         raw = frame_of(Heartbeat(7))
@@ -186,7 +186,7 @@ class TestFraming:
         raw = bytes.fromhex(payload)
         assert encode_message(msg) == (tag, raw)
         got = decode_message(tag, raw)
-        assert got == msg
+        assert got == msg and type(got) is type(msg)
         for res in got.results if isinstance(got, RunResult) else [got]:
             if isinstance(res, TaskResult):
                 assert type(res.computed) is bool
@@ -199,7 +199,7 @@ class TestFraming:
 
     @pytest.mark.parametrize("msg", [
         Register(65536), Heartbeat(-1), ErrorMsg(2**32, ""),
-        Task(0, 0, 256, ""), Task(0, 0, 0, "", stage=65536),
+        Task(0, 0, 256), Task(0, 0, 0, stage=65536),
         TaskResult(0, 0, 0, 0.0, 0.0, 0.0, 2**64, 0, True),
         run_of([(2**32, 0)]), run_of([], stage=-1),
         RunResult((TaskResult(0, 2**32, 0, 0.0, 0.0, 0.0, 0, 0, False),)),
@@ -239,7 +239,8 @@ class TestFraming:
         for msg in (run, answer):
             raw = frame_of(msg)
             assert len(raw) - 4 <= MAX_FRAME // 8  # far under MAX_FRAME at the cap
-            assert recv_message(ByteSource(raw)) == msg
+            got = recv_message(ByteSource(raw))
+            assert got == msg and type(got) is type(msg)
             if raw[5:]:
                 with pytest.raises(TruncatedFrame):
                     recv_frame(ByteSource(raw[:-1]))
@@ -255,8 +256,12 @@ class TestFraming:
     def test_parse_addr(self):
         assert parse_addr("10.0.0.1:7077") == ("10.0.0.1", 7077)
         assert parse_addr(":7077") == ("127.0.0.1", 7077)
+        assert parse_addr("h:65535") == ("h", 65535)
         with pytest.raises(Exception):
             parse_addr("nohost")
+        for text in ("h:65536", "h:70000"):  # the OS would wrap 70000 to 4464
+            with pytest.raises(ConfigError, match="port"):
+                parse_addr(text)
 
 
 def job_spec(params: BenchmarkParams, delta: Vec3, storage="memory_only") -> dict:
@@ -536,7 +541,7 @@ class TestMasterWorker:
         with socket.create_connection(addr, timeout=5) as sock:
             send_message(sock, Ping(b"0123456789abcdef"))
             reply = recv_message(sock)
-        assert reply == Ping(b"0123456789abcdef")
+        assert reply == Ping(b"0123456789abcdef") and type(reply) is Ping
 
     def test_shutdown_via_wire(self, cluster):
         master, addr, workers = cluster(n_workers=1)
@@ -866,6 +871,12 @@ class TestWorkerProtocol:
             Worker(ClusterConfig(network_timeout_ms=timeout_ms), tmp_path, 1 << 20)
         with pytest.raises(ConfigError, match="network_timeout_ms"):
             Master(ClusterConfig(network_timeout_ms=timeout_ms))
+
+    @pytest.mark.parametrize("port", [-1, 65536, 70000])
+    def test_port_outside_u16_rejected_before_any_socket(self, port):
+        # a master would fail to bind it and leak its socket
+        with pytest.raises(ConfigError, match="port"):
+            ClusterConfig(port=port)
 
     def test_malformed_task_answered_with_error_and_connection_survives(self, tmp_path):
         listener = socket.socket()

@@ -216,6 +216,11 @@ class TestServerLifecycle:
         finally:
             srv.stop()
 
+    @pytest.mark.parametrize("port", [-1, 65536, 70000])
+    def test_port_outside_u16_rejected_before_any_socket(self, port):
+        with pytest.raises(ConfigError, match="port"):
+            ProbeServer(port=port)
+
     def test_taken_port_is_a_bind_failure(self, server):
         srv = server()
         with pytest.raises(BindFailure):
