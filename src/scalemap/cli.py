@@ -33,7 +33,7 @@ from .bench import (
     write_records_jsonl,
 )
 from .cluster import ClusterConfig, Master, Worker, parse_addr
-from .core import BenchmarkParams, Generate, LoadBinary, Vec3, ZERO_DELTA
+from .core import BenchmarkParams, Generate, LoadBinary, Vec3, ZERO_DELTA, whole_int
 from .engine import StorageLevel
 from .errors import ConfigError, ScalemapError
 from .netprobe import FaultPolicy, ProbeServer, probe_connections, probe_throughput
@@ -120,10 +120,7 @@ def resolve_config(flags: dict | None = None, config_file: str | None = None,
     if values["scratch_dir"] is None:
         values["scratch_dir"] = str(Path(tempfile.gettempdir()) / "scalemap")
     for field_name in _INT_FIELDS:
-        try:
-            values[field_name] = int(values[field_name])
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"{field_name} must be an integer, got {values[field_name]!r}") from e
+        values[field_name] = whole_int(values[field_name], field_name, ConfigError)
     values["log_level"] = str(values["log_level"]).upper()
     if values["log_level"] not in _LOG_LEVELS:
         raise ConfigError(f"log_level must be one of {_LOG_LEVELS}, got {values['log_level']!r}")

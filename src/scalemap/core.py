@@ -44,6 +44,19 @@ class IndivisibleLength(ScalemapError):
         self.record_bytes = record_bytes
 
 
+def whole_int(value, name: str, error: type[ScalemapError] = InvalidParams) -> int:
+    """value, a job or config field, as an int: an int, a float with no
+    fractional part, or a string of an integer, as an environment variable
+    gives.  A bool, any other float or anything else raises error, so a
+    field is never silently truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise error(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as e:
+        raise error(f"{name} must be an integer, got {value!r}") from e
+
+
 def splitmix64(x: int) -> int:
     """One splitmix64 step from state ``x`` (advance by the golden gamma, mix)."""
     z = (x + _GOLDEN) & _MASK64
@@ -97,6 +110,11 @@ class LoadBinary:
 
 
 DataSource = Generate | LoadBinary
+
+
+# the integer fields of a job's params, as from_json_dict reads them
+_INT_PARAMS = ("blocks", "block_size_units", "vectors_per_unit", "nodes", "cores",
+               "nparts", "seed")
 
 
 @dataclass(frozen=True)
@@ -175,17 +193,12 @@ class BenchmarkParams:
     def from_json_dict(cls, d: dict) -> "BenchmarkParams":
         src = d.get("source", {"kind": "generate"})
         if src["kind"] == "load":
-            source: DataSource = LoadBinary(src["path"], int(src["record_bytes"]))
+            source: DataSource = LoadBinary(src["path"],
+                                            whole_int(src["record_bytes"], "record_bytes"))
         else:
             source = Generate()
         return cls(
-            blocks=int(d["blocks"]),
-            block_size_units=int(d["block_size_units"]),
-            vectors_per_unit=int(d["vectors_per_unit"]),
-            nodes=int(d["nodes"]),
-            cores=int(d["cores"]),
-            nparts=int(d["nparts"]),
-            seed=int(d["seed"]),
+            **{name: whole_int(d[name], name) for name in _INT_PARAMS},
             source=source,
             shift_delta=Vec3.from_sequence(d["shift_delta"]),
         )

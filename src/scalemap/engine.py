@@ -6,7 +6,12 @@ function of (lineage, partition index), so a dropped partition can always be
 rebuilt, and a cached one can be dropped at will.  A generated source
 partition is allocated once and each of its blocks is generated in place
 into its own slice, so building it copies nothing; a file-backed one decodes
-each block file and concatenates the blocks.
+each block file and concatenates the blocks.  A mapped partition is its
+parent's records plus the dataset's delta, added by shift_records in one
+out-of-place pass over slabs of rows: broadcasting a (3,) delta over (n, 3)
+records would run numpy's inner loop 3 elements at a time, once per record,
+where a slab's add runs thousands, so the map stage costs about one read and
+one write of the partition.
 
 The CacheManager is the single authority over resident payload bytes: strict
 LRU within a hard byte budget, with eviction optionally spilling to disk
@@ -44,7 +49,7 @@ import uuid
 import zlib
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -113,8 +118,12 @@ class SourceNode:
 
 @dataclass(frozen=True)
 class MappedNode:
+    """parent shifted by delta; row is shift_row(delta), built once per
+    mapped dataset."""
+
     parent: "Dataset"
     delta: Vec3
+    row: np.ndarray = field(compare=False, repr=False)
 
 
 class Dataset:
@@ -260,6 +269,41 @@ def leftfold_sum(arr: np.ndarray) -> np.ndarray:
     return src[:, 0].copy()
 
 
+# Rows per slab of the map stage's add: the tiled delta row is 24 KiB.
+_SHIFT_SLAB = 1024
+
+
+def shift_row(delta: Vec3) -> np.ndarray:
+    """The read-only row shift_records adds: delta's three components
+    repeated once per row of a slab."""
+    row = np.tile(delta.as_array(), _SHIFT_SLAB)
+    row.setflags(write=False)
+    return row
+
+
+def shift_records(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """rows + delta as a fresh C-contiguous (n, 3) float64 array, for
+    row = shift_row(delta); rows is left unchanged.
+
+    The flat records are viewed as slabs of _SHIFT_SLAB rows, shape
+    (-1, 3 * _SHIFT_SLAB), and row is added to each slab in one out-of-place
+    np.add whose inner loop runs the length of a slab; the last
+    n mod _SHIFT_SLAB rows take a prefix of row.  Each output element is
+    still the one IEEE add rows[i, j] + delta[j], so every bit is that of
+    rows + delta, inf, nan, -0.0 and overflow included.  A parent that is
+    not C-contiguous is copied flat first.  An add over no elements still
+    costs a ufunc call, about half a 512-row shift, so empty ones are skipped.
+    """
+    out = np.empty((rows.shape[0], 3), dtype=np.float64)
+    src, dst = rows.reshape(-1), out.reshape(-1)
+    cut = dst.size - dst.size % row.size
+    if cut:
+        np.add(src[:cut].reshape(-1, row.size), row, out=dst[:cut].reshape(-1, row.size))
+    if cut < dst.size:
+        np.add(src[cut:], row[:dst.size - cut], out=dst[cut:])
+    return out
+
+
 class Engine:
     """Materializes dataset partitions on a pool of local slots.
 
@@ -293,7 +337,7 @@ class Engine:
         return self._register(SourceNode(params, files), params.partitions)
 
     def map_shift(self, d: Dataset, delta: Vec3) -> Dataset:
-        return self._register(MappedNode(d, delta), d.partitions)
+        return self._register(MappedNode(d, delta, shift_row(delta)), d.partitions)
 
     def _register(self, lineage, partitions: int) -> Dataset:
         with self._lock:
@@ -397,7 +441,9 @@ class Engine:
         node = d.lineage
         if isinstance(node, MappedNode):
             parent, _ = self._materialize(node.parent, p)
-            return parent + node.delta.as_array()
+            # a (n, 3) + (3,) broadcast would add 3 elements per inner loop;
+            # shift_records adds whole slabs of rows, about 1.5x faster
+            return shift_records(parent, node.row)
         params = node.params
         block_ids = partition_blocks(params.blocks, d.partitions, p)
         if node.files is None:

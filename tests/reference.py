@@ -64,6 +64,15 @@ def left_fold_sum(rows) -> tuple[float, float, float]:
     return (ax, ay, az)
 
 
+def shift_rows(rows, delta) -> list[tuple[float, float, float]]:
+    """Each record plus delta, one Python float add per component."""
+    dx, dy, dz = (float(c) for c in delta)
+    shifted = []
+    for x, y, z in rows:
+        shifted.append((float(x) + dx, float(y) + dy, float(z) + dz))
+    return shifted
+
+
 def pairwise_sum(values: list[float]) -> float:
     """Recursive halving sum; differs from the left fold in rounding order."""
     n = len(values)

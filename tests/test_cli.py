@@ -102,6 +102,23 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match=field):
             resolve_config(config_file=str(f), env={})
 
+    @pytest.mark.parametrize("field", ["memory_budget_bytes", "vectors_per_unit", "seed",
+                                       "network_timeout_ms"])
+    @pytest.mark.parametrize("value", [7.9, True, False, 1e400, "7.9"])
+    def test_non_integral_int_field_rejected(self, tmp_path, field, value):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({field: value}))
+        with pytest.raises(ConfigError, match=field):
+            resolve_config(config_file=str(f), env={})
+
+    def test_int_fields_take_whole_floats_and_integer_strings(self, tmp_path):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"seed": 7.0, "network_timeout_ms": "4321"}))
+        cfg = resolve_config(flags={"memory_budget_bytes": "1024"}, config_file=str(f), env={})
+        assert (cfg.seed, cfg.network_timeout_ms, cfg.memory_budget_bytes) == (7, 4321, 1024)
+        assert all(type(v) is int for v in (cfg.seed, cfg.network_timeout_ms,
+                                            cfg.memory_budget_bytes))
+
     def test_non_integer_budget_rejected(self, tmp_path):
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps({"memory_budget_bytes": "plenty"}))

@@ -480,6 +480,22 @@ class TestMasterWorker:
         assert submit(addr, job_spec(params, delta), timeout_s=30).result == local_run(
             tmp_path, params, delta)
 
+    @pytest.mark.parametrize("field,value", [("blocks", 7.9), ("block_size_units", True),
+                                             ("seed", 3.5)])
+    def test_job_with_a_non_integer_field_fails_before_any_run(self, cluster, tmp_path,
+                                                                monkeypatch, field, value):
+        runs = record_runs(monkeypatch)
+        master, addr, _ = cluster(n_workers=1)
+        params = BenchmarkParams(blocks=4, vectors_per_unit=64, cores=2)
+        delta = Vec3(1.0, 2.0, 3.0)
+        bad = job_spec(params, delta)
+        bad["params"][field] = value
+        with pytest.raises(JobFailure, match=f"InvalidParams: {field} must be an integer"):
+            submit(addr, bad, timeout_s=3)
+        assert runs == [] and master.stats.worker_errors == 0
+        assert submit(addr, job_spec(params, delta), timeout_s=30).result == local_run(
+            tmp_path, params, delta)
+
     def test_zero_workers_fails_fast(self, cluster):
         master, addr, _ = cluster(n_workers=0, expected=0)
         with pytest.raises(JobFailure, match="NoWorkers"):

@@ -262,6 +262,29 @@ class TestParams:
         p = BenchmarkParams(blocks=5, source=LoadBinary("/data/blocks", 12))
         assert BenchmarkParams.from_json_dict(p.to_json_dict()) == p
 
+    @pytest.mark.parametrize("field,value", [
+        ("blocks", 7.9), ("block_size_units", True), ("seed", 3.5), ("nodes", False),
+        ("cores", float("inf")), ("nparts", float("nan")), ("vectors_per_unit", "16.5"),
+        ("blocks", None)])
+    def test_json_rejects_non_integers(self, field, value):
+        d = BenchmarkParams(blocks=4).to_json_dict()
+        d[field] = value
+        with pytest.raises(InvalidParams, match=field):
+            BenchmarkParams.from_json_dict(d)
+
+    def test_json_rejects_non_integer_record_width(self):
+        d = BenchmarkParams(blocks=5, source=LoadBinary("/data/blocks", 12)).to_json_dict()
+        d["source"]["record_bytes"] = 12.5
+        with pytest.raises(InvalidParams, match="record_bytes"):
+            BenchmarkParams.from_json_dict(d)
+
+    def test_json_takes_whole_floats_and_integer_strings(self):
+        d = BenchmarkParams(blocks=4).to_json_dict()
+        d.update(blocks=7.0, seed="3")
+        p = BenchmarkParams.from_json_dict(d)
+        assert (p.blocks, p.seed) == (7, 3)
+        assert type(p.blocks) is int and type(p.seed) is int
+
 
 class TestVec3:
     def test_from_array_row(self):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import reference as R
 from conftest import assert_bit_equal
+from scalemap import engine as engine_mod
 from scalemap.core import (
     BenchmarkParams,
     InvalidParams,
@@ -34,10 +35,15 @@ from scalemap.engine import (
     StorageLevel,
     UnknownPartition,
     _FOLD_CHUNK,
+    _SHIFT_SLAB,
     build_pipeline,
     fnv1a64,
     leftfold_sum,
+    make_pipeline_spec,
+    parse_pipeline_spec,
     run_job,
+    shift_records,
+    shift_row,
 )
 
 f64s = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -130,7 +136,122 @@ class TestSource:
                 make_engine().source(p)
 
 
+# every special class of double: infinities, nan, signed zeros, subnormals,
+# the largest finite values, and 1e308, which the delta below overflows
+SPECIALS = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324,
+            2.2250738585072009e-308, np.finfo(np.float64).max,
+            -np.finfo(np.float64).max, 1e308, -1e308]
+
+
+def rows_with_specials(n: int, seed: int = 0) -> np.ndarray:
+    """(n, 3) records, uniform draws with the SPECIALS scattered through
+    them, so both the slabs and the last partial slab meet each one."""
+    rows = np.random.default_rng(seed).uniform(-1e3, 1e3, size=(n, 3))
+    flat = rows.reshape(-1)
+    for i, v in enumerate(SPECIALS if n else ()):
+        flat[i * 7919 % flat.size] = v
+        flat[-1 - i * 4 % flat.size] = v
+    return rows
+
+
+def oracle_shift(rows: np.ndarray, delta: Vec3) -> np.ndarray:
+    return np.array(R.shift_rows(rows.tolist(), delta.as_tuple()),
+                    dtype=np.float64).reshape(-1, 3)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestMapShift:
+    @pytest.mark.parametrize("n", [0, 1, _SHIFT_SLAB - 1, _SHIFT_SLAB, _SHIFT_SLAB + 1,
+                                   2 * _SHIFT_SLAB + 1])
+    @pytest.mark.parametrize("delta", [Vec3(0.5, -1.25, 3.0), Vec3(1e308, -0.0, 5e-324),
+                                       Vec3(-1e308, 0.0, -2.0**-1074)],
+                             ids=["plain", "overflow-up", "overflow-down"])
+    def test_bit_exact_against_oracle(self, make_engine, tmp_path, n, delta):
+        rows = rows_with_specials(n)
+        write_block_files(tmp_path / "sp", [rows])
+        e = make_engine()
+        d = e.source(desk_params(blocks=1, source=LoadBinary(str(tmp_path / "sp"), 24)))
+        got = e.materialize(e.map_shift(d, delta), 0)[0]
+        assert got.flags.c_contiguous and got.dtype == np.float64
+        assert not got.flags.writeable
+        assert_bit_equal(got, oracle_shift(rows, delta))
+
+    def test_non_contiguous_parent_unchanged(self):
+        delta = Vec3(0.25, -3.0, 1e308)
+        row = shift_row(delta)
+        wide = rows_with_specials(2 * _SHIFT_SLAB + 3, seed=1)
+        wide.setflags(write=False)
+        for parent in (wide[::2], np.asfortranarray(wide), wide.T.copy().T):
+            assert not parent.flags.c_contiguous
+            before = parent.tobytes()
+            got = shift_records(parent, row)
+            assert got.flags.c_contiguous and not np.shares_memory(got, parent)
+            assert_bit_equal(got, oracle_shift(parent, delta))
+            assert parent.tobytes() == before
+
+    def test_read_only_parent_unchanged(self):
+        delta = Vec3(-0.5, 1e-310, 7.0)
+        parent = rows_with_specials(_SHIFT_SLAB + 5, seed=2)
+        parent.setflags(write=False)
+        before = parent.tobytes()
+        got = shift_records(parent, shift_row(delta))
+        assert got.flags.writeable and not np.shares_memory(got, parent)
+        assert_bit_equal(got, oracle_shift(parent, delta))
+        assert parent.tobytes() == before
+
+    def test_row_is_read_only_and_built_once_per_dataset(self, make_engine, monkeypatch):
+        built = []
+        monkeypatch.setattr(engine_mod, "shift_row",
+                            lambda delta: built.append(delta) or shift_row(delta))
+        e = make_engine()
+        d = e.source(desk_params(blocks=4, cores=4))
+        m = e.map_shift(d, Vec3(1.0, 2.0, 3.0))
+        e.force(m)
+        assert built == [Vec3(1.0, 2.0, 3.0)]
+        assert not m.lineage.row.flags.writeable and m.lineage.row.size == 3 * _SHIFT_SLAB
+
+    def test_two_threads_shift_as_one_does(self):
+        delta = Vec3(0.125, -7.5, 1e300)
+        row = shift_row(delta)
+        parents = [rows_with_specials(64 * _SHIFT_SLAB + 17, seed=s) for s in (3, 4)]
+        alone = [shift_records(a, row).tobytes() for a in parents]
+        barrier = threading.Barrier(2)
+
+        def shift_many(i):
+            barrier.wait(timeout=10)
+            return [shift_records(parents[i], row).tobytes() for _ in range(10)]
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(shift_many, range(2)))
+        for i, runs in enumerate(results):
+            assert all(r == alone[i] for r in runs)
+        assert_bit_equal(np.frombuffer(alone[0]).reshape(-1, 3), oracle_shift(parents[0], delta))
+
+    def test_12_byte_records_are_widened_then_shifted(self, make_engine, tmp_path):
+        narrow = rows_with_specials(_SHIFT_SLAB + 9, seed=5).astype(np.float32)
+        write_block_files(tmp_path / "f32", [narrow], record_bytes=12)
+        delta = Vec3(0.1, -1e-320, 3e38)
+        e = make_engine()
+        d = e.source(desk_params(blocks=1, source=LoadBinary(str(tmp_path / "f32"), 12)))
+        got = e.materialize(e.map_shift(d, delta), 0)[0]
+        assert_bit_equal(got, oracle_shift(narrow.astype(np.float64), delta))
+
+    def test_signed_zero_deltas_are_distinct_datasets(self, make_engine, tmp_path):
+        # Vec3(0.0, 0.0, 0.0) == Vec3(-0.0, -0.0, -0.0) and both hash alike,
+        # but -0.0 + 0.0 is 0.0 where -0.0 + -0.0 is -0.0
+        rows = np.full((2 * _SHIFT_SLAB + 1, 3), -0.0)
+        rows[::5] = 0.0
+        write_block_files(tmp_path / "z", [rows])
+        e = make_engine()
+        d = e.source(desk_params(blocks=1, source=LoadBinary(str(tmp_path / "z"), 24)))
+        plus, minus = Vec3(0.0, 0.0, 0.0), Vec3(-0.0, -0.0, -0.0)
+        assert plus == minus and hash(plus) == hash(minus)
+        got_plus = e.materialize(e.map_shift(d, plus), 0)[0]
+        got_minus = e.materialize(e.map_shift(d, minus), 0)[0]
+        assert_bit_equal(got_plus, oracle_shift(rows, plus))
+        assert_bit_equal(got_minus, oracle_shift(rows, minus))
+        assert got_plus.tobytes() != got_minus.tobytes()
+
     def test_zero_delta_is_identity(self, make_engine):
         e = make_engine()
         d = e.source(desk_params(blocks=4, cores=2))
@@ -669,6 +790,12 @@ class TestPipelineSerialization:
         assert rebuilt.lineage.parent.storage is StorageLevel.MEMORY_AND_DISK
         assert rebuilt.lineage.parent.lineage.params == params
         assert e2.reduce_average(rebuilt) == e1.reduce_average(m)
+
+    def test_spec_with_non_integer_fields_is_rejected(self):
+        spec = make_pipeline_spec(desk_params(blocks=4), StorageLevel.MEMORY_ONLY)
+        spec["params"].update(blocks=7.9, block_size_units=True, seed=3.5)
+        with pytest.raises(InvalidParams, match="blocks"):
+            parse_pipeline_spec(spec)
 
     def test_prefixes_share_one_lineage_chain(self, make_engine):
         params = desk_params(blocks=4, cores=2, shift_delta=Vec3(1.0, 2.0, 3.0))
