@@ -229,10 +229,25 @@ def decode_message(tag: int, payload: bytes):
 
 # ---- framing ----------------------------------------------------------------
 
+# a frame's head: its length (the tag byte plus the payload), then its tag
+FRAME_HEAD = struct.Struct(">IB")
+
+
+def check_frame_length(length: int) -> int:
+    """length, the tag-plus-payload count a frame head declares, if a frame
+    may carry it; a ProtocolError otherwise."""
+    if not 1 <= length <= MAX_FRAME:
+        raise ProtocolError(f"bad frame length {length}")
+    return length
+
+
+def frame_bytes(tag: int, payload: bytes) -> bytes:
+    """The bytes of one frame: its head, then the payload."""
+    return FRAME_HEAD.pack(check_frame_length(1 + len(payload)), tag) + payload
+
+
 def send_frame(sock: socket.socket, tag: int, payload: bytes):
-    if 1 + len(payload) > MAX_FRAME:
-        raise ProtocolError(f"frame too large: {len(payload)} bytes")
-    sock.sendall(struct.pack(">I", 1 + len(payload)) + bytes([tag]) + payload)
+    sock.sendall(frame_bytes(tag, payload))
 
 
 def send_message(sock: socket.socket, msg):
@@ -261,9 +276,7 @@ def recv_frame(sock: socket.socket) -> tuple[int, bytes] | None:
     if head is None:
         return None
     (length,) = struct.unpack(">I", head)
-    if length < 1 or length > MAX_FRAME:
-        raise ProtocolError(f"bad frame length {length}")
-    body = recvall(sock, length)
+    body = recvall(sock, check_frame_length(length))
     if body is None:
         raise TruncatedFrame("connection closed before frame body")
     return body[0], body[1:]

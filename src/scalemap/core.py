@@ -57,6 +57,14 @@ def whole_int(value, name: str, error: type[ScalemapError] = InvalidParams) -> i
         raise error(f"{name} must be an integer, got {value!r}") from e
 
 
+def exact_int(value, name: str, error: type[ScalemapError] = InvalidParams) -> int:
+    """value, a field a library caller set, if it is an int itself: whole_int's
+    rule with no conversion, so a bool, any float and a string raise error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def splitmix64(x: int) -> int:
     """One splitmix64 step from state ``x`` (advance by the golden gamma, mix)."""
     z = (x + _GOLDEN) & _MASK64
@@ -155,13 +163,14 @@ class BenchmarkParams:
 
     def validate(self) -> None:
         for name in ("blocks", "block_size_units", "vectors_per_unit", "nodes", "cores", "nparts"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            v = exact_int(getattr(self, name), name)
+            if v < 1:
                 raise InvalidParams(f"{name} must be a positive integer, got {v!r}")
-        if not 0 <= self.seed <= _MASK64:
+        if not 0 <= exact_int(self.seed, "seed") <= _MASK64:
             raise InvalidParams(f"seed must fit in 64 bits, got {self.seed!r}")
         if isinstance(self.source, LoadBinary):
-            if self.source.record_bytes not in (RECORD_BYTES_F32, RECORD_BYTES_F64):
+            if exact_int(self.source.record_bytes, "record_bytes") not in (
+                    RECORD_BYTES_F32, RECORD_BYTES_F64):
                 raise InvalidParams(
                     f"record_bytes must be {RECORD_BYTES_F32} or {RECORD_BYTES_F64}, "
                     f"got {self.source.record_bytes}"

@@ -6,6 +6,17 @@ and an empty DATA frame is the barrier: the server answers it with the
 total payload bytes received on that connection, which is what lets the
 client verify that sent == acknowledged.
 
+One thread serves the listener and every connection from a selector loop,
+as in Flash's event-driven design (Pai, Druschel & Zwaenepoel, USENIX ATC
+1999), so accepting a connection costs no thread start.  All sockets are
+non-blocking.  Each connection's inbound buffer is cut into frames, and a
+frame that does not decode closes only its own connection.  A reply goes
+out through the connection's outbound buffer; while any of it is unsent,
+or while a delayed echo waits in the loop's timer heap, that connection is
+neither read nor parsed, so a client that stops reading stalls only itself
+and the server holds at most one frame plus one read per connection.  The
+next timer's deadline bounds the loop's wait; nothing in it sleeps.
+
 Fault injection is server-side and deterministic: with reject_every=N the
 server closes every Nth accepted connection before reading a byte, so a
 storm of k connections fails exactly k//N times.
@@ -13,6 +24,9 @@ storm of k connections fails exactly k//N times.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import selectors
 import socket
 import struct
 import threading
@@ -21,18 +35,34 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .cluster import (
+    FRAME_HEAD,
     BindFailure,
     Data,
     Ping,
     ProtocolError,
     Shutdown,
+    check_frame_length,
     check_port,
+    decode_message,
+    encode_message,
+    frame_bytes,
     recv_message,
     send_message,
 )
+from .core import exact_int
 from .errors import ConfigError, ScalemapError
 
 PING_BYTES = 16
+# the longest wait an epoll selector takes (a C int of ms): the server's loop
+# waits until the next delayed echo is due
+MAX_DELAY_MS = 2**31 - 1
+# the most one recv takes: with it a connection holds at most one frame plus
+# one read, and a 1 MiB read raised the server's peak RSS by 5-9 MiB
+_READ_BYTES = 128 << 10
+_LENGTH = struct.Struct(">I")  # the length field that opens FRAME_HEAD
+# the selector key data of the listener and of the loop's wake socket
+_LISTENER = object()
+_WAKE = object()
 
 
 class ServerUnreachable(ScalemapError):
@@ -45,10 +75,12 @@ class FaultPolicy:
     delay_ms: float = 0.0  # imposed on every ping before the echo
 
     def __post_init__(self):
-        if self.reject_every < 0:
+        if exact_int(self.reject_every, "reject_every", ConfigError) < 0:
             raise ConfigError(f"reject_every must be >= 0, got {self.reject_every}")
-        if self.delay_ms < 0:
-            raise ConfigError(f"delay_ms must be >= 0, got {self.delay_ms}")
+        if isinstance(self.delay_ms, bool) or not isinstance(self.delay_ms, (int, float)):
+            raise ConfigError(f"delay_ms must be a number, got {self.delay_ms!r}")
+        if not 0 <= self.delay_ms <= MAX_DELAY_MS:  # nan fails both
+            raise ConfigError(f"delay_ms must be in 0..{MAX_DELAY_MS}, got {self.delay_ms}")
 
 
 @dataclass(frozen=True)
@@ -76,9 +108,25 @@ class ProbeReport:
         return {**asdict(self), "response_times_ms": list(self.response_times_ms)}
 
 
+class _Conn:
+    """A served connection's state in the server loop."""
+
+    __slots__ = ("sock", "inbuf", "outbuf", "received", "echo_due", "events")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        # the start of a frame, or the frames that wait while a reply does
+        self.inbuf = bytearray()
+        self.outbuf = b""  # the unsent tail of the one reply in flight
+        self.received = 0  # DATA payload bytes since the connection opened
+        self.echo_due = False  # a delayed echo waits in the timer heap
+        self.events = 0  # the selector events it is registered for
+
+
 class ProbeServer:
     """Echo/sink server with deterministic fault injection.
 
+    One thread runs a selector loop over the listener and every connection.
     Runs until stop() or until any client sends SHUTDOWN.
     """
 
@@ -88,10 +136,20 @@ class ProbeServer:
         self.host = host
         self._requested_port = check_port(port)
         self._accepted = 0
+        self._stopping = False
         self._stopped = threading.Event()
-        self._listener: socket.socket | None = None
-        self._conns: set[socket.socket] = set()
+        # stop() closes the listener and writes the wake socket from any
+        # thread; the lock keeps either from racing the loop's own use
         self._lock = threading.Lock()
+        self._listener: socket.socket | None = None
+        self._wake_r: socket.socket | None = None
+        self._wake_w: socket.socket | None = None
+        self._sel: selectors.BaseSelector | None = None
+        self._thread: threading.Thread | None = None
+        self._conns: set[_Conn] = set()
+        self._rview: memoryview | None = None
+        self._timers: list[tuple[float, int, _Conn, bytes]] = []  # (due, seq, conn, echo)
+        self._seq = itertools.count()
 
     @property
     def port(self) -> int:
@@ -103,71 +161,212 @@ class ProbeServer:
             sock = socket.create_server((self.host, self._requested_port), backlog=512)
         except OSError as e:
             raise BindFailure(f"cannot bind probe server on port {self._requested_port}: {e}") from e
+        try:
+            self._wake_r, self._wake_w = socket.socketpair()
+        except OSError:
+            sock.close()
+            raise
+        for s in (sock, self._wake_r, self._wake_w):
+            s.setblocking(False)
         self._listener = sock
-        threading.Thread(target=self._accept_loop, daemon=True, name="probe-accept").start()
+        # every recv lands here first; a connection keeps only a partial frame
+        self._rview = memoryview(bytearray(_READ_BYTES))
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(sock, selectors.EVENT_READ, _LISTENER)
+        self._sel.register(self._wake_r, selectors.EVENT_READ, _WAKE)
+        self._thread = threading.Thread(target=self._loop, daemon=True, name="probe-loop")
+        self._thread.start()
         return self
 
     def stop(self):
-        self._stopped.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        """Refuses new connections at once; from any thread but the loop's,
+        returns once every connection is closed."""
         with self._lock:
-            conns = list(self._conns)
-        for c in conns:
-            try:
-                c.close()
-            except OSError:
-                pass
+            self._stopping = True
+            if self._listener is not None:
+                self._listener.close()
+            if self._wake_w is not None:
+                try:
+                    self._wake_w.send(b"\0")
+                except OSError:  # its buffer is full: the loop wakes anyway
+                    pass
+        if self._thread is None:
+            self._stopped.set()
+        elif self._thread is not threading.current_thread():
+            self._thread.join()
 
     def wait_stopped(self, timeout_s: float | None = None) -> bool:
         return self._stopped.wait(timeout_s)
 
-    def _accept_loop(self):
-        while not self._stopped.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
+    def _loop(self):
+        sel, timers = self._sel, self._timers
+        try:
+            while not self._stopping:
+                timeout = max(0.0, timers[0][0] - time.monotonic()) if timers else None
+                for key, mask in sel.select(timeout):
+                    if key.data is _LISTENER:
+                        self._accept()
+                    elif key.data is _WAKE:
+                        self._wake_r.recv(64)
+                    else:
+                        self._on_ready(key.data, mask)
+                now = time.monotonic()
+                while timers and timers[0][0] <= now:
+                    _, _, c, echo = heapq.heappop(timers)
+                    c.echo_due = False
+                    if self._reply(c, echo) and self._drain(c):
+                        self._want(c)
+        finally:
+            for c in list(self._conns):
+                self._close(c)
+            timers.clear()
+            with self._lock:
+                self._listener.close()
+                self._wake_w.close()
+                self._wake_w = None
+            self._wake_r.close()
+            self._rview.release()
+            sel.close()
+            self._stopped.set()
+
+    def _accept(self):
+        while True:
+            with self._lock:
+                try:
+                    sock, _ = self._listener.accept()
+                except OSError:  # BlockingIOError once the backlog is empty
+                    return
             self._accepted += 1
             n = self.policy.reject_every
             if n and self._accepted % n == 0:
-                conn.close()
+                sock.close()
                 continue
-            with self._lock:
-                self._conns.add(conn)
-            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+            sock.setblocking(False)
+            c = _Conn(sock)
+            self._conns.add(c)
+            self._want(c)
 
-    def _serve(self, conn: socket.socket):
-        received = 0
-        try:
-            while not self._stopped.is_set():
-                msg = recv_message(conn)
-                if msg is None:
-                    return
-                if isinstance(msg, Ping):
-                    if self.policy.delay_ms > 0:
-                        time.sleep(self.policy.delay_ms / 1000.0)
-                    send_message(conn, Ping(msg.nonce))
-                elif isinstance(msg, Data):
-                    if msg.payload:
-                        received += len(msg.payload)
-                    else:
-                        send_message(conn, Data(struct.pack("<Q", received)))
-                elif isinstance(msg, Shutdown):
-                    self.stop()
-                    return
-        except (ProtocolError, OSError):
+    def _on_ready(self, c: _Conn, mask: int):
+        if mask & selectors.EVENT_WRITE:
+            if self._flush(c) and self._drain(c):
+                self._want(c)
             return
-        finally:
-            with self._lock:
-                self._conns.discard(conn)
+        try:
+            n = c.sock.recv_into(self._rview)
+        except BlockingIOError:
+            return
+        except OSError:
+            n = 0
+        if not n:  # EOF, mid-frame or not, or a reset
+            self._close(c)
+            return
+        data, buf, pos = self._rview[:n], c.inbuf, 0
+        if buf:  # buf holds the start of one frame: complete it, then serve it
             try:
-                conn.close()
-            except OSError:
-                pass
+                pos = n if len(buf) < 4 else min(
+                    n, 4 + check_frame_length(_LENGTH.unpack_from(buf)[0]) - len(buf))
+            except ProtocolError:
+                self._close(c)
+                return
+            buf += data[:pos]
+            if not self._drain(c):
+                return
+        if not buf:  # the rest is served from the loop's read buffer, not copied
+            done = self._frames(c, data[pos:])
+            if done is None:
+                return
+            pos += done
+        buf += data[pos:]
+        self._want(c)
+
+    def _frames(self, c: _Conn, view: memoryview) -> int | None:
+        """Serves the whole frames at the start of view until c waits on a
+        reply; the bytes they took, or None once c is closed."""
+        pos = 0
+        try:
+            while not (c.outbuf or c.echo_due) and len(view) - pos >= FRAME_HEAD.size:
+                length, tag = FRAME_HEAD.unpack_from(view, pos)
+                end = pos + 4 + check_frame_length(length)
+                if end > len(view):
+                    break
+                msg = decode_message(tag, view[pos + FRAME_HEAD.size:end].tobytes())
+                pos = end
+                if not self._serve(c, msg):
+                    return None
+        except ProtocolError:
+            self._close(c)
+            return None
+        return pos
+
+    def _drain(self, c: _Conn) -> bool:
+        """Serves c's buffered whole frames until it waits on a reply; False
+        once c is closed."""
+        with memoryview(c.inbuf) as view:
+            done = self._frames(c, view)
+        if done is None:
+            return False
+        del c.inbuf[:done]
+        return True
+
+    def _serve(self, c: _Conn, msg) -> bool:
+        """Answers one message; False once c is closed."""
+        if isinstance(msg, Ping):
+            echo = frame_bytes(*encode_message(msg))
+            if self.policy.delay_ms > 0:
+                c.echo_due = True
+                due = time.monotonic() + self.policy.delay_ms / 1000.0
+                heapq.heappush(self._timers, (due, next(self._seq), c, echo))
+                return True
+            return self._reply(c, echo)
+        if isinstance(msg, Data):
+            if msg.payload:
+                c.received += len(msg.payload)
+                return True
+            return self._reply(c, frame_bytes(*encode_message(
+                Data(struct.pack("<Q", c.received)))))
+        if isinstance(msg, Shutdown):
+            self.stop()
+            self._close(c)
+            return False
+        return True
+
+    def _reply(self, c: _Conn, frame: bytes) -> bool:
+        c.outbuf = frame
+        return self._flush(c)
+
+    def _flush(self, c: _Conn) -> bool:
+        """Sends what c's socket takes of its reply; False once c is closed."""
+        try:
+            c.outbuf = c.outbuf[c.sock.send(c.outbuf):]
+        except BlockingIOError:
+            pass
+        except OSError:
+            self._close(c)
+            return False
+        return True
+
+    def _want(self, c: _Conn):
+        """Registers c for writing while a reply is unsent, for nothing while
+        an echo is delayed, else for reading: a connection that waits on its
+        peer or on its timer is neither read nor parsed."""
+        want = (selectors.EVENT_WRITE if c.outbuf
+                else 0 if c.echo_due else selectors.EVENT_READ)
+        if want == c.events:
+            return
+        if not c.events:
+            self._sel.register(c.sock, want, c)
+        elif not want:
+            self._sel.unregister(c.sock)
+        else:
+            self._sel.modify(c.sock, want, c)
+        c.events = want
+
+    def _close(self, c: _Conn):
+        if c.events:
+            self._sel.unregister(c.sock)
+            c.events = 0
+        self._conns.discard(c)
+        c.sock.close()
 
 
 def probe_connections(server_addr: tuple[str, int], k: int, concurrency: int = 512,

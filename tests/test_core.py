@@ -252,6 +252,20 @@ class TestParams:
         with pytest.raises(InvalidParams):
             p.validate()
 
+    @pytest.mark.parametrize("field", ["blocks", "block_size_units", "vectors_per_unit",
+                                       "nodes", "cores", "nparts", "seed"])
+    @pytest.mark.parametrize("value", [True, 3.5, 4.0, "4"])
+    def test_validate_rejects_non_integers(self, field, value):
+        p = BenchmarkParams(blocks=4).replaced(**{field: value})
+        with pytest.raises(InvalidParams, match=field):
+            p.validate()
+
+    @pytest.mark.parametrize("value", [24.0, True, "24"])
+    def test_validate_rejects_non_integer_record_width(self, value):
+        p = BenchmarkParams(blocks=4, source=LoadBinary("/x", value))
+        with pytest.raises(InvalidParams, match="record_bytes"):
+            p.validate()
+
     def test_json_round_trip_generate(self):
         p = BenchmarkParams(blocks=48, block_size_units=2, vectors_per_unit=4096,
                             nodes=2, cores=3, nparts=2, seed=7,

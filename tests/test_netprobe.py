@@ -2,15 +2,21 @@
 
 import dataclasses
 import json
+import math
 import socket
+import struct
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalemap.cluster import BindFailure
+from scalemap.cluster import (BindFailure, Data, Ping, encode_message, frame_bytes,
+                              recv_message, send_message)
 from scalemap.errors import ConfigError
 from scalemap.netprobe import (
+    MAX_DELAY_MS,
     FaultPolicy,
     ProbeReport,
     ProbeServer,
@@ -36,6 +42,20 @@ def server():
 
 def addr(srv: ProbeServer) -> tuple[str, int]:
     return ("127.0.0.1", srv.port)
+
+
+def pinged(srv: ProbeServer) -> socket.socket | None:
+    """A connection the server has accepted and answered one ping on, or None
+    if the server dropped it (a reject slot)."""
+    sock = socket.create_connection(addr(srv), timeout=10.0)
+    try:
+        send_message(sock, Ping(b"\x07" * 16))
+        if recv_message(sock) == Ping(b"\x07" * 16):
+            return sock
+    except OSError:
+        pass
+    sock.close()
+    return None
 
 
 class TestConnections:
@@ -116,6 +136,87 @@ class TestDelay:
         assert min(rep.response_times_ms) < 10.0
 
 
+class TestServerLoop:
+    def test_a_client_that_stops_reading_stalls_only_itself(self, server):
+        srv = server()
+        stalled = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        stalled.connect(addr(srv))
+        stalled.settimeout(0.2)
+        pings = b"".join(frame_bytes(*encode_message(Ping(i.to_bytes(16, "little"))))
+                         for i in range(512))
+        try:
+            # pipeline pings and read no echo until the server stops taking them
+            deadline = time.monotonic() + 10.0
+            with pytest.raises(TimeoutError):
+                while time.monotonic() < deadline:
+                    stalled.sendall(pings)
+            t0 = time.perf_counter()
+            rep = probe_connections(addr(srv), k=1, connect_timeout_s=1.0)
+            assert time.perf_counter() - t0 < 1.0
+            assert rep.connections_established == 1
+        finally:
+            stalled.close()
+
+    def test_frames_cut_anywhere_are_served_in_order(self, server):
+        srv = server()
+        big = Data(b"\x5a" * 300_000)  # spans several reads
+        wire = b"".join(frame_bytes(*encode_message(m)) for m in
+                        [Ping(b"\x01" * 16), big, Data(b"")])
+        with socket.create_connection(addr(srv), timeout=10.0) as sock:
+            head, tail = wire[:40], wire[40:]
+            for i in range(len(head)):  # the first frames a byte at a time
+                sock.sendall(head[i:i + 1])
+                time.sleep(0.001)
+            sock.sendall(tail)
+            assert recv_message(sock) == Ping(b"\x01" * 16)
+            assert recv_message(sock) == Data(struct.pack("<Q", 300_000))
+
+    def test_a_bad_frame_closes_only_its_connection(self, server):
+        srv = server()
+        good = pinged(srv)
+        try:
+            with socket.create_connection(addr(srv), timeout=10.0) as bad:
+                bad.sendall(struct.pack(">I", 0) + b"\x00")
+                assert bad.recv(16) == b""
+            send_message(good, Ping(b"\x02" * 16))
+            assert recv_message(good) == Ping(b"\x02" * 16)
+        finally:
+            good.close()
+
+    def test_delayed_echoes_overlap(self, server):
+        srv = server(FaultPolicy(delay_ms=50.0))
+        rep = probe_connections(addr(srv), k=16, concurrency=8)
+        assert rep.connections_established == 16
+        assert rep.setup_total_s < 0.4  # two waves of 8, not 16 delays in a row
+        assert all(rtt >= 49.99 for rtt in rep.response_times_ms)
+
+    def test_open_connections_keep_the_reject_schedule(self, server):
+        srv = server(FaultPolicy(reject_every=10))
+        held = [pinged(srv) for _ in range(300)]  # accepted connections 1..300
+        try:
+            assert sum(s is None for s in held) == 30
+            rep = probe_connections(addr(srv), k=200, concurrency=8)
+            assert rep.failures == 20
+        finally:
+            for s in held:
+                if s is not None:
+                    s.close()
+
+    def test_one_thread_serves_every_connection(self, server):
+        srv = server()
+        held = [pinged(srv)]
+        try:
+            one = threading.active_count()
+            held += [pinged(srv) for _ in range(49)]
+            assert None not in held
+            assert threading.active_count() == one
+        finally:
+            for s in held:
+                if s is not None:
+                    s.close()
+
+
 class TestThroughput:
     def test_bytes_conserved_and_rate_positive(self, server):
         srv = server()
@@ -161,6 +262,20 @@ class TestFaultPolicy:
     def test_negative_delay_rejected(self):
         with pytest.raises(ConfigError):
             FaultPolicy(delay_ms=-0.5)
+
+    @pytest.mark.parametrize("value", [True, False, 2.5, 10.0, "3", None])
+    def test_non_integer_reject_every_rejected(self, value):
+        with pytest.raises(ConfigError, match="reject_every"):
+            FaultPolicy(reject_every=value)
+
+    @pytest.mark.parametrize("value", ["5", None, True, b"1", math.nan, math.inf,
+                                       MAX_DELAY_MS + 1])
+    def test_non_numeric_or_untimeable_delay_rejected(self, value):
+        with pytest.raises(ConfigError, match="delay_ms"):
+            FaultPolicy(delay_ms=value)
+
+    def test_integer_delay_accepted(self):
+        assert FaultPolicy(reject_every=3, delay_ms=5).delay_ms == 5
 
 
 class TestReport:

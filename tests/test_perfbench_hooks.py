@@ -1,14 +1,16 @@
 """The benchmark's tracer and launcher reach into scalemap by name.
 
 perfbench/tracer.py wraps module functions and methods found with getattr,
-and perfbench/launch.py drives the cluster API, so renaming any of those
-names would break only the traced benchmark run.  These tests install the
-tracer for each process role and drive the wrapped calls once, each role in
-its own interpreter so that the patches never reach this test session.
+and perfbench/launch.py drives the cluster and netprobe APIs, so renaming
+any of those names would break only the benchmark run.  These tests install
+the tracer for each process role and drive the wrapped calls once, each role
+in its own interpreter so that the patches never reach this test session,
+and run the launcher's probe server the way the netprobe workload does.
 """
 
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from scalemap import cluster
+from scalemap.netprobe import probe_connections
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -100,3 +103,26 @@ def test_launcher_names_exist():
     assert {"rescheduled", "heartbeats", "worker_errors", "workers_lost"} <= set(
         cluster.MasterStats.__dataclass_fields__)
     assert callable(cluster.run_worker) and callable(cluster.send_shutdown)
+
+
+def test_probe_launcher_serves_a_storm_until_shutdown(tmp_path):
+    out = tmp_path / "probe.json"
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "perfbench" / "launch.py"), "probe", "--out", str(out),
+         "--reject-every", "10"], stdout=subprocess.PIPE, text=True)
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("port "), line
+        addr = ("127.0.0.1", int(line.split()[1]))
+        assert probe_connections(addr, k=20, concurrency=4).failures == 2
+        # the 21st connection is off the reject schedule, so SHUTDOWN is read
+        with socket.create_connection(addr, timeout=10.0) as sock:
+            cluster.send_message(sock, cluster.Shutdown())
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert written["maxrss_mib"] > 0 and written["spans"] == []
