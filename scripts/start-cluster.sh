@@ -33,7 +33,7 @@ nohup scalemap master --port "$PORT" --workers "${#HOSTS[@]}" \
     >"$STATE_DIR/master.log" 2>&1 &
 echo $! > "$STATE_DIR/master.pid"
 echo "$MASTER_ADDR" > "$STATE_DIR/master.addr"
-sleep 1
+# no wait for the master: each worker retries registration with backoff
 
 i=0
 for host in "${HOSTS[@]}"; do

@@ -3,7 +3,7 @@
 One run is three phases: build the source dataset and force it (create),
 shift every vector and force that (map), then take the global average
 (reduce).  A job is its params and storage level; local and cluster runs
-share one driver, engine.run_job, so both time the phases alike and record
+share one driver, job.run_job, so both time the phases alike and record
 the same counter shape, {create, map, reduce: {bytes, recomputed, spilled}}.
 A cluster record also keeps the master's report of its job in stats
 (rescheduled, workers_lost, worker_errors, remote_tasks, workers,
@@ -11,6 +11,9 @@ partitions); a local record's stats are empty.
 
 A strong sweep holds total blocks fixed while node count grows; a weak
 sweep holds blocks per node fixed, so totals grow with node count.
+
+Importing bench loads the engine, and numpy with it, so a process that
+runs jobs pays for that import up front, before its first job.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from enum import Enum
 from pathlib import Path
 
 from .core import BenchmarkParams, LoadBinary, Vec3
-from .engine import Engine, StorageLevel, build_pipeline, make_pipeline_spec, phase_counts, run_job
+from .engine import Engine, build_pipeline
 from . import cluster as cluster_mod
 from .errors import ConfigError
+from .job import StorageLevel, make_pipeline_spec, phase_counts, run_job
 
 MODE_LOCAL = "local"
 MODE_CLUSTER = "cluster"

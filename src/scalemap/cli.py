@@ -7,6 +7,9 @@ variables: SCALEMAP_SCRATCH, SCALEMAP_MASTER, SCALEMAP_LOG.
 
 Exit codes: 0 success, 1 runtime failure (one machine-parseable JSON error
 line on stderr), 2 usage error.
+
+Only the commands that run or analyse jobs import bench and analysis, and
+with them the engine and numpy; master and netprobe start without them.
 """
 
 from __future__ import annotations
@@ -22,20 +25,10 @@ import threading
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .analysis import build_series, emit_plot_data
-from .bench import (
-    MODE_CLUSTER,
-    MODE_LOCAL,
-    ScalingMode,
-    read_records_jsonl,
-    run_pipeline,
-    run_sweep,
-    write_records_jsonl,
-)
 from .cluster import ClusterConfig, Master, Worker, parse_addr
 from .core import BenchmarkParams, Generate, LoadBinary, Vec3, ZERO_DELTA, whole_int
-from .engine import StorageLevel
 from .errors import ConfigError, ScalemapError
+from .job import StorageLevel
 from .netprobe import FaultPolicy, ProbeServer, probe_connections, probe_throughput
 
 EXIT_OK = 0
@@ -273,6 +266,8 @@ def _params_from_args(args, cfg: GlobalConfig, nodes: int) -> BenchmarkParams:
 
 
 def _run_kwargs(args, cfg: GlobalConfig) -> dict:
+    from .bench import MODE_CLUSTER, MODE_LOCAL
+
     if args.master:
         return {"mode": MODE_CLUSTER, "master_addr": parse_addr(args.master),
                 "storage": StorageLevel(args.storage), "skip_reduce": args.skip_reduce}
@@ -309,6 +304,8 @@ def cmd_worker(args, cfg: GlobalConfig) -> int:
 
 
 def cmd_bench(args, cfg: GlobalConfig) -> int:
+    from .bench import run_pipeline
+
     params = _params_from_args(args, cfg, nodes=args.nodes)
     rec = run_pipeline(params, **_run_kwargs(args, cfg))
     Path(args.json_path).write_text(json.dumps(rec.to_json_dict()) + "\n",
@@ -320,6 +317,8 @@ def cmd_bench(args, cfg: GlobalConfig) -> int:
 
 
 def cmd_sweep(args, cfg: GlobalConfig) -> int:
+    from .bench import ScalingMode, run_sweep, write_records_jsonl
+
     # run_sweep owns the nodes axis; the base carries everything else
     base = _params_from_args(args, cfg, nodes=1)
     records = run_sweep(base, args.node_counts, ScalingMode(args.mode),
@@ -354,6 +353,9 @@ def cmd_netprobe(args, cfg: GlobalConfig) -> int:
 
 
 def cmd_analyze(args, cfg: GlobalConfig) -> int:
+    from .analysis import build_series, emit_plot_data
+    from .bench import ScalingMode, read_records_jsonl
+
     records = read_records_jsonl(args.input)
     series = build_series(records, ScalingMode(args.mode), stage=args.stage,
                           units=args.units)

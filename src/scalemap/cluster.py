@@ -37,11 +37,15 @@ because every task is a pure function of its job's spec, its stage and its
 partition, and the result bits do not depend on placement because partial
 sums combine in partition order.
 
-The master runs each job through engine.run_job, the driver local runs use
+The master runs each job through job.run_job, the driver local runs use
 too; its phase runner turns a phase into one task per partition and
-combines partial sums with engine.combine_partials.  A task's result carries
+combines partial sums with job.combine_partials.  A task's result carries
 the spill writes it triggered, so cluster phases report the same
 {bytes, recomputed, spilled} counters as local ones.
+
+Only a Worker loads the engine, and numpy with it, when it is built: the
+master and the wire code never touch an array, so a master or a probe
+server starts without numpy.
 """
 
 from __future__ import annotations
@@ -58,9 +62,8 @@ from enum import IntEnum
 from functools import partial
 
 from .core import Vec3
-from .engine import (Dataset, Engine, build_pipeline, combine_partials, leftfold_sum,
-                     make_pipeline_spec, parse_pipeline_spec, phase_counts, run_job)
 from .errors import ConfigError, ScalemapError
+from .job import combine_partials, make_pipeline_spec, parse_pipeline_spec, phase_counts, run_job
 
 MAX_FRAME = 64 * 1024 * 1024
 # the most tasks in one run: its RUN_RESULT frame (54 bytes a task) is then
@@ -241,13 +244,31 @@ def check_frame_length(length: int) -> int:
     return length
 
 
+# the shortest payload send_frame hands to the kernel beside the frame head
+# rather than copying it behind the head: on loopback, sendmsg's own cost
+# outweighs the copy below about 8 KiB
+_GATHER_BYTES = 8 << 10
+
+
 def frame_bytes(tag: int, payload: bytes) -> bytes:
     """The bytes of one frame: its head, then the payload."""
     return FRAME_HEAD.pack(check_frame_length(1 + len(payload)), tag) + payload
 
 
 def send_frame(sock: socket.socket, tag: int, payload: bytes):
-    sock.sendall(frame_bytes(tag, payload))
+    """Sends one frame.  A payload of _GATHER_BYTES or more goes out
+    uncopied, with the head, in one sendmsg; sendall sends whatever that
+    call left unsent."""
+    if len(payload) < _GATHER_BYTES:
+        sock.sendall(frame_bytes(tag, payload))
+        return
+    head = FRAME_HEAD.pack(check_frame_length(1 + len(payload)), tag)
+    sent = sock.sendmsg((head, payload)) - len(head)  # payload bytes sent
+    if sent < 0:  # part of the head is unsent: its last -sent bytes
+        sock.sendall(head[sent:])
+        sent = 0
+    if sent < len(payload):
+        sock.sendall(memoryview(payload)[sent:])
 
 
 def send_message(sock: socket.socket, msg):
@@ -746,17 +767,24 @@ class Worker:
     elsewhere rebuilds that parent from lineage.  A job's datasets,
     partitions and spill files go with its engine, which is safe because the
     master starts a job only after every task of the last one answered.
+
+    Building a Worker loads the engine, and numpy with it, before it
+    connects, so a worker process pays for that import before REGISTER and
+    never in a task.
     """
 
     def __init__(self, cfg: ClusterConfig, scratch_dir, memory_budget_bytes: int,
                  name: str = ""):
         if not 1 <= cfg.slots <= 65535:  # REGISTER carries slots as a u16
             raise ConfigError(f"worker slots must be in 1..65535, got {cfg.slots}")
+        from . import engine
+
         self.cfg = cfg
         self.name = name
-        self._new_engine = partial(Engine, memory_budget_bytes, scratch_dir)
+        self._engine_module = engine
+        self._new_engine = partial(engine.Engine, memory_budget_bytes, scratch_dir)
         self.engine = self._new_engine()
-        self.datasets: list[Dataset] = []  # the open job's, indexed by stage
+        self.datasets = []  # the open job's Datasets, indexed by stage
         self._job_id = self._job_error = None  # the open job, and why it has no datasets
         self._wlock = threading.Lock()
         self._stop = threading.Event()
@@ -843,7 +871,8 @@ class Worker:
         self.engine = self._new_engine()
         self._job_id, self.datasets, self._job_error = job_id, [], None
         try:
-            self.datasets = build_pipeline(self.engine, *parse_pipeline_spec(json.loads(spec_json)))
+            self.datasets = self._engine_module.build_pipeline(
+                self.engine, *parse_pipeline_spec(json.loads(spec_json)))
         except Exception as e:  # noqa: BLE001 - answered per task by _execute
             self._job_error = f"no usable spec for job {job_id}: {type(e).__name__}: {e}"
 
@@ -865,12 +894,23 @@ class Worker:
                 raise ProtocolError(self._job_error or f"job has no stage {task.stage}")
             d = self.datasets[task.stage]
             arr, computed, spilled = self.engine.materialize(d, task.partition)
-            s = leftfold_sum(arr) if task.action == ACTION_PARTIAL_REDUCE else (0.0, 0.0, 0.0)
+            s = (self._engine_module.leftfold_sum(arr) if task.action == ACTION_PARTIAL_REDUCE
+                 else (0.0, 0.0, 0.0))
             return TaskResult(task.task_id, task.partition, task.action,
                               float(s[0]), float(s[1]), float(s[2]),
                               arr.shape[0], arr.nbytes, computed, spilled)
         except Exception as e:  # noqa: BLE001 - reported to master, never silent
             return ErrorMsg(task.task_id, f"{type(e).__name__}: {e}")
+
+
+def __getattr__(name: str):
+    """cluster.leftfold_sum, a name the benchmark's tracer wraps, is the
+    engine's fold, loaded on first use; a Worker calls it through the engine
+    module, so a traced fold records one span."""
+    if name != "leftfold_sum":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .engine import leftfold_sum
+    return leftfold_sum
 
 
 def run_worker(cfg: ClusterConfig, scratch_dir, memory_budget_bytes: int, name: str = ""):

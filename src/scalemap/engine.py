@@ -22,15 +22,10 @@ materialize() call that caused them: a spill runs on the thread whose cache
 insert evicted, so the calling thread's spill-write count across one call is
 exactly that call's spills, however many other slots are busy.
 
-A job is its params and a storage level, written by make_pipeline_spec and
-read back, checked, by parse_pipeline_spec.  build_pipeline builds its two
-datasets, the source and the source shifted by params.shift_delta, so a job
-names them by stage index, 0 and 1.  run_job is the one job driver of local
-and cluster execution: create forces dataset 0, map forces dataset 1 and
-reduce folds dataset 1, each phase timed, with the work delegated to a
-phase runner.  phase_counts builds every phase's counts, and
-combine_partials is the one ordered combine behind every reduce, in-process
-or remote.
+A job is its params and a storage level (the job module holds its spec and
+its driver).  build_pipeline builds its two datasets, the source and the
+source shifted by params.shift_delta, so a job names them by stage index,
+0 and 1.
 
 leftfold_sum is the one fold of a partition's records, in the local reduce
 and on a cluster worker alike.  It sums in record order, so its bits are
@@ -44,36 +39,22 @@ from __future__ import annotations
 import shutil
 import struct
 import threading
-import time
 import uuid
 import zlib
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    BenchmarkParams,
-    IndivisibleLength,
-    InvalidParams,
-    LoadBinary,
-    RecordCodec,
-    Vec3,
-    decode_vectors,
-    encode_vectors,
-    generate_vectors,
-    partition_blocks,
-)
+from .core import (BenchmarkParams, IndivisibleLength, InvalidParams, LoadBinary, Vec3,
+                   partition_blocks)
 from .errors import ScalemapError
+from .job import StorageLevel, combine_partials, phase_counts
+from .vectors import RecordCodec, decode_vectors, encode_vectors, generate_vectors
 
 _F64 = RecordCodec(24)
-
-
-class EmptyDataset(ScalemapError):
-    pass
 
 
 class SpillIOFailure(ScalemapError):
@@ -94,13 +75,6 @@ def fnv1a64(data) -> int:
     the FNV-1a checksum it replaced stays: the benchmark's tracer wraps this
     module attribute by name, so the spill path calls it as a module global."""
     return zlib.crc32(data)
-
-
-class StorageLevel(Enum):
-    NONE = "none"
-    MEMORY_ONLY = "memory_only"
-    DISK_ONLY = "disk_only"
-    MEMORY_AND_DISK = "memory_and_disk"
 
 
 @dataclass(frozen=True)
@@ -146,17 +120,6 @@ class Dataset:
         kind = "source" if isinstance(self.lineage, SourceNode) else "mapped"
         return (f"Dataset(id={self.dataset_id}, {kind}, "
                 f"partitions={self.partitions}, storage={self.storage.value})")
-
-
-def phase_counts(outcomes) -> dict:
-    """A phase's run-record counts from one (nbytes, computed, spilled)
-    triple per partition: bytes materialized, partitions recomputed by
-    executing lineage (first time or after eviction, not served from memory
-    or spill), and spill files written by its partitions' materialize()."""
-    outcomes = list(outcomes)
-    return {"bytes": sum(nb for nb, _, _ in outcomes),
-            "recomputed": sum(1 for _, c, _ in outcomes if c),
-            "spilled": sum(s for _, _, s in outcomes)}
 
 
 @dataclass
@@ -276,7 +239,7 @@ _SHIFT_SLAB = 1024
 def shift_row(delta: Vec3) -> np.ndarray:
     """The read-only row shift_records adds: delta's three components
     repeated once per row of a slab."""
-    row = np.tile(delta.as_array(), _SHIFT_SLAB)
+    row = np.tile(np.array(delta.as_tuple(), dtype=np.float64), _SHIFT_SLAB)
     row.setflags(write=False)
     return row
 
@@ -394,7 +357,7 @@ class Engine:
 
         def partial(p: int):
             arr, computed, spilled = self.materialize(d, p)
-            return (leftfold_sum(arr), arr.shape[0]), (arr.nbytes, computed, spilled)
+            return (leftfold_sum(arr).tolist(), arr.shape[0]), (arr.nbytes, computed, spilled)
 
         with ThreadPoolExecutor(max_workers=self.slots) as pool:
             results = list(pool.map(partial, range(d.partitions)))
@@ -557,41 +520,7 @@ class Engine:
         return False
 
 
-def combine_partials(partials) -> Vec3:
-    """Component-wise mean from per-partition (sum, count) pairs.
-
-    The pairs must come in ascending partition order: sums add in that
-    order and the division comes last, so every reduce of a dataset, in
-    one process or across a cluster, gives the same bits at a fixed
-    partition count.
-    """
-    total = np.zeros(3, dtype=np.float64)
-    count = 0
-    for vec_sum, n in partials:
-        total = total + vec_sum
-        count += n
-    if count == 0:
-        raise EmptyDataset("reduce over a dataset with zero records")
-    mean = total / count
-    return Vec3(float(mean[0]), float(mean[1]), float(mean[2]))
-
-
-# ---- the job's datasets and the job driver ------------------------------------
-
-def make_pipeline_spec(params: BenchmarkParams, storage: StorageLevel) -> dict:
-    """The job a cluster runs: its params and the storage level of both its
-    datasets (build_pipeline)."""
-    return {"params": params.to_json_dict(), "storage": storage.value}
-
-
-def parse_pipeline_spec(spec: dict) -> tuple[BenchmarkParams, StorageLevel]:
-    """The (params, storage) of a make_pipeline_spec dict, both checked, so
-    a bad job fails before any of its tasks runs."""
-    params = BenchmarkParams.from_json_dict(spec["params"])
-    params.validate()
-    storage = StorageLevel(spec["storage"])
-    return params, storage
-
+# ---- the job's datasets ------------------------------------------------------
 
 def build_pipeline(engine: Engine, params: BenchmarkParams,
                    storage: StorageLevel) -> list[Dataset]:
@@ -604,30 +533,3 @@ def build_pipeline(engine: Engine, params: BenchmarkParams,
     """
     source = engine.persist(engine.source(params), storage)
     return [source, engine.persist(engine.map_shift(source, params.shift_delta), storage)]
-
-
-def run_job(force, reduce, skip_reduce: bool = False):
-    """Runs a job's phases, timed; returns (timings, phases, result).
-
-    The phase runner is two callables.  force(i) materializes the job's
-    dataset i and returns its phase_counts; reduce() returns the mean of
-    dataset 1 as a Vec3 and the phase_counts of the partitions it read.
-    create is force(0), map is force(1), then reduce; each is timed on the
-    monotonic clock, and phases maps each label to its counts.  Under
-    skip_reduce the result is None, reduce_s is 0 and phases has no reduce
-    entry.
-    """
-    timings = {"reduce_s": 0.0}
-    phases: dict[str, dict] = {}
-    t_start = time.monotonic()
-    for i, label in enumerate(("create", "map")):
-        t0 = time.monotonic()
-        phases[label] = force(i)
-        timings[label + "_s"] = time.monotonic() - t0
-    result = None
-    if not skip_reduce:
-        t0 = time.monotonic()
-        result, phases["reduce"] = reduce()
-        timings["reduce_s"] = time.monotonic() - t0
-    timings["total_s"] = time.monotonic() - t_start
-    return timings, phases, result

@@ -73,6 +73,18 @@ def shift_rows(rows, delta) -> list[tuple[float, float, float]]:
     return shifted
 
 
+def combine_in_order(partials) -> tuple[float, float, float]:
+    """Mean of (sums, count) pairs: each component's sums added one at a
+    time in the order given, then one division by the whole count."""
+    totals = [0.0, 0.0, 0.0]
+    count = 0
+    for sums, n in partials:
+        for j in range(3):
+            totals[j] = totals[j] + sums[j]
+        count += n
+    return tuple(t / count for t in totals)
+
+
 def pairwise_sum(values: list[float]) -> float:
     """Recursive halving sum; differs from the left fold in rounding order."""
     n = len(values)

@@ -19,6 +19,7 @@ from scalemap.errors import ConfigError
 from scalemap.cluster import (
     ACTION_FORCE,
     ACTION_PARTIAL_REDUCE,
+    FRAME_HEAD,
     MAX_FRAME,
     MAX_RUN,
     NO_TASK,
@@ -47,6 +48,7 @@ from scalemap.cluster import (
     _WorkerConn,
     decode_message,
     encode_message,
+    frame_bytes,
     parse_addr,
     recv_frame,
     recv_message,
@@ -138,6 +140,26 @@ class ByteSink:
     def sendall(self, b: bytes):
         self.data += b
 
+    def sendmsg(self, buffers) -> int:
+        return self.take(b"".join(buffers))
+
+    def take(self, b: bytes) -> int:
+        self.data += b
+        return len(b)
+
+
+class ShortSink(ByteSink):
+    """A socket whose sendmsg takes only the first `limit` bytes offered."""
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+        self.sendmsgs = 0
+
+    def take(self, b: bytes) -> int:
+        self.sendmsgs += 1
+        return super().take(b[:self.limit])
+
 
 def frame_of(msg) -> bytes:
     sink = ByteSink()
@@ -176,6 +198,14 @@ class TestFraming:
     def test_oversized_length_rejected(self):
         with pytest.raises(ProtocolError):
             recv_frame(ByteSource(struct.pack(">I", MAX_FRAME + 1)))
+
+    @pytest.mark.parametrize("limit", [0, 3, FRAME_HEAD.size, FRAME_HEAD.size + 1000])
+    def test_short_sendmsg_is_finished_by_sendall(self, limit):
+        payload = bytes(range(256)) * 64  # long enough to go out by sendmsg
+        sink = ShortSink(limit)
+        send_frame(sink, MessageTag.DATA, payload)
+        assert sink.sendmsgs == 1
+        assert sink.data == frame_bytes(MessageTag.DATA, payload)
 
     def test_oversized_send_rejected(self):
         with pytest.raises(ProtocolError):

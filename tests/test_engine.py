@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import struct
 import sys
 import tempfile
 import threading
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference as R
@@ -29,21 +30,24 @@ from scalemap.core import (
 from scalemap.engine import (
     CacheManager,
     Engine,
-    EmptyDataset,
     RecomputeFailure,
     SpillIOFailure,
-    StorageLevel,
     UnknownPartition,
     _FOLD_CHUNK,
     _SHIFT_SLAB,
     build_pipeline,
     fnv1a64,
     leftfold_sum,
+    shift_records,
+    shift_row,
+)
+from scalemap.job import (
+    EmptyDataset,
+    StorageLevel,
+    combine_partials,
     make_pipeline_spec,
     parse_pipeline_spec,
     run_job,
-    shift_records,
-    shift_row,
 )
 
 f64s = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -430,6 +434,34 @@ class TestReduce:
         d = e.source(desk_params(blocks=1, source=LoadBinary(str(tmp_path / "none"), 24)))
         with pytest.raises(EmptyDataset):
             e.reduce_average(d)
+
+    @staticmethod
+    def _numpy_combine(partials) -> tuple[float, float, float]:
+        """combine_partials as it was written on numpy arrays."""
+        total = np.zeros(3, dtype=np.float64)
+        count = 0
+        with np.errstate(over="ignore"):
+            for vec_sum, n in partials:
+                total = total + vec_sum
+                count += n
+            mean = total / count
+        return (float(mean[0]), float(mean[1]), float(mean[2]))
+
+    # finite sums, signed zeros, subnormals and the largest float drawn often;
+    # counts small, or past 2**53, where a count rounds on its way to a float
+    partial_sums = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1030,
+                                              1.7976931348623157e308]), f64s)
+    partial_counts = st.one_of(st.integers(0, 1000), st.integers(2**53 - 2, 2**62))
+
+    @given(st.lists(st.tuples(st.tuples(partial_sums, partial_sums, partial_sums),
+                              partial_counts), min_size=1, max_size=6))
+    def test_combine_is_bit_exact_with_the_numpy_combine(self, partials):
+        assume(sum(n for _, n in partials))
+        got = combine_partials(partials).as_tuple()
+        bits = struct.Struct("<3d").pack
+        assert bits(*got) == bits(*R.combine_in_order(partials))
+        assert bits(*got) == bits(*self._numpy_combine(partials))
+        assert all(type(c) is float for c in got)
 
     def _oracle_mean(self, seed, blocks, vpu, partitions):
         total = (0.0, 0.0, 0.0)
