@@ -189,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc = probe_sub.add_parser("connections", help="connection storm probe")
     pc.add_argument("--server", metavar="HOST:PORT", required=True)
     pc.add_argument("--k", type=int, required=True, help="connections to open")
-    pc.add_argument("--concurrency", type=int, default=64)
+    pc.add_argument("--concurrency", type=int, default=64,
+                    help="sockets in flight at once; one thread drives them all")
     pc.add_argument("--json", metavar="FILE", required=True, dest="json_path")
 
     pt = probe_sub.add_parser("throughput", help="point-to-point throughput probe")

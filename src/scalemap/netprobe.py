@@ -17,6 +17,13 @@ neither read nor parsed, so a client that stops reading stalls only itself
 and the server holds at most one frame plus one read per connection.  The
 next timer's deadline bounds the loop's wait; nothing in it sleeps.
 
+The storm client is the same design on the other end: one thread drives
+up to `concurrency` non-blocking sockets through one selector loop, so
+`concurrency` counts sockets in flight, not threads, and a storm starts no
+thread.  Every connection's connect and echo has a deadline; the loop waits
+only until the earliest, and deadlines sit in a queue in the order they fall
+due.
+
 Fault injection is server-side and deterministic: with reject_every=N the
 server closes every Nth accepted connection before reading a byte, so a
 storm of k connections fails exactly k//N times.
@@ -31,7 +38,7 @@ import socket
 import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import asdict, dataclass
 
 from .cluster import (
@@ -55,12 +62,14 @@ from .errors import ConfigError, ScalemapError
 
 PING_BYTES = 16
 # the longest wait an epoll selector takes (a C int of ms): the server's loop
-# waits until the next delayed echo is due
+# waits until the next delayed echo is due, the storm's until the next deadline
 MAX_DELAY_MS = 2**31 - 1
 # the most one recv takes: with it a connection holds at most one frame plus
 # one read, and a 1 MiB read raised the server's peak RSS by 5-9 MiB
 _READ_BYTES = 128 << 10
 _LENGTH = struct.Struct(">I")  # the length field that opens FRAME_HEAD
+# a ping frame, and so the echo a storm connection waits for
+_ECHO_BYTES = FRAME_HEAD.size + PING_BYTES
 # the selector key data of the listener and of the loop's wake socket
 _LISTENER = object()
 _WAKE = object()
@@ -371,36 +380,202 @@ class ProbeServer:
         c.sock.close()
 
 
+class _Probe:
+    """A storm connection's state in the client loop."""
+
+    __slots__ = ("index", "addr_i", "sock", "unsent", "reply", "want", "t0", "deadline")
+
+    def __init__(self, index: int):
+        self.index = index  # its place in the storm, and its ping's nonce
+        self.addr_i = 0  # the next resolved address to try
+        self.sock: socket.socket | None = None
+        self.unsent: bytes | None = None  # the ping's unsent tail; None while connecting
+        self.reply = bytearray()
+        self.want = _ECHO_BYTES  # the reply's length, once its head is read
+        self.t0 = 0.0  # when the ping went out
+        self.deadline: float | None = None  # None once it has finished
+
+
+class _Storm:
+    """The client loop of one probe_connections call: one thread drives up
+    to `concurrency` non-blocking sockets through one selector."""
+
+    def __init__(self, addrs: list, k: int, concurrency: int, timeout_s: float):
+        self.addrs = addrs
+        self.k = k
+        self.concurrency = concurrency
+        self.timeout_s = timeout_s
+        self.rtts: list[float | None] = [None] * k
+        self.live: set[_Probe] = set()
+        # (deadline, probe); every deadline is now + timeout_s, so appending
+        # keeps the queue in deadline order.  An entry whose deadline is no
+        # longer its probe's is stale and skipped.
+        self.timers: deque[tuple[float, _Probe]] = deque()
+        self.sel = selectors.DefaultSelector()
+
+    def run(self) -> list[float | None]:
+        live, timers = self.live, self.timers
+        started = 0
+        try:
+            while started < self.k or live:
+                while started < self.k and len(live) < self.concurrency:
+                    c = _Probe(started)
+                    started += 1
+                    live.add(c)
+                    self._connect(c)
+                while timers and timers[0][1].deadline != timers[0][0]:
+                    timers.popleft()
+                if not live:
+                    break
+                timeout = max(0.0, timers[0][0] - time.monotonic())
+                for key, _ in self.sel.select(timeout):
+                    self._on_ready(key.data)
+                now = time.monotonic()
+                while timers and timers[0][0] <= now:
+                    deadline, c = timers.popleft()
+                    if c.deadline == deadline:
+                        self._expire(c)
+        finally:
+            for c in live:
+                if c.sock is not None:
+                    c.sock.close()
+            self.sel.close()
+        return self.rtts
+
+    def _connect(self, c: _Probe):
+        """Drops c's socket, if any, and starts its connect to its next
+        resolved address, as socket.create_connection tries them; c fails
+        once none is left."""
+        if c.sock is not None:
+            self._drop_socket(c)
+        while c.addr_i < len(self.addrs):
+            family, kind, proto, _, sockaddr = self.addrs[c.addr_i]
+            c.addr_i += 1
+            try:
+                sock = socket.socket(family, kind, proto)
+            except OSError:
+                continue
+            try:
+                sock.setblocking(False)
+                try:
+                    sock.connect(sockaddr)
+                except (BlockingIOError, InterruptedError):
+                    pass  # in progress: the socket turns writable when it is done
+                self.sel.register(sock, selectors.EVENT_WRITE, c)
+            except OSError:
+                sock.close()
+                continue
+            c.sock = sock
+            self._arm(c)
+            return
+        self._finish(c)
+
+    def _on_ready(self, c: _Probe):
+        if c.unsent is None:  # the connect is done, one way or the other
+            if c.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR):
+                self._connect(c)
+                return
+            c.unsent = frame_bytes(*encode_message(Ping(c.index.to_bytes(PING_BYTES, "little"))))
+            c.t0 = time.perf_counter()
+            self._arm(c)  # the echo's deadline
+        if c.unsent:
+            self._send(c)
+        else:
+            self._read(c)
+
+    def _send(self, c: _Probe):
+        try:
+            c.unsent = c.unsent[c.sock.send(c.unsent):]
+        except BlockingIOError:
+            return
+        except OSError:
+            self._finish(c)
+            return
+        if not c.unsent:
+            self.sel.modify(c.sock, selectors.EVENT_READ, c)
+
+    def _read(self, c: _Probe):
+        """Reads at most the one frame c's echo should be; c is established
+        once that frame decodes to a Ping with its own nonce."""
+        try:
+            data = c.sock.recv(min(c.want - len(c.reply), _READ_BYTES))
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:  # EOF, mid-frame or not, or a reset
+            self._finish(c)
+            return
+        reply = c.reply
+        reply += data
+        try:
+            if len(reply) >= 4:
+                c.want = 4 + check_frame_length(_LENGTH.unpack_from(reply)[0])
+            if len(reply) < c.want:
+                return
+            if len(reply) == c.want:  # else more than the one frame came
+                _, tag = FRAME_HEAD.unpack_from(reply)
+                msg = decode_message(tag, bytes(reply[FRAME_HEAD.size:]))
+                rtt_ms = (time.perf_counter() - c.t0) * 1000.0
+                if isinstance(msg, Ping) and msg.nonce == c.index.to_bytes(PING_BYTES, "little"):
+                    self.rtts[c.index] = rtt_ms
+        except ProtocolError:
+            pass
+        self._finish(c)
+
+    def _expire(self, c: _Probe):
+        """A connect that timed out moves on to the next address, as
+        socket.create_connection does; an echo that timed out fails."""
+        if c.unsent is None:
+            self._connect(c)
+        else:
+            self._finish(c)
+
+    def _arm(self, c: _Probe):
+        c.deadline = time.monotonic() + self.timeout_s
+        self.timers.append((c.deadline, c))
+
+    def _drop_socket(self, c: _Probe):
+        self.sel.unregister(c.sock)
+        c.sock.close()
+        c.sock = None
+
+    def _finish(self, c: _Probe):
+        if c.sock is not None:
+            self._drop_socket(c)
+        c.deadline = None
+        self.live.discard(c)
+
+
 def probe_connections(server_addr: tuple[str, int], k: int, concurrency: int = 512,
                       connect_timeout_s: float = 10.0) -> ProbeReport:
     """Opens k connections with at most `concurrency` in flight, pinging each.
 
-    A connection counts as established only after its 16-byte ping echoes
-    back intact; everything else (refused, reset, bad echo) is a failure.
-    Individual failures never abort the storm.
+    One thread drives every connection through one selector loop, so
+    `concurrency` counts sockets in flight, not threads.  server_addr is
+    resolved once; each connection tries the resolved addresses in order.
+    A connection has connect_timeout_s for its connect and as long again for
+    its echo.  It counts as established only after its 16-byte ping echoes
+    back intact as one frame; everything else (refused, reset, EOF, a
+    malformed or wrong reply, a timeout) is a failure.  Individual failures
+    never abort the storm.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     if concurrency < 1:
         raise ConfigError(f"concurrency must be >= 1, got {concurrency}")
-
-    def one(i: int) -> float | None:
-        nonce = i.to_bytes(PING_BYTES, "little")
-        try:
-            with socket.create_connection(server_addr, timeout=connect_timeout_s) as sock:
-                t0 = time.perf_counter()
-                send_message(sock, Ping(nonce))
-                reply = recv_message(sock)
-                rtt_ms = (time.perf_counter() - t0) * 1000.0
-                if isinstance(reply, Ping) and reply.nonce == nonce:
-                    return rtt_ms
-                return None
-        except (OSError, ProtocolError):
-            return None
+    # the loop waits until the earliest deadline, which the selector takes in ms
+    if not 0 < connect_timeout_s <= MAX_DELAY_MS / 1000.0:  # nan fails both
+        raise ConfigError(f"connect_timeout_s must be in (0, {MAX_DELAY_MS / 1000.0}],"
+                          f" got {connect_timeout_s}")
 
     t_start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=min(concurrency, k)) as pool:
-        outcomes = list(pool.map(one, range(k)))
+    host, port = server_addr
+    try:
+        addrs = socket.getaddrinfo(host, port, 0, socket.SOCK_STREAM)
+    except OSError as e:
+        raise ServerUnreachable(f"cannot resolve {server_addr}: {e}") from e
+    outcomes = _Storm(addrs, k, concurrency, connect_timeout_s).run()
     setup_total_s = time.perf_counter() - t_start
 
     rtts = tuple(r for r in outcomes if r is not None)

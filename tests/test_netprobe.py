@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import socket
 import struct
 import threading
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalemap import netprobe
 from scalemap.cluster import (BindFailure, Data, Ping, encode_message, frame_bytes,
                               recv_message, send_message)
 from scalemap.errors import ConfigError
@@ -83,13 +85,57 @@ class TestConnections:
     @given(reject_every=st.integers(min_value=2, max_value=9),
            k=st.integers(min_value=1, max_value=60))
     def test_failure_count_conservation(self, reject_every, k):
-        srv = ProbeServer(fault_policy=FaultPolicy(reject_every=reject_every)).start()
-        try:
-            rep = probe_connections(addr(srv), k=k, concurrency=8)
-            assert rep.connections_established + rep.failures == k
-            assert rep.failures == k // reject_every
-        finally:
-            srv.stop()
+        for concurrency in (1, 8, 64):  # 64: more slots than connections
+            srv = ProbeServer(fault_policy=FaultPolicy(reject_every=reject_every)).start()
+            try:
+                rep = probe_connections(addr(srv), k=k, concurrency=concurrency)
+                assert rep.connections_established + rep.failures == k
+                assert rep.failures == k // reject_every
+                assert len(rep.response_times_ms) == rep.connections_established
+            finally:
+                srv.stop()
+
+    def test_a_storm_starts_no_thread(self, server, monkeypatch):
+        srv = server(FaultPolicy(reject_every=10))
+
+        def refuse(thread):
+            raise AssertionError(f"the storm started thread {thread.name}")
+
+        with monkeypatch.context() as m:
+            m.setattr(threading.Thread, "start", refuse)
+            rep = probe_connections(addr(srv), k=200, concurrency=64)
+        assert rep.failures == 20
+
+    @pytest.mark.parametrize("backlog", [0, 16])
+    def test_a_silent_peer_fails_at_the_deadline(self, backlog):
+        # the listener never accepts or reads: each connection fails when its
+        # connect or its echo deadline passes, whichever the kernel leaves it to
+        fds = set(os.listdir("/dev/fd"))
+        with socket.create_server(("127.0.0.1", 0), backlog=backlog) as silent:
+            t0 = time.perf_counter()
+            with pytest.raises(ServerUnreachable):
+                probe_connections(silent.getsockname(), k=4, concurrency=2,
+                                  connect_timeout_s=0.3)
+            assert time.perf_counter() - t0 < 2.0
+        assert set(os.listdir("/dev/fd")) <= fds
+
+    def test_addresses_are_tried_in_order(self, server, monkeypatch):
+        srv = server()
+        scout = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        scout.bind(("127.0.0.1", 0))
+        dead_port = scout.getsockname()[1]
+        scout.close()
+        calls = []
+
+        def resolve(host, port, *args):
+            calls.append((host, port))
+            return [(socket.AF_INET, socket.SOCK_STREAM, 6, "", ("127.0.0.1", dead_port)),
+                    (socket.AF_INET, socket.SOCK_STREAM, 6, "", ("127.0.0.1", srv.port))]
+
+        monkeypatch.setattr(netprobe.socket, "getaddrinfo", resolve)
+        rep = probe_connections(("probe.invalid", 1), k=20, concurrency=4)
+        assert rep.connections_established == 20
+        assert calls == [("probe.invalid", 1)]  # resolved once per storm
 
     def test_dead_port_unreachable(self):
         probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -109,6 +155,12 @@ class TestConnections:
         srv = server()
         with pytest.raises(ConfigError):
             probe_connections(addr(srv), k=5, concurrency=0)
+
+    @pytest.mark.parametrize("timeout_s", [0.0, -1.0, math.nan, math.inf])
+    def test_untimeable_connect_timeout_rejected(self, server, timeout_s):
+        srv = server()
+        with pytest.raises(ConfigError, match="connect_timeout_s"):
+            probe_connections(addr(srv), k=2, connect_timeout_s=timeout_s)
 
     def test_mean_and_max_consistent(self, server):
         srv = server()
