@@ -17,29 +17,27 @@ that failed with its own ERROR.  Workers run each job on a fresh engine, so
 every job is computed from scratch, as a local run is, and task ids restart
 at 0 with each job, which keeps them within RUN's u32s.
 
-Liveness: every worker sends a HEARTBEAT each quarter of its network
-timeout, busy or idle, and the master declares a worker lost after a
-network timeout without a frame from it.  One master method settles every
-answer, RUN_RESULT or ERROR, by one rule: it counts only for a task its
-sender holds in flight, in the current phase, whose partition is unsettled.
+One loop serves both servers: the master and the netprobe server are each
+a FramedServer, one thread's selector loop over every connection with a
+timer heap.  Liveness: every worker sends a HEARTBEAT each quarter of its
+network timeout, busy or idle.  No socket timeout is set: each connection's
+deadline, its last frame plus the network timeout, sits in the master's
+timer heap and is re-armed lazily when it falls due, so a worker silent
+past it is lost and an idle client is closed.  One master method settles
+every answer, RUN_RESULT or ERROR, by one rule: it counts only for a task
+its sender holds in flight, in the current phase, whose partition is
+unsettled.
 
 Scheduling places each task on its partition's holder: the worker that
 returned that partition's last result in the job, and so has its parent
-partition cached.  The master keeps up to `slots` runs in flight on each
-worker and sends the next run whenever one is answered: the first half of
-the worker's own held tasks, else a 1/(2 x live slots) share of the tasks no
-live worker holds, and only then the last half of the longest queue of
-another holder whose slots are all busy.  Runs so shrink as queues drain,
-as in guided self-scheduling, and a task's launch costs a share of a frame
-rather than a round trip.  A dead worker's in-flight and held tasks are
-requeued to survivors, which rebuild them from lineage; that is safe
-because every task is a pure function of its job's spec, its stage and its
-partition, and the result bits do not depend on placement because partial
-sums combine in partition order.
-
-The master runs each job through job.run_job, the driver local runs use
-too; its phase runner turns a phase into one task per partition and
-combines partial sums with job.combine_partials.  A task's result carries
+partition cached.  Each worker has up to `slots` runs in flight, and the
+next run goes out whenever one is answered (_Phase.take), so runs shrink
+as queues drain, as in guided self-scheduling, and a task's launch costs a
+share of a frame rather than a round trip.  A dead worker's in-flight and
+held tasks are requeued to survivors, which rebuild them from lineage;
+that is safe because every task is a pure function of its job's spec, its
+stage and its partition, and the result bits do not depend on placement
+because partial sums combine in partition order.  A task's result carries
 the spill writes it triggered, so cluster phases report the same
 {bytes, recomputed, spilled} counters as local ones.
 
@@ -50,18 +48,22 @@ server starts without numpy.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
+import queue
+import selectors
 import socket
 import struct
 import threading
 import time
 from collections import deque, namedtuple
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from functools import partial
 
-from .core import Vec3
+from .core import Vec3, exact_int
 from .errors import ConfigError, ScalemapError
 from .job import combine_partials, make_pipeline_spec, parse_pipeline_spec, phase_counts, run_job
 
@@ -326,6 +328,10 @@ def parse_addr(text: str) -> tuple[str, int]:
 
 # ---- configuration ---------------------------------------------------------
 
+# the longest wait an epoll selector takes (a C int of ms), so the longest timer
+MAX_DELAY_MS = 2**31 - 1
+
+
 @dataclass
 class ClusterConfig:
     host: str = "127.0.0.1"
@@ -336,10 +342,15 @@ class ClusterConfig:
     registration_retries: int = 1
 
     def __post_init__(self):
+        for name in ("port", "expected_workers", "network_timeout_ms", "slots", "registration_retries"):
+            exact_int(getattr(self, name), name, ConfigError)
         check_port(self.port)
-        # the master's socket timeout and the workers' heartbeat pace
-        if self.network_timeout_ms <= 0:
-            raise ConfigError(f"network_timeout_ms must be positive, got {self.network_timeout_ms}")
+        # the workers' heartbeat pace, and the master's liveness timers
+        if not 1 <= self.network_timeout_ms <= MAX_DELAY_MS:
+            raise ConfigError(f"network_timeout_ms must be in 1..{MAX_DELAY_MS},"
+                              f" got {self.network_timeout_ms}")
+        if self.registration_retries < 0:
+            raise ConfigError(f"registration_retries must be >= 0, got {self.registration_retries}")
 
 
 @dataclass(frozen=True)
@@ -349,6 +360,268 @@ class JobResult:
     phases: dict
     stats: dict
 
+
+# ---- server loop -------------------------------------------------------------
+
+# the most one recv takes: with it a connection holds at most one frame plus
+# one read, and a 1 MiB read raised the probe server's peak RSS by 5-9 MiB
+READ_BYTES = 128 << 10
+FRAME_LENGTH = struct.Struct(">I")  # the length field that opens FRAME_HEAD
+
+
+class Connection:
+    """A connection a FramedServer serves.  Its sendall and sendmsg queue the
+    bytes behind any unsent ones and send at once what the socket takes; a
+    failed send closes it, and a closed one drops what is sent to it."""
+
+    __slots__ = ("server", "sock", "inbuf", "outbuf", "events", "held", "closed",
+                 "deadline", "state")
+
+    def __init__(self, server: FramedServer, sock: socket.socket):
+        self.server, self.sock = server, sock
+        self.inbuf = bytearray()  # the start of a frame, or frames held back
+        self.outbuf = bytearray()  # the bytes its socket has not taken yet
+        self.events = 0  # the selector events it is registered for
+        self.held = False  # its server serves none of its frames meanwhile
+        self.closed = False
+        self.deadline: float | None = None  # for its server's timers
+        self.state = None  # its server's own record of it
+
+    def sendall(self, data):
+        if not self.closed:
+            self.outbuf += data
+            self.flush()
+
+    def sendmsg(self, buffers) -> int:
+        for b in buffers:
+            self.sendall(b)
+        return sum(map(len, buffers))
+
+    def flush(self):
+        try:
+            del self.outbuf[:self.sock.send(self.outbuf)]
+        except BlockingIOError:
+            pass
+        except OSError:
+            return self.server._close(self, "send failed")
+        self.server._want(self)
+
+
+class FramedServer:
+    """A listener and every connection it accepts, served by one thread's
+    selector loop, after Flash (Pai, Druschel & Zwaenepoel, USENIX ATC 1999).
+
+    Sockets are non-blocking.  Every recv lands in one 128 KiB read buffer
+    whose whole frames are served from its view; a connection keeps only the
+    start of a frame, and a frame that does not decode closes only its own
+    connection.  While a connection has unsent bytes, or is held back, it is
+    neither read nor parsed, so a peer that stops reading stalls only itself.
+    The earliest timer in a heap bounds the loop's wait.  A subclass defines
+    _on_accept, _on_frame (its payload view lives only for the call) and
+    _on_close and arms timers with at(), all on the loop thread; other
+    threads reach the loop only through call() and stop().
+    """
+
+    def __init__(self, host: str, port: int, backlog: int):
+        self.host, self._requested_port, self._backlog = host, check_port(port), backlog
+        self._stopping = False
+        self._stopped = threading.Event()
+        # keeps stop() and call(), from any thread, off the wake socket the loop closes
+        self._wake_lock = threading.Lock()
+        self._listener = self._wake_r = self._wake_w = self._sel = self._thread = None
+        self._conns: set[Connection] = set()
+        self._rview: memoryview | None = None  # the read buffer
+        self._timers: list = []  # (due, seq, fn, args): fn(*args) runs once due
+        self._seq = itertools.count()
+        self._calls: deque = deque()  # (future, fn, args) for the loop to run
+
+    @property
+    def port(self) -> int:
+        return self._listener.getsockname()[1]
+
+    def start(self):
+        try:
+            # sets SO_REUSEADDR, and closes the socket if bind or listen fails
+            sock = socket.create_server((self.host, self._requested_port),
+                                        backlog=self._backlog)
+        except OSError as e:
+            raise BindFailure(f"cannot bind {self.host}:{self._requested_port}: {e}") from e
+        try:
+            self._wake_r, self._wake_w = socket.socketpair()
+        except OSError:
+            sock.close()
+            raise
+        for s in (sock, self._wake_r, self._wake_w):
+            s.setblocking(False)
+        self._listener = sock
+        self._rview = memoryview(bytearray(READ_BYTES))
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(sock, selectors.EVENT_READ)
+        self._sel.register(self._wake_r, selectors.EVENT_READ)
+        self._thread = threading.Thread(target=self._loop, daemon=True,
+                                        name=f"{type(self).__name__}-loop")
+        self._thread.start()
+        return self
+
+    def stop(self):
+        """Ends the loop, which closes the listener and every connection;
+        from any thread but the loop's, returns once it has."""
+        self._stopping = True
+        self._wake()
+        self._join()
+
+    def wait_stopped(self, timeout_s: float | None = None) -> bool:
+        return self._stopped.wait(timeout_s)
+
+    def call(self, fn, *args) -> Future:
+        """Runs fn(*args) on the loop thread; the Future holds its result."""
+        future = Future()
+        self._calls.append((future, fn, args))
+        self._wake()
+        return future
+
+    def at(self, due: float, fn, *args):
+        """Runs fn(*args) on the loop once time.monotonic() reaches due."""
+        heapq.heappush(self._timers, (due, next(self._seq), fn, args))
+
+    def resume(self, c: Connection):
+        """Serves c's buffered frames until it is held back, then reads it again."""
+        if c.closed:
+            return
+        with memoryview(c.inbuf) as view:
+            done = self._frames(c, view)
+        if not c.closed:
+            del c.inbuf[:done]
+            self._want(c)
+
+    def _on_close(self, c: Connection, why: str):
+        pass
+
+    def _wake(self):
+        with self._wake_lock:
+            if self._wake_w is not None:
+                try:
+                    self._wake_w.send(b"\0")
+                except OSError:  # its buffer is full: the loop wakes anyway
+                    pass
+
+    def _join(self):
+        if self._thread is None:
+            self._stopped.set()
+        elif self._thread is not threading.current_thread():
+            self._thread.join()
+
+    def _loop(self):
+        sel, timers, calls = self._sel, self._timers, self._calls
+        try:
+            while not self._stopping:
+                timeout = max(0.0, timers[0][0] - time.monotonic()) if timers else None
+                for key, mask in sel.select(timeout):
+                    if key.fileobj is self._listener:
+                        self._accept()
+                    elif key.fileobj is self._wake_r:
+                        self._wake_r.recv(4096)
+                    elif not key.data.closed:  # a handler may close another connection
+                        self._on_ready(key.data, mask)
+                now = time.monotonic()
+                while timers and timers[0][0] <= now:
+                    _, _, fn, args = heapq.heappop(timers)
+                    fn(*args)
+                while calls:
+                    future, fn, args = calls.popleft()
+                    future.set_result(fn(*args))
+        finally:
+            for c in list(self._conns):
+                self._close(c, "server stopped")
+            timers.clear()
+            self._listener.close()
+            with self._wake_lock:
+                self._wake_w.close()
+                self._wake_w = None
+            self._wake_r.close()
+            self._rview.release()
+            sel.close()
+            self._stopped.set()
+
+    def _accept(self):
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:  # BlockingIOError once the backlog is empty
+                return
+            sock.setblocking(False)
+            c = Connection(self, sock)
+            self._conns.add(c)
+            self._on_accept(c)
+            if not c.closed:
+                self._want(c)
+
+    def _on_ready(self, c: Connection, mask: int):
+        if mask & selectors.EVENT_WRITE:
+            c.flush()
+            return self.resume(c)
+        try:
+            n = c.sock.recv_into(self._rview)
+        except BlockingIOError:
+            return
+        except OSError:
+            n = 0
+        if not n:  # EOF, mid-frame or not, or a reset
+            self._close(c, "connection closed")
+            return
+        data, buf, pos = self._rview[:n], c.inbuf, 0
+        if buf:  # buf holds the start of one frame: complete it, then serve it
+            pos = n if len(buf) < 4 else min(  # _frames rejects a bad length at once
+                n, max(0, 4 + FRAME_LENGTH.unpack_from(buf)[0] - len(buf)))
+            buf += data[:pos]
+            self.resume(c)
+        if not buf and not c.closed:  # the rest is served from the read buffer, not copied
+            pos += self._frames(c, data[pos:])
+        if c.closed:
+            return
+        buf += data[pos:]
+        self._want(c)
+
+    def _frames(self, c: Connection, view: memoryview) -> int:
+        """Serves the whole frames at the start of view until c is held or
+        closed, and checks the length of the next; the bytes served."""
+        pos = 0
+        try:
+            while not (c.outbuf or c.held or c.closed) and len(view) - pos >= 4:
+                end = pos + 4 + check_frame_length(FRAME_LENGTH.unpack_from(view, pos)[0])
+                if end > len(view):
+                    break
+                self._on_frame(c, view[pos + 4], view[pos + FRAME_HEAD.size:end])
+                pos = end
+        except ProtocolError:
+            self._close(c, "bad frame")
+        return pos
+
+    def _want(self, c: Connection):
+        """Registers c to write while it has unsent bytes, to nothing while held, else to read."""
+        want = selectors.EVENT_WRITE if c.outbuf else 0 if c.held else selectors.EVENT_READ
+        if want != c.events:
+            if not c.events:
+                self._sel.register(c.sock, want, c)
+            elif not want:
+                self._sel.unregister(c.sock)
+            else:
+                self._sel.modify(c.sock, want, c)
+            c.events = want
+
+    def _close(self, c: Connection, why: str):
+        if c.closed:
+            return
+        c.closed = True
+        if c.events:
+            self._sel.unregister(c.sock)
+            c.events = 0
+        self._conns.discard(c)
+        c.sock.close()
+        self._on_close(c, why)
+
+
+# ---- master ------------------------------------------------------------------
 
 @dataclass
 class MasterStats:
@@ -360,7 +633,7 @@ class MasterStats:
 
 
 class _WorkerConn:
-    def __init__(self, wid: int, sock: socket.socket, slots: int, name: str):
+    def __init__(self, wid: int, sock: Connection, slots: int, name: str):
         self.wid = wid
         self.sock = sock
         self.slots = max(1, slots)
@@ -368,7 +641,6 @@ class _WorkerConn:
         self.alive = True
         self.runs: list[set[int]] = []  # the unanswered task ids of each run in flight
         self.spec_job: int | None = None  # the job whose spec it was last sent
-        self.wlock = threading.Lock()
 
     def answered(self, tid: int) -> bool:
         """Marks task tid answered, which ends its run if it was the run's
@@ -383,7 +655,8 @@ class _WorkerConn:
 
 
 class _Phase:
-    """Scheduling state for one wave of tasks; guarded by the master lock.
+    """Scheduling state for one wave of tasks; the master's loop alone
+    touches it until it finishes.
 
     The tasks share one job, stage and action, the header of every run sent
     for them, and the task id of partition p is tids[p].  A pending task
@@ -438,166 +711,140 @@ class _Phase:
         return len(requeue)
 
 
-class Master:
+class Master(FramedServer):
     """Accepts worker registrations and client job submissions on one port.
 
     Worker connections send REGISTER then stream RUN_RESULT/HEARTBEAT/ERROR;
     client connections send SUBMIT (answered with JOB_DONE), PING (echoed),
-    or SHUTDOWN (stops the whole cluster).  _on_answers settles both kinds
-    of answer: one settles its task's partition only when its sender holds
-    that task in flight, the task is in the current phase and the partition
-    is not settled yet; any other, such as a lost worker's late result or
-    the reply to a frame the worker could not decode, settles none.
+    or SHUTDOWN (stops the whole cluster).  Only the loop touches scheduling
+    state.  SUBMITs queue for one job thread, which runs each job through
+    job.run_job, the driver local runs use too: it hands each phase to the
+    loop with call(), waits on the phase's finished Event and combines
+    partial sums with job.combine_partials.  The client is held back until
+    its JOB_DONE goes out.  Other threads read only what the loop publishes
+    whole: the live-worker count, stats integers and Events.
     """
 
     def __init__(self, cfg: ClusterConfig):
+        super().__init__(cfg.host, cfg.port, backlog=128)
         self.cfg = cfg
         self.stats = MasterStats()
         self.on_result = None  # test hook: called as on_result(task_result, worker_id)
-        self._lock = threading.RLock()
+        self._timeout_s = cfg.network_timeout_ms / 1000.0
+        # the live workers by id; other threads read only its length
         self._workers: dict[int, _WorkerConn] = {}
-        self._next_wid = 0
+        self._wids = itertools.count()
         self._next_tid = 0
-        self._next_job = 0
+        self._job_id: int | None = None  # the job of the last phase
+        self._job_ids = itertools.count()  # the job thread's
         self._ready = threading.Event()
-        self._stopping = threading.Event()
+        self._halting = False  # shutting down: no more phases or connections
         self._phase: _Phase | None = None
         # partition -> worker that returned its last result in the current
         # job; None once that worker is lost
         self._holders: dict[int, int | None] = {}
         self._spec_json = ""  # the current job's spec
-        self._job_lock = threading.Lock()
-        self._listener: socket.socket | None = None
+        self._jobs = queue.SimpleQueue()  # (client, job json), then None to end the job thread
         if cfg.expected_workers <= 0:
             self._ready.set()
 
     # -- lifecycle
 
-    @property
-    def port(self) -> int:
-        return self._listener.getsockname()[1]
-
     def start(self):
-        try:
-            # sets SO_REUSEADDR, and closes the socket if bind or listen fails
-            sock = socket.create_server((self.cfg.host, self.cfg.port), backlog=128)
-        except OSError as e:
-            raise BindFailure(f"cannot bind {self.cfg.host}:{self.cfg.port}: {e}") from e
-        self._listener = sock
-        threading.Thread(target=self._accept_loop, daemon=True, name="master-accept").start()
+        super().start()
+        threading.Thread(target=self._job_loop, daemon=True, name="master-jobs").start()
         return self
 
     def wait_ready(self, timeout_s: float | None = None) -> bool:
+        """True once the expected workers have registered or the master halted."""
         return self._ready.wait(timeout_s)
 
-    def wait_stopped(self, timeout_s: float | None = None) -> bool:
-        return self._stopping.wait(timeout_s)
-
     def shutdown(self):
-        if self._stopping.is_set():
-            return
-        self._stopping.set()
-        with self._lock:
-            workers = list(self._workers.values())
-        for w in workers:
-            try:
-                with w.wlock:
-                    send_message(w.sock, Shutdown())
-                w.sock.close()
-            except OSError:
-                pass
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        """Sends every worker SHUTDOWN, answers every submitted job, then
+        stops; from any thread but the loop's, returns once every socket is
+        closed."""
+        self.call(self._halt)
+        self._join()
 
     def live_workers(self) -> int:
-        with self._lock:
-            return sum(1 for w in self._workers.values() if w.alive)
+        return len(self._workers)
 
-    # -- connection handling
-
-    def _accept_loop(self):
-        while not self._stopping.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve_conn, args=(conn,), daemon=True).start()
-
-    def _serve_conn(self, sock: socket.socket):
-        sock.settimeout(self.cfg.network_timeout_ms / 1000.0)
-        try:
-            first = recv_message(sock)
-        except (ProtocolError, OSError, socket.timeout):
-            sock.close()
+    def _halt(self):
+        if self._halting:  # shut down twice, or by a client and by a signal
             return
-        if isinstance(first, Register):
-            self._serve_worker(sock, first)
-        else:
-            self._serve_client(sock, first)
+        self._halting = True
+        self._ready.set()  # a job waiting for workers goes on, to fail at once
+        self._sel.unregister(self._listener)  # refuses new connections
+        self._listener.close()
+        if self._phase is not None:
+            self._phase.aborted = "master shut down"
+            self._end_phase(self._phase)
+        for c in list(self._conns):
+            if isinstance(c.state, _WorkerConn):
+                send_message(c, Shutdown())
+            if not c.held:  # a held client waits for its job's report
+                self._close(c, "master shut down")
+        self._jobs.put(None)
+        if not self._conns:
+            self.stop()
 
-    def _serve_worker(self, sock: socket.socket, reg: Register):
-        with self._lock:
-            w = _WorkerConn(self._next_wid, sock, reg.slots, reg.name)
-            self._next_wid += 1
+    # -- connection handling, on the loop
+
+    def _on_accept(self, c: Connection):
+        c.deadline = time.monotonic() + self._timeout_s
+        self.at(c.deadline, self._expire, c)
+
+    def _expire(self, c: Connection):
+        """Closes c after a network timeout without a frame from it, unless
+        a job holds it; else re-arms at its deadline, which frames move."""
+        if c.deadline is not None and c.deadline <= time.monotonic():
+            self._close(c, f"silent for {self.cfg.network_timeout_ms} ms")
+        elif not c.closed:
+            self.at(c.deadline or time.monotonic() + self._timeout_s, self._expire, c)
+
+    def _on_frame(self, c: Connection, tag: int, payload: memoryview):
+        msg = decode_message(tag, payload.tobytes())
+        c.deadline = time.monotonic() + self._timeout_s
+        w = c.state
+        if w is None and isinstance(msg, Register):
+            w = c.state = _WorkerConn(next(self._wids), c, msg.slots, msg.name)
             self._workers[w.wid] = w
-            self.stats.heartbeats.setdefault(w.wid, 0)
-            if self.live_workers() >= self.cfg.expected_workers:
+            self.stats.heartbeats[w.wid] = 0
+            if len(self._workers) >= self.cfg.expected_workers:
                 self._ready.set()
             self._pump()
-        while not self._stopping.is_set():
-            try:
-                msg = recv_message(sock)
-            except socket.timeout:
-                why = f"silent for {self.cfg.network_timeout_ms} ms"
-                break
-            except (ProtocolError, OSError):
-                why = "connection error"
-                break
-            if msg is None:
-                why = "connection closed"
-                break
+        elif isinstance(w, _WorkerConn):
             if isinstance(msg, Heartbeat):
-                with self._lock:
-                    self.stats.heartbeats[w.wid] += 1
+                self.stats.heartbeats[w.wid] += 1
             elif isinstance(msg, RunResult):
                 self._on_answers(w, msg.results)
             elif isinstance(msg, ErrorMsg):
                 self._on_answers(w, msg)
         else:
-            return  # the master is stopping
-        self._worker_lost(w, why)
+            c.state = "client"
+            if isinstance(msg, Submit):
+                c.held, c.deadline = True, None  # until its JOB_DONE goes out
+                self._jobs.put((c, msg.job_json))
+            elif isinstance(msg, Ping):
+                send_message(c, Ping(msg.nonce))
+            elif isinstance(msg, Shutdown):
+                self.shutdown()
+            else:
+                self._close(c, f"unexpected {type(msg).__name__}")
 
-    def _serve_client(self, sock: socket.socket, first):
-        msg = first
-        try:
-            while msg is not None and not self._stopping.is_set():
-                if isinstance(msg, Submit):
-                    report = self._run_job(msg.job_json)
-                    send_message(sock, JobDone(json.dumps(report)))
-                elif isinstance(msg, Ping):
-                    send_message(sock, Ping(msg.nonce))
-                elif isinstance(msg, Shutdown):
-                    self.shutdown()
-                    return
-                else:
-                    return
-                msg = recv_message(sock)
-        except (ProtocolError, OSError, socket.timeout):
-            pass
-        finally:
-            sock.close()
+    def _on_close(self, c: Connection, why: str):
+        if isinstance(c.state, _WorkerConn):
+            del self._workers[c.state.wid]
+            self._worker_lost(c.state, why)
 
-    # -- scheduling
+    # -- scheduling, on the loop
 
     def _busy(self, wid: int) -> bool:
         w = self._workers[wid]
         return len(w.runs) >= w.slots
 
     def _pump(self):
-        """Dispatch runs of pending tasks to free slots; caller holds the lock."""
+        """Dispatch runs of pending tasks to free slots."""
         phase = self._phase
         while phase is not None:
             live = [w for w in self._workers.values() if w.alive]
@@ -617,95 +864,115 @@ class Master:
             if w.spec_job != phase.job_id:
                 spec, w.spec_job = self._spec_json, phase.job_id
             w.runs.append(set(run))
-            try:
-                with w.wlock:
-                    send_message(w.sock, TaskRun(phase.job_id, phase.stage, phase.action,
-                                                 tasks, spec))
-            except OSError:
-                self._worker_lost(w, "send failed")
-                phase = self._phase
+            send_message(w.sock, TaskRun(phase.job_id, phase.stage, phase.action, tasks, spec))
+            phase = self._phase  # a failed send loses w, which may end the phase
 
     def _on_answers(self, w: _WorkerConn, answers: tuple[TaskResult, ...] | ErrorMsg):
         """Settles partitions from a run's results or from one ERROR, by the
-        rule in the class docstring; every ERROR counts in worker_errors."""
+        rule in the module docstring; every ERROR counts in worker_errors."""
         error = isinstance(answers, ErrorMsg)
-        with self._lock:
-            self.stats.worker_errors += error
-            phase = self._phase
-            for a in (answers,) if error else answers:
-                tid = a.task_id
-                if (w.answered(tid) and phase is not None and tid in phase.tids
-                        and (p := tid - phase.tids.start) not in phase.done
-                        and p not in phase.failed):
-                    if error:
-                        phase.failed[p] = a.message
-                    else:
-                        phase.done[p] = a
-                        self._holders[p] = w.wid
-            if phase is not None and phase.complete():
-                phase.finished.set()
-            self._pump()
-            hook = self.on_result
-        if hook is not None and not error:
+        self.stats.worker_errors += error
+        phase = self._phase
+        for a in (answers,) if error else answers:
+            tid = a.task_id
+            if (w.answered(tid) and phase is not None and tid in phase.tids
+                    and (p := tid - phase.tids.start) not in phase.done
+                    and p not in phase.failed):
+                if error:
+                    phase.failed[p] = a.message
+                else:
+                    phase.done[p] = a
+                    self._holders[p] = w.wid
+        if phase is not None and phase.complete():
+            self._end_phase(phase)
+        self._pump()
+        if self.on_result is not None and not error:
             for res in answers:
-                hook(res, w.wid)
+                self.on_result(res, w.wid)
 
     def _worker_lost(self, w: _WorkerConn, why: str):
-        with self._lock:
-            if not w.alive:
-                return
-            w.alive = False
-            self.stats.workers_lost += 1
-            try:
-                w.sock.close()
-            except OSError:
-                pass
-            for p, wid in self._holders.items():
-                if wid == w.wid:
-                    self._holders[p] = None
-            phase = self._phase
-            if phase is not None:
-                self.stats.rescheduled += phase.drop_worker(w.wid, set().union(*w.runs))
-            w.runs.clear()
-            if self.live_workers():
-                self._pump()
-            elif phase is not None:
-                phase.aborted = f"no live workers remain (last lost: {w.name}: {why})"
-                phase.finished.set()
+        w.alive = False
+        self.stats.workers_lost += 1
+        for p, wid in self._holders.items():
+            if wid == w.wid:
+                self._holders[p] = None
+        phase = self._phase
+        if phase is not None:
+            self.stats.rescheduled += phase.drop_worker(w.wid, set().union(*w.runs))
+        w.runs.clear()
+        if self._workers:
+            self._pump()
+        elif phase is not None:
+            phase.aborted = f"no live workers remain (last lost: {w.name}: {why})"
+            self._end_phase(phase)
 
-    # -- job orchestration
+    def _end_phase(self, phase: _Phase):  # hands it back to the job thread
+        self._phase = None
+        phase.finished.set()
 
-    def _run_job(self, job_json: str) -> dict:
-        with self._job_lock:
+    def _open_phase(self, job_id: int, spec_json: str, partitions: int, action: int,
+                    stage: int) -> _Phase:
+        """Starts a phase of one task per partition."""
+        if job_id != self._job_id:  # task ids restart with each job: RUN carries u32s
+            self._job_id, self._next_tid, self._holders = job_id, 0, {}
+        self._spec_json = spec_json
+        tids = range(self._next_tid, self._next_tid + partitions)
+        self._next_tid = tids.stop
+        phase = self._phase = _Phase(job_id, stage, action, tids, self._holders)
+        if self._halting or not self._workers:
+            phase.aborted = "master shut down" if self._halting else "no live workers"
+            self._end_phase(phase)
+        else:
+            self._pump()
+        return phase
+
+    def _job_done(self, c: Connection, reply: JobDone):
+        send_message(c, reply)
+        c.held, c.deadline = False, time.monotonic() + self._timeout_s
+        if self._halting:
+            self._close(c, "master shut down")
+            if not self._conns:  # every job submitted is answered
+                self.stop()
+        self.resume(c)
+
+    # -- job orchestration, on the job thread
+
+    def _job_loop(self):
+        for c, job_json in iter(self._jobs.get, None):
             try:
-                return self._run_job_inner(json.loads(job_json))
+                report = self._run_job(json.loads(job_json))
             except JobFailure as e:
-                return {"ok": False, "error": str(e),
-                        "causes": {str(k): v for k, v in e.causes.items()}}
+                report = {"ok": False, "error": str(e),
+                          "causes": {str(k): v for k, v in e.causes.items()}}
             except Exception as e:  # noqa: BLE001 - client must always get a reply
-                return {"ok": False, "error": f"{type(e).__name__}: {e}", "causes": {}}
+                report = {"ok": False, "error": f"{type(e).__name__}: {e}", "causes": {}}
+            self.call(self._job_done, c, JobDone(json.dumps(report)))
 
-    def _run_job_inner(self, job: dict) -> dict:
+    def _run_job(self, job: dict) -> dict:
         params, storage = parse_pipeline_spec(job)  # a bad job fails before any run is sent
-        if not self.wait_ready(self.cfg.network_timeout_ms / 1000.0):
+        if not self.wait_ready(self._timeout_s):
             raise JobFailure("master not ready: expected workers never registered")
         partitions = params.partitions
-        job_id = self._next_job  # the caller holds _job_lock
-        self._next_job += 1
-        with self._lock:
-            self._next_tid = 0  # RUN carries task ids as u32s
-            self._holders = {}
-            self._spec_json = json.dumps(make_pipeline_spec(params, storage))
-            before = replace(self.stats)  # cumulative; the report gives this job's share
+        job_args = (next(self._job_ids), json.dumps(make_pipeline_spec(params, storage)), partitions)
+        before = replace(self.stats)  # cumulative; the report gives this job's share
+
+        def run(action: int, stage: int) -> list[TaskResult]:  # in partition order
+            phase = self.call(self._open_phase, *job_args, action, stage).result()
+            phase.finished.wait()
+            if phase.aborted:
+                raise JobFailure(f"NoWorkers: {phase.aborted}")
+            if phase.failed:
+                raise JobFailure(f"{len(phase.failed)} partition(s) failed", causes=phase.failed)
+            return [phase.done[p] for p in range(partitions)]
 
         def counts(results) -> dict:
             return phase_counts((r.nbytes, r.computed, r.spilled) for r in results)
 
         def force(i) -> dict:
-            return counts(self._run_phase(ACTION_FORCE, i, partitions, job_id))
+            return counts(run(ACTION_FORCE, i))
 
         def reduce() -> tuple[Vec3, dict]:
-            results = self._run_phase(ACTION_PARTIAL_REDUCE, 1, partitions, job_id)
+            results = run(ACTION_PARTIAL_REDUCE, 1)
             mean = combine_partials(((r.sum_x, r.sum_y, r.sum_z), r.count) for r in results)
             return mean, counts(results)
 
@@ -722,27 +989,6 @@ class Master:
                 "partitions": partitions,
             },
         }
-
-    def _run_phase(self, action: int, stage: int, partitions: int, job_id: int) -> list[TaskResult]:
-        """One task per partition; the results in ascending partition order."""
-        with self._lock:
-            tids = range(self._next_tid, self._next_tid + partitions)
-            self._next_tid = tids.stop
-            phase = _Phase(job_id, stage, action, tids, self._holders)
-            self._phase = phase
-            if not self.live_workers():
-                phase.aborted = "no live workers"
-                phase.finished.set()
-            else:
-                self._pump()
-        phase.finished.wait()
-        with self._lock:
-            self._phase = None
-        if phase.aborted:
-            raise JobFailure(f"NoWorkers: {phase.aborted}")
-        if phase.failed:
-            raise JobFailure(f"{len(phase.failed)} partition(s) failed", causes=phase.failed)
-        return [phase.done[p] for p in range(partitions)]
 
 
 # ---- worker ------------------------------------------------------------------

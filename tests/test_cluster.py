@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import signal
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -20,6 +22,7 @@ from scalemap.cluster import (
     ACTION_FORCE,
     ACTION_PARTIAL_REDUCE,
     FRAME_HEAD,
+    MAX_DELAY_MS,
     MAX_FRAME,
     MAX_RUN,
     NO_TASK,
@@ -311,6 +314,20 @@ def record_runs(monkeypatch) -> list:
     return runs
 
 
+def fake_worker(addr, slots=1, name="fake") -> socket.socket:
+    """A socket registered as a worker that sends no frame of its own."""
+    sock = socket.create_connection(addr, timeout=10)
+    send_message(sock, Register(slots, name))
+    return sock
+
+
+def wait_until(cond, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not cond():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
 def local_run(tmp_path, params: BenchmarkParams, delta: Vec3) -> Vec3:
     with Engine(1 << 30, tmp_path / "local") as e:
         d = e.persist(e.source(params), StorageLevel.MEMORY_ONLY)
@@ -582,6 +599,19 @@ class TestMasterWorker:
         assert master.stats.heartbeats[2] == 0
         assert master.stats.heartbeats[0] >= 4 and master.stats.heartbeats[1] >= 4
 
+    def test_lost_workers_leave_the_master(self, cluster, tmp_path):
+        master, addr, _ = cluster(n_workers=2)
+        for i in range(20):
+            with fake_worker(addr, name=f"churn{i}"):
+                wait_until(lambda: master.live_workers() == 3)
+            wait_until(lambda: master.live_workers() == 2)
+        assert len(master._workers) == master.live_workers() == 2
+        assert master.stats.workers_lost == 20 and len(master.stats.heartbeats) == 22
+        params = BenchmarkParams(blocks=16, vectors_per_unit=64, cores=8)
+        delta = Vec3(1.0, 2.0, 3.0)
+        jr = submit(addr, job_spec(params, delta), timeout_s=30)
+        assert jr.result == local_run(tmp_path, params, delta)
+
     def test_ping_echo(self, cluster):
         master, addr, _ = cluster(n_workers=1)
         with socket.create_connection(addr, timeout=5) as sock:
@@ -694,9 +724,8 @@ class TestPlacement:
         return master
 
     def start(self, master, partitions):
-        with master._lock:
-            master._phase = _Phase(0, 0, ACTION_FORCE, range(partitions), master._holders)
-            master._pump()
+        master._phase = _Phase(0, 0, ACTION_FORCE, range(partitions), master._holders)
+        master._pump()
         return master._phase
 
     def answer(self, master, wid, *partitions):
@@ -762,11 +791,10 @@ class TestPlacement:
     def test_worker_added_mid_phase_gets_the_stage_list_first(self):
         master = self.master([1], {})
         master._spec_json = spec = '{"params": {}, "storage": "none"}'
-        with master._lock:
-            master._phase = _Phase(3, 0, ACTION_FORCE, range(6), master._holders)
-            master._pump()
-            master._workers[1] = _WorkerConn(1, FakeSock(), 1, "")
-            master._pump()
+        master._phase = _Phase(3, 0, ACTION_FORCE, range(6), master._holders)
+        master._pump()
+        master._workers[1] = _WorkerConn(1, FakeSock(), 1, "")
+        master._pump()
         assert self.runs(master, 0) == [[0, 1, 2]] and self.runs(master, 1) == [[3]]
         self.answer(master, 0, 0, 1, 2)
         self.answer(master, 1, 3)
@@ -824,6 +852,175 @@ class TestPlacement:
         self.answer(master, 0, 0)
         self.answer(master, 1, 1)
         assert sorted(phase.done) == [0, 1] and phase.finished.is_set()
+
+
+class TestMasterLoop:
+    """The master on the shared loop, test for test after the probe
+    server's TestServerLoop."""
+
+    def test_connections_start_no_thread(self, cluster):
+        master, addr, _ = cluster(n_workers=0, expected=0)
+        before, socks = set(threading.enumerate()), []
+        try:
+            socks += [fake_worker(addr, name=f"f{i}") for i in range(20)]
+            for i in range(10):
+                socks.append(socket.create_connection(addr, timeout=10))
+                send_message(socks[-1], Ping(i.to_bytes(16, "little")))
+                assert recv_message(socks[-1]) == Ping(i.to_bytes(16, "little"))
+            wait_until(lambda: master.live_workers() == 20)
+            assert set(threading.enumerate()) - before == set()
+        finally:
+            for s in socks:
+                s.close()
+
+    def test_a_client_that_stops_reading_stalls_only_itself(self, cluster, tmp_path):
+        master, addr, _ = cluster(n_workers=2)
+        stalled = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        stalled.connect(addr)
+        stalled.settimeout(0.2)
+        pings = b"".join(frame_of(Ping(i.to_bytes(16, "little"))) for i in range(512))
+        try:
+            # pipeline pings and read no echo until the master stops taking them
+            deadline = time.monotonic() + 10.0
+            with pytest.raises(TimeoutError):
+                while time.monotonic() < deadline:
+                    stalled.sendall(pings)
+            t0 = time.perf_counter()
+            with socket.create_connection(addr, timeout=5) as other:
+                send_message(other, Ping(b"\x09" * 16))
+                assert recv_message(other) == Ping(b"\x09" * 16)
+            assert time.perf_counter() - t0 < 1.0
+            params = BenchmarkParams(blocks=16, vectors_per_unit=64, cores=8)
+            delta = Vec3(1.0, 2.0, 3.0)
+            jr = submit(addr, job_spec(params, delta), timeout_s=30)
+            assert jr.result == local_run(tmp_path, params, delta)
+        finally:
+            stalled.close()
+
+    def test_concurrent_clients_get_every_job_and_echo(self, cluster, tmp_path):
+        # the loop and the job thread share only the call queue, the job
+        # queue and Events: jobs from many clients at once all come back right
+        master, addr, _ = cluster(n_workers=2, slots=2)
+        params = BenchmarkParams(blocks=16, vectors_per_unit=64, cores=8)
+        delta = Vec3(1.0, 2.0, 3.0)
+        results, echoes = [], []
+
+        def job():
+            results.append(submit(addr, job_spec(params, delta), timeout_s=60).result)
+
+        def pings():
+            with socket.create_connection(addr, timeout=30) as sock:
+                for i in range(200):
+                    send_message(sock, Ping(i.to_bytes(16, "little")))
+                    echoes.append(recv_message(sock) == Ping(i.to_bytes(16, "little")))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=f) for f in [job] * 6 + [pings] * 3]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [local_run(tmp_path, params, delta)] * 6
+        assert echoes == [True] * 600
+
+    def test_a_run_result_written_a_byte_at_a_time_settles_its_tasks(self, cluster):
+        master, addr, _ = cluster(n_workers=0, expected=1)
+        params = BenchmarkParams(blocks=4, vectors_per_unit=64, cores=4)
+        n, out = params.partitions, {}
+        client = threading.Thread(target=lambda: out.update(jr=submit(
+            addr, job_spec(params, Vec3(0, 0, 0)), skip_reduce=True, timeout_s=30)))
+        with fake_worker(addr) as worker:
+            client.start()
+            for _ in ("create", "map"):
+                answered = 0
+                while answered < n:
+                    run = recv_message(worker)
+                    wire = frame_of(RunResult(tuple(
+                        TaskResult(tid, p, run.action, 0.0, 0.0, 0.0, 1, 24, True)
+                        for tid, p in run.tasks)))
+                    for i in range(len(wire)):
+                        worker.sendall(wire[i:i + 1])
+                        time.sleep(0.001)
+                    answered += len(run.tasks)
+            client.join(timeout=30)
+        assert not client.is_alive()
+        counts = {"bytes": 24 * n, "recomputed": n, "spilled": 0}
+        assert out["jr"].phases == {"create": counts, "map": counts}
+
+    def test_shutdown_mid_job_reports_the_failure_at_once(self):
+        master = Master(ClusterConfig(expected_workers=1)).start()
+        addr, out = ("127.0.0.1", master.port), []
+
+        def run():
+            params = BenchmarkParams(blocks=4, vectors_per_unit=64, cores=2)
+            with pytest.raises(JobFailure, match="shut down"):
+                submit(addr, job_spec(params, Vec3(0, 0, 0)), timeout_s=30)
+            out.append(time.monotonic())
+
+        client = threading.Thread(target=run)
+        try:
+            with fake_worker(addr) as worker:
+                client.start()
+                assert isinstance(recv_message(worker), TaskRun)  # the job is running
+                t0 = time.monotonic()
+                master.shutdown()
+                client.join(timeout=5)
+                assert not client.is_alive() and out and out[0] - t0 < 1.0
+                assert recv_message(worker) == Shutdown() and recv_message(worker) is None
+        finally:
+            master.shutdown()
+
+    def test_a_bad_length_closes_its_connection_once_its_four_bytes_arrive(self, cluster):
+        master, addr, _ = cluster(n_workers=0, expected=0)
+        with socket.create_connection(addr, timeout=5) as bad:
+            bad.sendall(b"\x00\x00")  # the length field, cut in two reads
+            time.sleep(0.05)
+            bad.sendall(b"\x00\x00")
+            assert bad.recv(16) == b""
+
+    def test_shutdown_twice_mid_job_is_one_shutdown(self):
+        master = Master(ClusterConfig(expected_workers=1)).start()
+        addr, errors = ("127.0.0.1", master.port), []
+
+        def run():
+            try:
+                submit(addr, job_spec(BenchmarkParams(blocks=4, vectors_per_unit=64, cores=2),
+                                      Vec3(0, 0, 0)), timeout_s=30)
+            except JobFailure as e:
+                errors.append(e)
+
+        client = threading.Thread(target=run)
+        with fake_worker(addr) as worker:
+            client.start()
+            assert isinstance(recv_message(worker), TaskRun)
+            # two halts queue on the loop before the job thread can answer
+            master.call(master._halt)
+            master.shutdown()
+            client.join(timeout=5)
+        assert not client.is_alive() and "shut down" in str(errors[0])
+        assert master.wait_stopped(5)
+
+    def test_shutdown_closes_every_descriptor_it_opened(self):
+        def open_fds() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_fds()
+        master = Master(ClusterConfig(expected_workers=0)).start()
+        addr = ("127.0.0.1", master.port)
+        peers = [fake_worker(addr), socket.create_connection(addr, timeout=10)]
+        send_message(peers[1], Ping(b"\x03" * 16))
+        assert recv_message(peers[1]) == Ping(b"\x03" * 16)
+        wait_until(lambda: master.live_workers() == 1)
+        master.shutdown()
+        for s in peers:
+            s.close()
+        assert open_fds() == before
 
 
 class TestJobScope:
@@ -912,11 +1109,22 @@ class TestWorkerProtocol:
     @pytest.mark.parametrize("timeout_ms", [0, -1])
     def test_nonpositive_timeout_rejected(self, tmp_path, timeout_ms):
         # the timeout paces the worker's heartbeats, which must not spin, and
-        # is the master's socket timeout, which 0 would make non-blocking
+        # the master's liveness timers, which 0 would fire at once
         with pytest.raises(ConfigError, match="network_timeout_ms"):
             Worker(ClusterConfig(network_timeout_ms=timeout_ms), tmp_path, 1 << 20)
         with pytest.raises(ConfigError, match="network_timeout_ms"):
             Master(ClusterConfig(network_timeout_ms=timeout_ms))
+
+    @pytest.mark.parametrize("field, value", [
+        ("network_timeout_ms", math.nan), ("network_timeout_ms", math.inf),
+        ("network_timeout_ms", True), ("network_timeout_ms", 0.5),
+        ("network_timeout_ms", MAX_DELAY_MS + 1), ("registration_retries", -1),
+        ("expected_workers", 2.5), ("slots", "2"), ("port", 80.0)])
+    def test_config_rejects_what_the_loop_cannot_time(self, field, value):
+        # the master's liveness timers wait in a selector timeout, a C int of ms
+        with pytest.raises(ConfigError, match=field):
+            ClusterConfig(**{field: value})
+        ClusterConfig(network_timeout_ms=MAX_DELAY_MS, registration_retries=0)
 
     @pytest.mark.parametrize("port", [-1, 65536, 70000])
     def test_port_outside_u16_rejected_before_any_socket(self, port):

@@ -300,6 +300,12 @@ class TestThroughput:
         with pytest.raises(ConfigError):
             probe_throughput(addr(srv), payload_bytes=0, duration_s=0.1)
 
+    @pytest.mark.parametrize("timeout_s", [math.nan, -1.0, 0.0, MAX_DELAY_MS / 1000 + 1])
+    def test_untimeable_connect_timeout_rejected(self, server, timeout_s):
+        srv = server()
+        with pytest.raises(ConfigError, match="connect_timeout_s"):
+            probe_throughput(addr(srv), duration_s=0.1, connect_timeout_s=timeout_s)
+
     def test_zero_duration_rejected(self, server):
         srv = server()
         with pytest.raises(ConfigError):
