@@ -4,14 +4,14 @@ A Dataset is a node in an immutable transformation DAG; nothing is computed
 until force() or reduce_average() asks for it.  Any partition is a pure
 function of (lineage, partition index), so a dropped partition can always be
 rebuilt, and a cached one can be dropped at will.  A generated source
-partition is allocated once and each of its blocks is generated in place
-into its own slice, so building it copies nothing; a file-backed one decodes
-each block file and concatenates the blocks.  A mapped partition is its
-parent's records plus the dataset's delta, added by shift_records in one
-out-of-place pass over slabs of rows: broadcasting a (3,) delta over (n, 3)
-records would run numpy's inner loop 3 elements at a time, once per record,
-where a slab's add runs thousands, so the map stage costs about one read and
-one write of the partition.
+partition is made by one generate_vectors call into one allocation, its
+small blocks tiled together, so building it copies nothing; a file-backed
+one decodes each block file and concatenates the blocks.  A mapped
+partition is its parent's records plus the dataset's delta, added by
+shift_records in one out-of-place pass over slabs of rows: broadcasting a
+(3,) delta over (n, 3) records would run numpy's inner loop 3 elements at a
+time, once per record, where a slab's add runs thousands, so the map stage
+costs about one read and one write of the partition.
 
 The CacheManager is the single authority over resident payload bytes: strict
 LRU within a hard byte budget, with eviction optionally spilling to disk
@@ -124,7 +124,7 @@ class Dataset:
 
 @dataclass
 class EngineCounters:
-    generate_calls: int = 0
+    generate_calls: int = 0  # blocks generated; a partition is one call
     file_loads: int = 0
     partitions_computed: int = 0
     spill_writes: int = 0
@@ -410,11 +410,9 @@ class Engine:
         params = node.params
         block_ids = partition_blocks(params.blocks, d.partitions, p)
         if node.files is None:
-            # one allocation per partition; each block fills its own slice
-            n = params.vectors_per_block
-            arr = np.empty((len(block_ids) * n, 3), dtype=np.float64)
-            for i, b in enumerate(block_ids):
-                generate_vectors(params.seed, b, n, out=arr[i * n:(i + 1) * n])
+            # one call and one allocation per partition: small blocks are
+            # generated a tile of many blocks at a time
+            arr = generate_vectors(params.seed, block_ids, params.vectors_per_block)
             with self._lock:
                 self.counters.generate_calls += len(block_ids)
             return arr

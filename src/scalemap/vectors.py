@@ -2,14 +2,17 @@
 
 Generation is pure: the vector stream of a block depends only on
 (seed, block_id, n_vectors), never on which process or thread runs it.
-generate_vectors can fill a caller's array in place, so a partition of many
-blocks is generated into one allocation with no per-block copies; its
-temporaries are bounded by a fixed chunk of draws whatever the block size.
+generate_vectors makes a whole partition's blocks in one call, into one
+allocation with no per-block copies.  Small blocks are tiled together, so
+a partition pays numpy's per-call cost once per tile of draws rather than
+once per block; the temporaries are bounded by a fixed chunk of draws
+whatever the block size or count.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +36,14 @@ class RecordCodec:
         return np.dtype("<f4" if self.record_bytes == RECORD_BYTES_F32 else "<f8")
 
 
-# Draws per chunk.  Each call works in two uint64 scratch buffers of
-# min(3 * n_vectors, _GEN_CHUNK) draws, 512 KiB apiece at most, so a block of
-# any size needs no temporaries beyond ~1 MiB (and the 512 KiB step table,
-# once per process) and a small block's scratch is no larger than its output.
+# Draws per tile.  Each call works in two uint64 scratch buffers of at most
+# _GEN_CHUNK draws, 512 KiB apiece, so a partition of any size needs no
+# temporaries beyond ~1 MiB (besides numpy's 64 KiB ufunc iteration buffers
+# and the 512 KiB step table, once per process), and a small partition's
+# scratch is no larger than its output.
 _GEN_CHUNK = 1 << 16
 _SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = (np.uint64(k) for k in (11, 27, 30, 31))
+_MIX1_U64, _MIX2_U64 = np.uint64(_MIX1), np.uint64(_MIX2)
 
 
 @functools.cache
@@ -52,45 +57,64 @@ def _chunk_steps() -> np.ndarray:
     return steps
 
 
-def generate_vectors(seed: int, block_id: int, n_vectors: int,
+def generate_vectors(seed: int, block_ids: int | Sequence[int], n_vectors: int,
                      out: np.ndarray | None = None) -> np.ndarray:
-    """Deterministic (n_vectors, 3) float64 array, components uniform on [0, 1).
+    """The (len(block_ids) * n_vectors, 3) float64 vectors of the given
+    blocks, back to back; block_ids is a sequence of ids, such as a
+    partition_blocks range, or one int id.  Components are uniform on [0, 1).
 
-    Draw i of the block stream is the splitmix64 output for state
+    Draw i of a block's stream is the splitmix64 output for state
     block_seed + (i + 1) * golden gamma, so any sub-range of draws can be
-    produced without generating its prefix.  The draws are made a chunk at a
-    time with in-place ufuncs over two reusable scratch buffers, and each
-    chunk's (z >> 11) * 2^-53 is written straight into the result: for a
-    power of two the product is exact, the same bits as dividing by 2^53.
+    produced without generating its prefix.  The draws form a
+    (blocks, 3 * n_vectors) grid, made a tile at a time: as many whole
+    blocks as fit in _GEN_CHUNK draws, or one _GEN_CHUNK slice of a block
+    larger than that.  A tile is one add of the step row onto a column of
+    its rows' base states, then in-place ufuncs over two reusable scratch
+    buffers, and its (z >> 11) * 2^-53 is written straight into its rows of
+    the result: for a power of two the product is exact, the same bits as
+    dividing by 2^53.
 
-    out, if given, must be a C-contiguous (n_vectors, 3) float64 array, for
-    instance one block's slice of a partition; it is filled and returned.
-    A wrong out raises ValueError before anything is written.
+    out, if given, must be a C-contiguous array of the result's shape and
+    float64, for instance one partition's slice of a larger array; it is
+    filled and returned.  A wrong out raises ValueError before anything is
+    written.
     """
-    shape = (n_vectors, 3)
+    ids = (block_ids,) if isinstance(block_ids, int) else block_ids
+    shape = (len(ids) * n_vectors, 3)
     if out is None:
         out = np.empty(shape, dtype=np.float64)
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous {shape} float64 array, got "
                          f"{out.shape} {out.dtype} contiguous={out.flags.c_contiguous}")
+    if not out.size:
+        return out
     flat = out.reshape(-1)
-    n_draws = flat.shape[0]
-    chunk = min(n_draws, _GEN_CHUNK)
-    z = np.empty(chunk, dtype=np.uint64)
-    t = np.empty(chunk, dtype=np.uint64)
+    block_draws = 3 * n_vectors
+    cols = min(block_draws, _GEN_CHUNK)
+    rows = min(max(_GEN_CHUNK // block_draws, 1), len(ids))
+    z = np.empty(rows * cols, dtype=np.uint64)
+    t = np.empty(rows * cols, dtype=np.uint64)
     steps = _chunk_steps()
-    bs = block_seed(seed, block_id)
-    for lo in range(0, n_draws, _GEN_CHUNK):
-        m = min(chunk, n_draws - lo)
-        zm, tm = z[:m], t[:m]
-        np.add(steps[:m], np.uint64((bs + lo * _GOLDEN) & _MASK64), out=zm)
-        np.bitwise_xor(zm, np.right_shift(zm, _SHIFT30, out=tm), out=zm)
-        np.multiply(zm, np.uint64(_MIX1), out=zm)
-        np.bitwise_xor(zm, np.right_shift(zm, _SHIFT27, out=tm), out=zm)
-        np.multiply(zm, np.uint64(_MIX2), out=zm)
-        np.bitwise_xor(zm, np.right_shift(zm, _SHIFT31, out=tm), out=zm)
-        np.right_shift(zm, _SHIFT11, out=tm)
-        np.multiply(tm, 2.0**-53, out=flat[lo:lo + m])
+    for r0 in range(0, len(ids), rows):
+        tile_ids = ids[r0:r0 + rows]
+        r = len(tile_ids)
+        for c0 in range(0, block_draws, cols):
+            m = min(cols, block_draws - c0)
+            zm, tm = z[:r * m], t[:r * m]
+            # Python ints mod 2^64: numpy warns on uint64 scalar overflow
+            base = np.fromiter(((block_seed(seed, b) + c0 * _GOLDEN) & _MASK64
+                                for b in tile_ids), dtype=np.uint64, count=r)
+            np.add(steps[:m], base[:, None], out=zm.reshape(r, m))
+            np.bitwise_xor(zm, np.right_shift(zm, _SHIFT30, out=tm), out=zm)
+            np.multiply(zm, _MIX1_U64, out=zm)
+            np.bitwise_xor(zm, np.right_shift(zm, _SHIFT27, out=tm), out=zm)
+            np.multiply(zm, _MIX2_U64, out=zm)
+            np.bitwise_xor(zm, np.right_shift(zm, _SHIFT31, out=tm), out=zm)
+            np.right_shift(zm, _SHIFT11, out=tm)
+            # a tile is whole rows of the grid or a slice of one row, so its
+            # draws are one contiguous run of the result
+            lo = r0 * block_draws + c0
+            np.multiply(tm, 2.0**-53, out=flat[lo:lo + r * m])
     return out
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference as R
 from conftest import assert_bit_equal
-from scalemap import core
+from scalemap import vectors
 from scalemap.core import (
     RECORD_BYTES_F32,
     RECORD_BYTES_F64,
@@ -45,6 +45,24 @@ f64s = st.floats(allow_nan=False, allow_infinity=False, width=64)
 f32s = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
 
+@st.composite
+def block_id_lists(draw):
+    """A partition_blocks range of any stride and offset, or a list of any
+    u64 ids; either way at most 6 ids, all below 2^64."""
+    if draw(st.booleans()):
+        return draw(st.lists(u64s, max_size=6))
+    partitions = draw(st.integers(min_value=1, max_value=2**64 - 1))
+    p = draw(st.integers(min_value=0, max_value=partitions - 1))
+    blocks = min(p + draw(st.integers(min_value=0, max_value=6)) * partitions, 2**64)
+    return partition_blocks(blocks, partitions, p)
+
+
+def oracle_floats(seed: int, block_ids, n: int) -> np.ndarray:
+    """The blocks' draws from the scalar oracle, concatenated, as (k * n, 3)."""
+    floats = [x for b in block_ids for x in R.block_floats(seed, b, 3 * n)]
+    return np.array(floats, dtype=np.float64).reshape(-1, 3)
+
+
 class TestGeneration:
     def test_first_words_match_frozen_oracle(self):
         gen = R.block_stream(42, 0)
@@ -65,9 +83,25 @@ class TestGeneration:
         want = np.array(R.block_vectors(seed, block_id, n), dtype=np.float64).reshape(n, 3)
         assert_bit_equal(got, want)
 
+    @given(seed=u64s, block_ids=block_id_lists(), n=st.integers(min_value=0, max_value=32))
+    def test_blocks_match_scalar_oracle(self, seed, block_ids, n):
+        assert_bit_equal(generate_vectors(seed, block_ids, n), oracle_floats(seed, block_ids, n))
+
+    @pytest.mark.parametrize("n,blocks", [
+        (16, vectors._GEN_CHUNK // 48 + 35),
+        (vectors._GEN_CHUNK // 3, 2),
+        (vectors._GEN_CHUNK // 3 + 1, 2),
+    ], ids=["many-blocks-per-tile", "one-block-per-tile", "block-spans-chunks"])
+    def test_tiles_match_scalar_oracle(self, n, blocks):
+        # 1400 blocks of 48 draws fill one tile of 1365 and start a second;
+        # 65,535 draws make a tile of one block; 65,538 need two chunks
+        block_ids = partition_blocks(3 * blocks, 3, 2)
+        assert len(block_ids) == blocks
+        assert_bit_equal(generate_vectors(13, block_ids, n), oracle_floats(13, block_ids, n))
+
     def test_chunk_boundary_continuity(self):
         # draws just below, at and just above the first and second chunk edges
-        edges = (core._GEN_CHUNK, 2 * core._GEN_CHUNK)
+        edges = (vectors._GEN_CHUNK, 2 * vectors._GEN_CHUNK)
         n = (edges[-1] + 3) // 3 + 1
         got = generate_vectors(7, 5, n).reshape(-1)
         want = R.block_floats(7, 5, 3 * n)
@@ -77,24 +111,34 @@ class TestGeneration:
 
     def test_out_fills_exactly_its_slice(self):
         # enough vectors that the slice spans a chunk edge
-        n = core._GEN_CHUNK // 3 + 5
+        n = vectors._GEN_CHUNK // 3 + 5
         big = np.full((n + 7, 3), np.nan)
         view = big[3:3 + n]
         assert generate_vectors(11, 4, n, out=view) is view
         assert_bit_equal(view, generate_vectors(11, 4, n))
         assert np.isnan(big[:3]).all() and np.isnan(big[3 + n:]).all()
 
-    @pytest.mark.parametrize("make_out", [
-        lambda: np.full((5, 3), np.nan),
-        lambda: np.full((12,), np.nan),
-        lambda: np.full((4, 3), np.nan, dtype=np.float32),
-        lambda: np.full((4, 6), np.nan)[:, ::2],
-        lambda: np.full((4, 3), np.nan, order="F"),
-    ], ids=["rows", "flat", "float32", "strided", "fortran"])
-    def test_out_of_wrong_layout_rejected_unwritten(self, make_out):
+    def test_out_fills_exactly_its_slice_of_many_blocks(self):
+        block_ids, n = partition_blocks(40, 4, 3), 5
+        rows = len(block_ids) * n
+        big = np.full((rows + 7, 3), np.nan)
+        view = big[3:3 + rows]
+        assert generate_vectors(11, block_ids, n, out=view) is view
+        assert_bit_equal(view, np.concatenate([generate_vectors(11, b, n) for b in block_ids]))
+        assert np.isnan(big[:3]).all() and np.isnan(big[3 + rows:]).all()
+
+    @pytest.mark.parametrize("make_out,block_ids", [
+        (lambda: np.full((5, 3), np.nan), 2),
+        (lambda: np.full((12,), np.nan), 2),
+        (lambda: np.full((4, 3), np.nan, dtype=np.float32), 2),
+        (lambda: np.full((4, 6), np.nan)[:, ::2], 2),
+        (lambda: np.full((4, 3), np.nan, order="F"), 2),
+        (lambda: np.full((4, 3), np.nan), [2, 3]),
+    ], ids=["rows", "flat", "float32", "strided", "fortran", "one-block-of-two"])
+    def test_out_of_wrong_layout_rejected_unwritten(self, make_out, block_ids):
         out = make_out()
         with pytest.raises(ValueError, match="out must be"):
-            generate_vectors(1, 2, 4, out=out)
+            generate_vectors(1, block_ids, 4, out=out)
         assert np.isnan(out).all()
 
     def test_in_place_temporaries_bounded(self):
@@ -111,6 +155,23 @@ class TestGeneration:
         assert peak < out.nbytes / 4
         assert_bit_equal(out, generate_vectors(3, 1, 1 << 18))
 
+    def test_tiled_temporaries_bounded(self):
+        # 4096 blocks of 48 draws: the scratch is two tiles of at most
+        # _GEN_CHUNK draws, however many blocks the partition holds, beside
+        # a tile's base states and the iteration buffers numpy's ufuncs
+        # allocate for a broadcast or a cast (two of getbufsize() elements)
+        block_ids, n = range(4096), 16
+        generate_vectors(3, 1, 1)
+        out = np.empty((len(block_ids) * n, 3))
+        tracemalloc.start()
+        try:
+            generate_vectors(3, block_ids, n, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (vectors._GEN_CHUNK + np.getbufsize()) * 8 + len(block_ids) * 8
+        assert_bit_equal(out, np.concatenate([generate_vectors(3, b, n) for b in block_ids]))
+
     def test_deterministic(self):
         assert_bit_equal(generate_vectors(99, 7, 1024), generate_vectors(99, 7, 1024))
 
@@ -122,6 +183,9 @@ class TestGeneration:
 
     def test_empty_block(self):
         assert generate_vectors(1, 2, 0).shape == (0, 3)
+        # no ids, or several empty blocks: no draws, so no tile to size
+        for block_ids, n in (([], 4), (range(5, 5), 4), ([1, 2, 3], 0)):
+            assert generate_vectors(1, block_ids, n).shape == (0, 3)
 
     def test_distinct_blocks_differ(self):
         a = generate_vectors(42, 0, 16)

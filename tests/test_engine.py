@@ -106,16 +106,19 @@ class TestSource:
             want = np.concatenate([arrays[b] for b in ids]) if ids else np.empty((0, 3))
             assert_bit_equal(got, want)
 
-    @pytest.mark.parametrize("blocks,partitions", [(5, 3), (3, 3), (3, 4)])
-    def test_generate_covers_all_blocks_once(self, make_engine, blocks, partitions):
-        # each partition is filled in place; it must equal its blocks generated
-        # one by one and concatenated, and 3 blocks over 4 leave one empty
+    @pytest.mark.parametrize("blocks,partitions,vpu", [
+        (5, 3, 40), (3, 3, 40), (3, 4, 40), (10, 2, 10_000),
+    ], ids=["5-3", "3-3", "3-4", "tiles-of-two-blocks"])
+    def test_generate_covers_all_blocks_once(self, make_engine, blocks, partitions, vpu):
+        # each partition is generated in one call; it must equal its blocks
+        # generated one by one and concatenated.  3 blocks over 4 leave one
+        # empty, and 5 blocks of 30,000 draws make tiles of 2, 2 and 1 blocks
         e = make_engine()
-        d = e.source(desk_params(blocks=blocks, vpu=40, cores=partitions))
+        d = e.source(desk_params(blocks=blocks, vpu=vpu, cores=partitions))
         for pidx in range(partitions):
             ids = R.partition_blocks(blocks, partitions, pidx)
             got = e.materialize(d, pidx)[0]
-            want = (np.concatenate([generate_vectors(42, b, 40) for b in ids]) if ids
+            want = (np.concatenate([generate_vectors(42, b, vpu) for b in ids]) if ids
                     else np.empty((0, 3)))
             assert_bit_equal(got, want)
         assert e.counters.generate_calls == blocks
