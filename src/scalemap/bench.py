@@ -13,7 +13,9 @@ A strong sweep holds total blocks fixed while node count grows; a weak
 sweep holds blocks per node fixed, so totals grow with node count.
 
 Importing bench loads the engine, and numpy with it, so a process that
-runs jobs pays for that import up front, before its first job.
+runs jobs pays for that import up front, before its first job.  The cluster
+module is loaded only when a job is submitted to a cluster, so a local run
+never compiles it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from pathlib import Path
 
 from .core import BenchmarkParams, LoadBinary, Vec3
 from .engine import Engine, build_pipeline
-from . import cluster as cluster_mod
 from .errors import ConfigError
 from .job import StorageLevel, make_pipeline_spec, phase_counts, run_job
 
@@ -131,8 +132,9 @@ def run_pipeline(params: BenchmarkParams, mode: str = MODE_LOCAL, *,
     elif mode == MODE_CLUSTER:
         if master_addr is None:
             raise ConfigError("cluster mode needs a master address")
-        jr = cluster_mod.submit(master_addr, make_pipeline_spec(params, storage),
-                                skip_reduce=skip_reduce)
+        from .cluster import submit  # compiled only by processes that submit
+
+        jr = submit(master_addr, make_pipeline_spec(params, storage), skip_reduce=skip_reduce)
         timings, phases, result, stats = jr.timings, jr.phases, jr.result, jr.stats
     else:
         raise ConfigError(f"unknown mode {mode!r}")

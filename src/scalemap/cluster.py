@@ -59,6 +59,7 @@ import threading
 import time
 from collections import deque, namedtuple
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from functools import partial
@@ -1001,7 +1002,9 @@ class Worker:
     The first run of a new job id opens the job on a fresh engine, building
     its datasets (engine.build_pipeline) from the job spec that run carries.
     Each run is one pool job that executes its tasks in order, each reading
-    datasets[task.stage].  A task that fails is answered at once with its
+    datasets[task.stage], and is declared to the engine as a run of that
+    dataset's partitions (Engine.run_of), so a cold create run of small
+    partitions is generated a tile of partitions at a time.  A task that fails is answered at once with its
     own ERROR (every task of a job with no usable spec fails), and the
     results of the others go back together in one RUN_RESULT frame when the
     run ends.  A RUN frame that does not decode is answered with an ERROR
@@ -1123,14 +1126,19 @@ class Worker:
             self._job_error = f"no usable spec for job {job_id}: {type(e).__name__}: {e}"
 
     def _run_tasks(self, run: TaskRun):
-        """One run, as one pool job."""
+        """One run, as one pool job, declared to the engine as a run of its
+        dataset's partitions (Engine.run_of)."""
         results = []
-        for task in run.expand():
-            answer = self._execute(task)
-            if isinstance(answer, ErrorMsg):
-                self._send(answer)
-            else:
-                results.append(answer)
+        engine, datasets = self.engine, self.datasets
+        declared = (engine.run_of(datasets[run.stage], [p for _, p in run.tasks])
+                    if run.stage < len(datasets) else nullcontext())
+        with declared:
+            for task in run.expand():
+                answer = self._execute(task)
+                if isinstance(answer, ErrorMsg):
+                    self._send(answer)
+                else:
+                    results.append(answer)
         if results:
             self._send(RunResult(tuple(results)))
 

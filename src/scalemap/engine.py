@@ -5,8 +5,15 @@ until force() or reduce_average() asks for it.  Any partition is a pure
 function of (lineage, partition index), so a dropped partition can always be
 rebuilt, and a cached one can be dropped at will.  A generated source
 partition is made by one generate_vectors call into one allocation, its
-small blocks tiled together, so building it copies nothing; a file-backed
-one decodes each block file and concatenates the blocks.  A mapped
+small blocks tiled together, so building it copies nothing.  A cluster
+worker declares each run of tasks it executes (run_of); inside a run of a
+generated source whose partitions fit two or more to a tile, a cold
+partition is generated together with the run's next cold ones, in one call
+of at most one tile, and each of them gets its own copy of its rows.  The
+engine holds the rows generated ahead of their turn, at most one tile per
+thread, and drops them when the run ends; generate_calls counts blocks when
+they are generated.  A file-backed partition decodes each block file and
+concatenates the blocks.  A mapped
 partition is its parent's records plus the dataset's delta, added by
 shift_records in one out-of-place pass over slabs of rows: broadcasting a
 (3,) delta over (n, 3) records would run numpy's inner loop 3 elements at a
@@ -42,6 +49,7 @@ import threading
 import uuid
 import zlib
 from collections import OrderedDict
+from contextlib import contextmanager
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,7 +60,7 @@ from .core import (BenchmarkParams, IndivisibleLength, InvalidParams, LoadBinary
                    partition_blocks)
 from .errors import ScalemapError
 from .job import StorageLevel, combine_partials, phase_counts
-from .vectors import RecordCodec, decode_vectors, encode_vectors, generate_vectors
+from .vectors import _GEN_CHUNK, RecordCodec, decode_vectors, encode_vectors, generate_vectors
 
 _F64 = RecordCodec(24)
 
@@ -124,13 +132,42 @@ class Dataset:
 
 @dataclass
 class EngineCounters:
-    generate_calls: int = 0  # blocks generated; a partition is one call
+    generate_calls: int = 0  # blocks, counted when they are generated
     file_loads: int = 0
     partitions_computed: int = 0
     spill_writes: int = 0
     spill_reads: int = 0
     spill_corrupt: int = 0
     evictions: int = 0
+
+
+class _Run:
+    """A thread's declared run of one generated source's partitions
+    (Engine.run_of): their order, and the rows of the partitions generated
+    ahead of their turn."""
+
+    def __init__(self, d: Dataset, partitions):
+        self.dataset = d
+        self.order = list(partitions)
+        self.at = {p: i for i, p in enumerate(self.order)}
+        self.held: dict[int, np.ndarray] = {}
+
+    def group(self, p: int) -> list[int]:
+        """p and the partitions that follow it in the run, up to the first
+        that is out of range or already materialized, or would take the
+        group past one tile of blocks."""
+        d, params = self.dataset, self.dataset.lineage.params
+        room = _GEN_CHUNK // (3 * params.vectors_per_block)
+        group, used = [p], len(partition_blocks(params.blocks, d.partitions, p))
+        i = self.at.get(p, len(self.order))
+        for q in self.order[i + 1:i + 1 + room]:
+            if not 0 <= q < d.partitions or q in d.materialized:
+                break
+            used += len(partition_blocks(params.blocks, d.partitions, q))
+            if used > room:
+                break
+            group.append(q)
+        return group
 
 
 class CacheManager:
@@ -407,15 +444,10 @@ class Engine:
             # a (n, 3) + (3,) broadcast would add 3 elements per inner loop;
             # shift_records adds whole slabs of rows, about 1.5x faster
             return shift_records(parent, node.row)
+        if node.files is None:
+            return self._generate(d, p)
         params = node.params
         block_ids = partition_blocks(params.blocks, d.partitions, p)
-        if node.files is None:
-            # one call and one allocation per partition: small blocks are
-            # generated a tile of many blocks at a time
-            arr = generate_vectors(params.seed, block_ids, params.vectors_per_block)
-            with self._lock:
-                self.counters.generate_calls += len(block_ids)
-            return arr
         codec = RecordCodec(params.source.record_bytes)
         pieces = [self._load_block(node.files[b], codec) for b in block_ids]
         with self._lock:
@@ -423,6 +455,54 @@ class Engine:
         if not pieces:
             return np.empty((0, 3), dtype=np.float64)
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+    def _generate(self, d: Dataset, p: int) -> np.ndarray:
+        """Partition p of a generated source.  Inside this thread's run of d
+        (run_of), p's rows may already be held, generated with an earlier
+        partition's; else p is generated with the run's next partitions
+        that are not yet materialized and fit with it in one tile, in one
+        generate_vectors call, and the engine holds their rows until their
+        own turn.  Each partition gets its own copy of its rows, so a
+        cached payload owns exactly its bytes."""
+        params = d.lineage.params
+        run = getattr(self._thread, "run", None)
+        if run is not None and run.dataset is d:
+            rows = run.held.pop(p, None)
+            if rows is not None:
+                return rows.copy()
+            run.held.clear()  # partitions the run passed without computing
+            group = run.group(p)
+        else:
+            group = [p]
+        ids = [partition_blocks(params.blocks, d.partitions, q) for q in group]
+        arr = generate_vectors(params.seed, ids[0] if len(ids) == 1 else
+                               [b for r in ids for b in r], params.vectors_per_block)
+        with self._lock:
+            self.counters.generate_calls += sum(map(len, ids))
+        if len(group) == 1:
+            return arr
+        cuts = np.cumsum([len(r) for r in ids[:-1]]) * params.vectors_per_block
+        run.held.update(zip(group, np.split(arr, cuts)))
+        return run.held.pop(p).copy()
+
+    @contextmanager
+    def run_of(self, d: Dataset, partitions):
+        """Declares that this thread materializes these partitions of d
+        next, in this order, as a cluster worker runs a run of tasks.  For a
+        generated source whose partitions fit two or more to a tile, a cold
+        partition is then generated together with the run's next ones
+        (_generate); the rows held for them, at most one tile, are dropped
+        when the run ends.  Any other dataset declares nothing."""
+        node = d.lineage
+        if isinstance(node, SourceNode) and node.files is None:
+            params = node.params
+            most = -(-params.blocks // d.partitions)  # blocks of the largest partition
+            if 2 * most * 3 * params.vectors_per_block <= _GEN_CHUNK:
+                self._thread.run = _Run(d, partitions)
+        try:
+            yield
+        finally:
+            self._thread.run = None
 
     @staticmethod
     def _load_block(path: str, codec: RecordCodec) -> np.ndarray:

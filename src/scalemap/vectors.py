@@ -2,11 +2,14 @@
 
 Generation is pure: the vector stream of a block depends only on
 (seed, block_id, n_vectors), never on which process or thread runs it.
-generate_vectors makes a whole partition's blocks in one call, into one
-allocation with no per-block copies.  Small blocks are tiled together, so
-a partition pays numpy's per-call cost once per tile of draws rather than
-once per block; the temporaries are bounded by a fixed chunk of draws
-whatever the block size or count.
+generate_vectors makes any list of blocks in one call, into one allocation
+with no per-block copies: a partition's blocks, or those of several small
+partitions, which the engine generates together within a worker's run of
+tasks (Engine.run_of) and splits.  Small blocks are tiled together, so a
+call pays numpy's per-call cost once per tile of draws rather than once per
+block, and the blocks' seeds are one splitmix64 over an array of all their
+ids; the temporaries are bounded by a fixed chunk of draws, plus 8 bytes a
+block, whatever the block size or count.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_GOLDEN, _MASK64, _MIX1, _MIX2, RECORD_BYTES_F32, RECORD_BYTES_F64,
-                   IndivisibleLength, InvalidParams, block_seed)
+                   IndivisibleLength, InvalidParams)
 
 
 @dataclass(frozen=True)
@@ -36,14 +39,15 @@ class RecordCodec:
         return np.dtype("<f4" if self.record_bytes == RECORD_BYTES_F32 else "<f8")
 
 
-# Draws per tile.  Each call works in two uint64 scratch buffers of at most
-# _GEN_CHUNK draws, 512 KiB apiece, so a partition of any size needs no
-# temporaries beyond ~1 MiB (besides numpy's 64 KiB ufunc iteration buffers
-# and the 512 KiB step table, once per process), and a small partition's
-# scratch is no larger than its output.
+# Draws per tile.  A tile's states live in its own rows of the result, and
+# each call works in one uint64 scratch buffer of at most _GEN_CHUNK draws,
+# 512 KiB, so a call of any size needs no temporaries beyond that and its
+# blocks' seeds (besides numpy's 64 KiB ufunc iteration buffers and the
+# 512 KiB step table, once per process), and a small call's scratch is no
+# larger than its output.
 _GEN_CHUNK = 1 << 16
 _SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = (np.uint64(k) for k in (11, 27, 30, 31))
-_MIX1_U64, _MIX2_U64 = np.uint64(_MIX1), np.uint64(_MIX2)
+_GOLDEN_U64, _MIX1_U64, _MIX2_U64 = (np.uint64(k) for k in (_GOLDEN, _MIX1, _MIX2))
 
 
 @functools.cache
@@ -52,68 +56,79 @@ def _chunk_steps() -> np.ndarray:
     one chunk's draws; built on first use, so a process that never
     generates (a master, a probe server) does not hold it."""
     steps = np.arange(1, _GEN_CHUNK + 1, dtype=np.uint64)
-    steps *= np.uint64(_GOLDEN)
+    steps *= _GOLDEN_U64
     steps.setflags(write=False)
     return steps
 
 
-def generate_vectors(seed: int, block_ids: int | Sequence[int], n_vectors: int,
-                     out: np.ndarray | None = None) -> np.ndarray:
+def _mix64(z: np.ndarray, t: np.ndarray):
+    """splitmix64's output mix of the states z, in place; t is scratch of
+    z's size that takes the shift temporaries."""
+    np.bitwise_xor(z, np.right_shift(z, _SHIFT30, out=t), out=z)
+    np.multiply(z, _MIX1_U64, out=z)
+    np.bitwise_xor(z, np.right_shift(z, _SHIFT27, out=t), out=z)
+    np.multiply(z, _MIX2_U64, out=z)
+    np.bitwise_xor(z, np.right_shift(z, _SHIFT31, out=t), out=z)
+
+
+def _block_seeds(seed: int, ids: Sequence[int], t: np.ndarray) -> np.ndarray:
+    """block_seed(seed, b) of every id b, as uint64: splitmix64 of
+    seed ^ (b * golden gamma), over one array of all the ids, its shift
+    temporaries in the scratch t, a scratch's worth of ids at a time."""
+    seeds = np.fromiter(ids, dtype=np.uint64, count=len(ids))
+    np.multiply(seeds, _GOLDEN_U64, out=seeds)
+    np.bitwise_xor(seeds, np.uint64(seed), out=seeds)
+    np.add(seeds, _GOLDEN_U64, out=seeds)
+    for s0 in range(0, seeds.size, t.size):
+        part = seeds[s0:s0 + t.size]
+        _mix64(part, t[:part.size])
+    return seeds
+
+
+def generate_vectors(seed: int, block_ids: int | Sequence[int], n_vectors: int) -> np.ndarray:
     """The (len(block_ids) * n_vectors, 3) float64 vectors of the given
     blocks, back to back; block_ids is a sequence of ids, such as a
     partition_blocks range, or one int id.  Components are uniform on [0, 1).
 
     Draw i of a block's stream is the splitmix64 output for state
     block_seed + (i + 1) * golden gamma, so any sub-range of draws can be
-    produced without generating its prefix.  The draws form a
-    (blocks, 3 * n_vectors) grid, made a tile at a time: as many whole
-    blocks as fit in _GEN_CHUNK draws, or one _GEN_CHUNK slice of a block
-    larger than that.  A tile is one add of the step row onto a column of
-    its rows' base states, then in-place ufuncs over two reusable scratch
-    buffers, and its (z >> 11) * 2^-53 is written straight into its rows of
-    the result: for a power of two the product is exact, the same bits as
-    dividing by 2^53.
-
-    out, if given, must be a C-contiguous array of the result's shape and
-    float64, for instance one partition's slice of a larger array; it is
-    filled and returned.  A wrong out raises ValueError before anything is
-    written.
+    produced without generating its prefix.  The blocks' seeds are one
+    splitmix64 over a uint64 array of all the ids, bit for bit block_seed.
+    The draws form a (blocks, 3 * n_vectors) grid, made a tile at a time:
+    as many whole blocks as fit in _GEN_CHUNK draws, or one _GEN_CHUNK slice
+    of a block larger than that.  A tile's states are one add of the step
+    row onto a column of its rows' seeds, plus its chunk offset, into its
+    own rows of the result viewed as uint64; they are mixed in place, with
+    the shift temporaries in one reusable scratch buffer, and (z >> 11) *
+    2^-53 is written back over them: for a power of two the product is
+    exact, the same bits as dividing by 2^53.
     """
     ids = (block_ids,) if isinstance(block_ids, int) else block_ids
-    shape = (len(ids) * n_vectors, 3)
-    if out is None:
-        out = np.empty(shape, dtype=np.float64)
-    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous {shape} float64 array, got "
-                         f"{out.shape} {out.dtype} contiguous={out.flags.c_contiguous}")
+    out = np.empty((len(ids) * n_vectors, 3), dtype=np.float64)
     if not out.size:
         return out
     flat = out.reshape(-1)
+    states = flat.view(np.uint64)  # a tile's states live in its rows of out
     block_draws = 3 * n_vectors
     cols = min(block_draws, _GEN_CHUNK)
     rows = min(max(_GEN_CHUNK // block_draws, 1), len(ids))
-    z = np.empty(rows * cols, dtype=np.uint64)
     t = np.empty(rows * cols, dtype=np.uint64)
+    seeds = _block_seeds(seed, ids, t)
     steps = _chunk_steps()
     for r0 in range(0, len(ids), rows):
-        tile_ids = ids[r0:r0 + rows]
-        r = len(tile_ids)
+        base = seeds[r0:r0 + rows]
+        r = base.size
         for c0 in range(0, block_draws, cols):
             m = min(cols, block_draws - c0)
-            zm, tm = z[:r * m], t[:r * m]
-            # Python ints mod 2^64: numpy warns on uint64 scalar overflow
-            base = np.fromiter(((block_seed(seed, b) + c0 * _GOLDEN) & _MASK64
-                                for b in tile_ids), dtype=np.uint64, count=r)
-            np.add(steps[:m], base[:, None], out=zm.reshape(r, m))
-            np.bitwise_xor(zm, np.right_shift(zm, _SHIFT30, out=tm), out=zm)
-            np.multiply(zm, _MIX1_U64, out=zm)
-            np.bitwise_xor(zm, np.right_shift(zm, _SHIFT27, out=tm), out=zm)
-            np.multiply(zm, _MIX2_U64, out=zm)
-            np.bitwise_xor(zm, np.right_shift(zm, _SHIFT31, out=tm), out=zm)
-            np.right_shift(zm, _SHIFT11, out=tm)
             # a tile is whole rows of the grid or a slice of one row, so its
             # draws are one contiguous run of the result
             lo = r0 * block_draws + c0
+            zm, tm = states[lo:lo + r * m], t[:r * m]
+            if c0:  # a block past its first chunk: one row, offset by c0 steps
+                base = seeds[r0:r0 + 1] + np.uint64((c0 * _GOLDEN) & _MASK64)
+            np.add(steps[:m], base[:, None], out=zm.reshape(r, m))
+            _mix64(zm, tm)
+            np.right_shift(zm, _SHIFT11, out=tm)
             np.multiply(tm, 2.0**-53, out=flat[lo:lo + r * m])
     return out
 

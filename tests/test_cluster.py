@@ -7,17 +7,20 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import spawn_worker_proc
+from conftest import assert_bit_equal, spawn_worker_proc
 from scalemap import cluster as cluster_mod
 from scalemap.bench import MODE_CLUSTER, MODE_LOCAL, run_pipeline
-from scalemap.core import BenchmarkParams, LoadBinary, Vec3
+from scalemap.core import BenchmarkParams, LoadBinary, Vec3, generate_vectors, partition_blocks
 from scalemap.engine import Engine, StorageLevel
 from scalemap.errors import ConfigError
+from scalemap.vectors import _GEN_CHUNK
 from scalemap.cluster import (
     ACTION_FORCE,
     ACTION_PARTIAL_REDUCE,
@@ -1384,3 +1387,177 @@ class TestWorkerLoss:
                 p.wait(timeout=10)
             if watcher.is_alive():
                 watcher.join(timeout=5)
+
+
+class TestRunLookahead:
+    """A worker declares each run to its engine (Engine.run_of), and the
+    engine generates a cold partition of a generated source together with
+    the run's next small partitions, in one generate_vectors call.  The
+    worker here has no socket: what it would send is collected."""
+
+    # 100 partitions of 2 blocks of 256 vectors: 42 partitions fill a tile
+    PARAMS = BenchmarkParams(blocks=200, vectors_per_unit=256, cores=100, seed=9)
+
+    @staticmethod
+    def worker(tmp_path, params, storage="memory_only") -> tuple[Worker, list]:
+        w = Worker(ClusterConfig(), tmp_path / "w", 1 << 30)
+        sent = []
+        w._send = sent.append
+        w._open_job(0, json.dumps(job_spec(params, Vec3(0, 0, 0), storage)))
+        return w, sent
+
+    @staticmethod
+    def count_calls(monkeypatch, w) -> list:
+        """The rows of each generate_vectors call the engine makes."""
+        real, calls = w._engine_module.generate_vectors, []
+
+        def counted(seed, block_ids, n):
+            arr = real(seed, block_ids, n)
+            calls.append(arr)
+            return arr
+
+        monkeypatch.setattr(w._engine_module, "generate_vectors", counted)
+        return calls
+
+    @staticmethod
+    def expected(params, p):
+        return generate_vectors(params.seed, partition_blocks(params.blocks, params.partitions, p),
+                                params.vectors_per_block)
+
+    def test_cold_create_run_generates_a_tile_of_partitions_per_call(self, tmp_path,
+                                                                      monkeypatch):
+        params = self.PARAMS
+        w, sent = self.worker(tmp_path, params)
+        calls = self.count_calls(monkeypatch, w)
+        try:
+            w._run_tasks(run_of([(p + 7, p) for p in range(params.partitions)]))
+            (res,) = sent
+            assert [(r.task_id, r.partition) for r in res.results] == [
+                (p + 7, p) for p in range(params.partitions)]
+            assert all(r.computed for r in res.results)
+            assert w.engine.counters.generate_calls == params.blocks
+            assert w.engine.counters.partitions_computed == params.partitions
+            assert [len(c) for c in calls] == [42 * 512, 42 * 512, 16 * 512]
+            d = w.datasets[0]
+            for p in range(params.partitions):
+                arr = w.engine.cache.get((d, p))
+                assert arr.base is None  # its own copy, not a view of a tile
+                assert_bit_equal(arr, self.expected(params, p))
+            assert w.engine.cache.resident_bytes == params.total_bytes
+        finally:
+            w.engine.close()
+
+    def test_cached_partitions_are_not_regenerated(self, tmp_path, monkeypatch):
+        params = self.PARAMS
+        w, sent = self.worker(tmp_path, params)
+        try:
+            w._run_tasks(run_of([(p, p) for p in range(10, 20)]))
+            calls = self.count_calls(monkeypatch, w)
+            w._run_tasks(run_of([(100 + p, p) for p in range(40)]))
+            results = sent[1].results
+            assert [r.computed for r in results] == [not 10 <= p < 20 for p in range(40)]
+            assert w.engine.counters.generate_calls == 2 * 40
+            # groups stop short of a cached partition: 0-9, then 20-39
+            assert [len(c) for c in calls] == [10 * 512, 20 * 512]
+            d = w.datasets[0]
+            for p in range(40):
+                assert_bit_equal(w.engine.cache.get((d, p)), self.expected(params, p))
+        finally:
+            w.engine.close()
+
+    def test_run_that_fails_midway_holds_nothing_once_it_ends(self, tmp_path):
+        params = self.PARAMS
+        w, sent = self.worker(tmp_path, params)
+        real_execute, tiles = w._execute, []
+
+        def failing(task):
+            if task.partition == 5:
+                held = w.engine._thread.run.held
+                tiles.append(weakref.ref(next(iter(held.values())).base))
+                assert sorted(held) == list(range(5, 42))
+                raise RuntimeError("task 5 dies")
+            return real_execute(task)
+
+        w._execute = failing
+        try:
+            with pytest.raises(RuntimeError, match="task 5"):
+                w._run_tasks(run_of([(p, p) for p in range(params.partitions)]))
+            assert getattr(w.engine._thread, "run", None) is None
+            assert tiles and tiles[0]() is None
+            # the next run regenerates what the failed one held
+            w._execute = real_execute
+            w._run_tasks(run_of([(p, p) for p in range(5, 10)]))
+            assert [r.computed for r in sent[-1].results] == [True] * 5
+        finally:
+            w.engine.close()
+
+    def test_held_rows_never_exceed_one_tile(self, tmp_path):
+        # 300 partitions, 7 tiles of rows, at storage none so nothing is
+        # cached: the traced peak is one call's result and scratch tiles,
+        # numpy's iteration buffers and a partition's copy, where holding
+        # the whole run would take all 7 tiles
+        params = BenchmarkParams(blocks=600, vectors_per_unit=256, cores=300)
+        w, sent = self.worker(tmp_path, params, storage="none")
+        tile = _GEN_CHUNK * 8
+        held = []
+        real_generate = w.engine._generate
+
+        def observed(d, p):
+            arr = real_generate(d, p)
+            held.append(sum(a.nbytes for a in w.engine._thread.run.held.values()))
+            return arr
+
+        w.engine._generate = observed
+        try:
+            w._run_tasks(run_of([(p, p) for p in range(2)]))  # warm up
+            tracemalloc.start()
+            try:
+                w._run_tasks(run_of([(p, p) for p in range(params.partitions)]))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert all(r.computed for r in sent[-1].results)
+            assert w.engine.counters.generate_calls == 2 * 2 + params.blocks
+            assert 0 < max(held) <= tile
+            assert peak < 3 * tile + (1 << 18) < params.total_bytes / 2
+        finally:
+            w.engine.close()
+
+    def test_concurrent_runs_compute_each_partition_once(self, tmp_path):
+        # four slots run the same cold create run in different orders with a
+        # short switch interval: a thread may generate rows ahead that another
+        # then computes first, yet each partition is computed exactly once,
+        # under its lock, and every payload has its oracle bits
+        params = self.PARAMS
+        w, sent = self.worker(tmp_path, params)
+        parts = list(range(params.partitions))
+        orders = [parts, parts[::-1], parts[1::2] + parts[::2], parts[50:] + parts[:50]]
+        errors = []
+
+        def run(order):
+            try:
+                w._run_tasks(run_of([(p, p) for p in order]))
+            except Exception as e:  # noqa: BLE001 - re-raised by the assertion below
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(o,)) for o in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(t.is_alive() for t in threads) and not errors
+            results = [r for res in sent for r in res.results]
+            assert len(results) == len(orders) * params.partitions
+            assert sum(r.computed for r in results) == params.partitions
+            assert w.engine.counters.partitions_computed == params.partitions
+            d = w.datasets[0]
+            for p in parts:
+                assert_bit_equal(w.engine.cache.get((d, p)), self.expected(params, p))
+        finally:
+            w.engine.close()

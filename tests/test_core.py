@@ -109,64 +109,30 @@ class TestGeneration:
             for i in range(edge - 3, edge + 3):
                 assert got[i] == want[i], i
 
-    def test_out_fills_exactly_its_slice(self):
-        # enough vectors that the slice spans a chunk edge
-        n = vectors._GEN_CHUNK // 3 + 5
-        big = np.full((n + 7, 3), np.nan)
-        view = big[3:3 + n]
-        assert generate_vectors(11, 4, n, out=view) is view
-        assert_bit_equal(view, generate_vectors(11, 4, n))
-        assert np.isnan(big[:3]).all() and np.isnan(big[3 + n:]).all()
-
-    def test_out_fills_exactly_its_slice_of_many_blocks(self):
-        block_ids, n = partition_blocks(40, 4, 3), 5
-        rows = len(block_ids) * n
-        big = np.full((rows + 7, 3), np.nan)
-        view = big[3:3 + rows]
-        assert generate_vectors(11, block_ids, n, out=view) is view
-        assert_bit_equal(view, np.concatenate([generate_vectors(11, b, n) for b in block_ids]))
-        assert np.isnan(big[:3]).all() and np.isnan(big[3 + rows:]).all()
-
-    @pytest.mark.parametrize("make_out,block_ids", [
-        (lambda: np.full((5, 3), np.nan), 2),
-        (lambda: np.full((12,), np.nan), 2),
-        (lambda: np.full((4, 3), np.nan, dtype=np.float32), 2),
-        (lambda: np.full((4, 6), np.nan)[:, ::2], 2),
-        (lambda: np.full((4, 3), np.nan, order="F"), 2),
-        (lambda: np.full((4, 3), np.nan), [2, 3]),
-    ], ids=["rows", "flat", "float32", "strided", "fortran", "one-block-of-two"])
-    def test_out_of_wrong_layout_rejected_unwritten(self, make_out, block_ids):
-        out = make_out()
-        with pytest.raises(ValueError, match="out must be"):
-            generate_vectors(1, block_ids, 4, out=out)
-        assert np.isnan(out).all()
-
     def test_in_place_temporaries_bounded(self):
         # the scratch buffers are a fixed chunk, not a multiple of the block;
         # the first call builds the per-process step table, once
         generate_vectors(3, 1, 1)
-        out = np.empty((1 << 18, 3))
         tracemalloc.start()
         try:
-            generate_vectors(3, 1, 1 << 18, out=out)
-            peak = tracemalloc.get_traced_memory()[1]
+            out = generate_vectors(3, 1, 1 << 18)
+            peak = tracemalloc.get_traced_memory()[1] - out.nbytes
         finally:
             tracemalloc.stop()
         assert peak < out.nbytes / 4
         assert_bit_equal(out, generate_vectors(3, 1, 1 << 18))
 
     def test_tiled_temporaries_bounded(self):
-        # 4096 blocks of 48 draws: the scratch is two tiles of at most
-        # _GEN_CHUNK draws, however many blocks the partition holds, beside
-        # a tile's base states and the iteration buffers numpy's ufuncs
+        # 4096 blocks of 48 draws: the scratch stays within two tiles of
+        # _GEN_CHUNK draws, however many blocks the call holds, beside
+        # the blocks' seeds and the iteration buffers numpy's ufuncs
         # allocate for a broadcast or a cast (two of getbufsize() elements)
         block_ids, n = range(4096), 16
         generate_vectors(3, 1, 1)
-        out = np.empty((len(block_ids) * n, 3))
         tracemalloc.start()
         try:
-            generate_vectors(3, block_ids, n, out=out)
-            peak = tracemalloc.get_traced_memory()[1]
+            out = generate_vectors(3, block_ids, n)
+            peak = tracemalloc.get_traced_memory()[1] - out.nbytes
         finally:
             tracemalloc.stop()
         assert peak < 2 * (vectors._GEN_CHUNK + np.getbufsize()) * 8 + len(block_ids) * 8
@@ -196,6 +162,21 @@ class TestGeneration:
     def test_block_seed_matches_oracle(self, seed, block_id):
         want = R.mix64((seed ^ ((block_id * R.GOLDEN) & R.MASK64)) + R.GOLDEN)
         assert block_seed(seed, block_id) == want
+
+    @given(seed=u64s, block_ids=st.lists(u64s, max_size=12), scratch=st.integers(1, 5))
+    def test_vectorized_block_seeds_match_block_seed(self, seed, block_ids, scratch):
+        # a scratch shorter than the ids mixes them a scratch's worth at a time
+        t = np.empty(scratch, dtype=np.uint64)
+        got = vectors._block_seeds(seed, block_ids, t)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [block_seed(seed, b) for b in block_ids]
+
+    def test_vectorized_block_seeds_at_the_u64_edges(self):
+        edges = [0, 1, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]
+        t = np.empty(len(edges), dtype=np.uint64)
+        for seed in edges:
+            assert vectors._block_seeds(seed, edges, t).tolist() == [
+                block_seed(seed, b) for b in edges]
 
     def test_splitmix64_known_vector(self):
         # reference sequence for state 0: widely published splitmix64 outputs

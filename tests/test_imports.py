@@ -1,8 +1,9 @@
-"""Which processes load numpy.
+"""Which processes load numpy, and which load the cluster module.
 
 The master, the probe server and the probe clients never touch an array, so
 they start without numpy; a process that computes (a worker, a local run)
-loads it up front, before its first job.  Each case runs in a fresh
+loads it up front, before its first job.  A local run does not load the
+cluster module at all.  Each case runs in a fresh
 interpreter, whose sys.modules shows what its imports pulled in.
 """
 
@@ -44,6 +45,14 @@ def test_master_and_probe_code_loads_no_numpy(code):
 ], ids=["bench", "engine", "worker"])
 def test_compute_code_loads_numpy_up_front(code, tmp_path):
     assert loads_numpy(code.format(scratch=str(tmp_path)))
+
+
+def test_bench_loads_the_cluster_module_only_to_submit():
+    code = "import scalemap.bench\nprint('scalemap.cluster' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", "import sys\n" + code],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
 
 
 def test_master_serves_a_job_without_numpy(tmp_path):

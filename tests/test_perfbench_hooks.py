@@ -23,7 +23,7 @@ from scalemap.netprobe import probe_connections
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = r"""
-import json, sys
+import collections, json, sys
 role, scratch = sys.argv[1], sys.argv[2]
 import tracer as tracing
 t = tracing.Tracer()
@@ -49,9 +49,18 @@ elif role == "worker":
     spec = bench.make_pipeline_spec(params, engine.StorageLevel.MEMORY_ONLY)
     w._open_job(0, json.dumps(spec))
     w._run_tasks(cluster.TaskRun(0, 0, cluster.ACTION_PARTIAL_REDUCE, ((7, 0),)))
+    # a cold create run of 8 small partitions, in a second job
+    many = params.replaced(blocks=16, nparts=4)
+    w._open_job(1, json.dumps(bench.make_pipeline_spec(many, engine.StorageLevel.MEMORY_ONLY)))
+    first = len(t.spans)
+    w._run_tasks(cluster.TaskRun(1, 0, cluster.ACTION_FORCE,
+                                 tuple((p, p) for p in range(many.partitions))))
+    counts = collections.Counter(s[1] for s in t.spans[first:])
     w.engine.close()
 else:
     cluster.send_frame(Sink(), cluster.MessageTag.DATA, b"x")
+if role == "worker":
+    print(json.dumps(counts))
 print(json.dumps(sorted({(s[1], tuple(sorted(s[7] or ()))) for s in t.spans})))
 """
 
@@ -74,17 +83,29 @@ EXPECTED = {
 }
 
 
-def traced_spans(role, tmp_path) -> set:
+def traced_lines(role, tmp_path) -> list:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])}
     out = subprocess.run([sys.executable, "-c", SCRIPT, role, str(tmp_path)],
                          capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr
-    return {(name, tuple(attrs)) for name, attrs in json.loads(out.stdout)}
+    return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+def traced_spans(role, tmp_path) -> set:
+    return {(name, tuple(attrs)) for name, attrs in traced_lines(role, tmp_path)[-1]}
 
 
 @pytest.mark.parametrize("role", sorted(EXPECTED))
 def test_tracer_installs_and_records(role, tmp_path):
     assert EXPECTED[role] <= traced_spans(role, tmp_path)
+
+
+def test_worker_traces_every_task_of_a_grouped_create_run(tmp_path):
+    # the engine generates the run's 8 partitions together, and each task
+    # still records its own materialize and worker_task spans
+    counts = traced_lines("worker", tmp_path)[0]
+    assert counts["engine.materialize"] == counts["cluster.worker_task"] == 8
+    assert 1 <= counts["core.generate"] < 8
 
 
 @pytest.mark.xfail(strict=True, reason="the master's send_message seam records task ids "
