@@ -1003,12 +1003,14 @@ class Worker:
     its datasets (engine.build_pipeline) from the job spec that run carries.
     Each run is one pool job that executes its tasks in order, each reading
     datasets[task.stage], and is declared to the engine as a run of that
-    dataset's partitions (Engine.run_of), so a cold create run of small
-    partitions is generated a tile of partitions at a time.  A task that fails is answered at once with its
-    own ERROR (every task of a job with no usable spec fails), and the
-    results of the others go back together in one RUN_RESULT frame when the
-    run ends.  A RUN frame that does not decode is answered with an ERROR
-    for NO_TASK.
+    dataset's partitions (Engine.run_of).  So a cold create run of small
+    partitions is generated a tile of partitions at a time, and a reduce
+    run of small partitions is folded a tile at a time (Engine.partial);
+    each task still goes through _execute and gets its own answer.  A task
+    that fails is answered at once with its own ERROR (every task of a job
+    with no usable spec fails), and the results of the others go back
+    together in one RUN_RESULT frame when the run ends.  A RUN frame that
+    does not decode is answered with an ERROR for NO_TASK.
 
     The master sends a partition's map task to the worker that ran its
     create task, and its reduce task to the one that ran its map task, so
@@ -1147,20 +1149,24 @@ class Worker:
             if task.stage >= len(self.datasets):  # any stage of a job with no datasets
                 raise ProtocolError(self._job_error or f"job has no stage {task.stage}")
             d = self.datasets[task.stage]
-            arr, computed, spilled = self.engine.materialize(d, task.partition)
-            s = (self._engine_module.leftfold_sum(arr) if task.action == ACTION_PARTIAL_REDUCE
-                 else (0.0, 0.0, 0.0))
-            return TaskResult(task.task_id, task.partition, task.action,
-                              float(s[0]), float(s[1]), float(s[2]),
-                              arr.shape[0], arr.nbytes, computed, spilled)
+            if task.action == ACTION_PARTIAL_REDUCE:
+                (sx, sy, sz), count, (nbytes, computed, spilled) = self.engine.partial(
+                    d, task.partition)
+            else:
+                arr, computed, spilled = self.engine.materialize(d, task.partition)
+                sx = sy = sz = 0.0
+                count, nbytes = arr.shape[0], arr.nbytes
+            return TaskResult(task.task_id, task.partition, task.action, sx, sy, sz,
+                              count, nbytes, computed, spilled)
         except Exception as e:  # noqa: BLE001 - reported to master, never silent
             return ErrorMsg(task.task_id, f"{type(e).__name__}: {e}")
 
 
 def __getattr__(name: str):
     """cluster.leftfold_sum, a name the benchmark's tracer wraps, is the
-    engine's fold, loaded on first use; a Worker calls it through the engine
-    module, so a traced fold records one span."""
+    engine's fold, loaded on first use; a Worker folds through
+    Engine.partial, which calls it as an engine module global, so a traced
+    reduce run records one span per tile it folds."""
     if name != "leftfold_sum":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from .engine import leftfold_sum

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from conftest import assert_bit_equal, spawn_worker_proc
 from scalemap import cluster as cluster_mod
 from scalemap.bench import MODE_CLUSTER, MODE_LOCAL, run_pipeline
-from scalemap.core import BenchmarkParams, LoadBinary, Vec3, generate_vectors, partition_blocks
+from scalemap.core import (BenchmarkParams, LoadBinary, RecordCodec, Vec3, encode_vectors,
+                           generate_vectors, partition_blocks)
 from scalemap.engine import Engine, StorageLevel
 from scalemap.errors import ConfigError
 from scalemap.vectors import _GEN_CHUNK
@@ -1561,3 +1562,189 @@ class TestRunLookahead:
                 assert_bit_equal(w.engine.cache.get((d, p)), self.expected(params, p))
         finally:
             w.engine.close()
+
+
+class TestReduceRun:
+    """Inside a worker's run, the engine folds a reduce task's small
+    partition together with the run's next ones (Engine.partial), a tile of
+    them in one leftfold_sum call, and each task still gets its own
+    answer.  As above, the worker has no socket."""
+
+    # 100 partitions of 512 rows: 10 of them fill a fold tile
+    PARAMS = TestRunLookahead.PARAMS
+
+    @staticmethod
+    def worker(tmp_path, params, storage="memory_only", budget=1 << 30):
+        w = Worker(ClusterConfig(), tmp_path / "w", budget)
+        sent = []
+        w._send = sent.append
+        w._open_job(0, json.dumps(job_spec(params, Vec3(0.5, -1.0, 2.0), storage)))
+        return w, sent
+
+    @staticmethod
+    def count_folds(monkeypatch, w) -> list:
+        """The row counts of the arrays of each leftfold_sum call."""
+        real, calls = w._engine_module.leftfold_sum, []
+
+        def counted(arrays):
+            calls.append([a.shape[0] for a in arrays])
+            return real(arrays)
+
+        monkeypatch.setattr(w._engine_module, "leftfold_sum", counted)
+        return calls
+
+    @staticmethod
+    def reduce_run(w, partitions, stage=1):
+        w._run_tasks(run_of([(1000 + p, p) for p in partitions], ACTION_PARTIAL_REDUCE,
+                            stage=stage))
+
+    @staticmethod
+    def fold_alone(w, d, p) -> bytes:
+        arr = w.engine.materialize(d, p)[0]
+        return w._engine_module.leftfold_sum([arr])[0].tobytes()
+
+    def test_run_answers_in_task_order_with_the_bits_of_a_fold_alone(self, tmp_path,
+                                                                      monkeypatch):
+        params = self.PARAMS
+        w, sent = self.worker(tmp_path, params)
+        try:
+            w._run_tasks(run_of([(p, p) for p in range(params.partitions)]))
+            w._run_tasks(run_of([(p, p) for p in range(params.partitions)], stage=1))
+            calls = self.count_folds(monkeypatch, w)
+            self.reduce_run(w, range(params.partitions))
+            assert calls == [[512] * 10] * 10  # one call per tile
+            (res,) = sent[2:]
+            assert [(r.task_id, r.partition, r.count) for r in res.results] == [
+                (1000 + p, p, 512) for p in range(params.partitions)]
+            assert not any(r.computed for r in res.results)
+            d = w.datasets[1]
+            for r in res.results:
+                got = struct.pack("<3d", r.sum_x, r.sum_y, r.sum_z)
+                assert got == self.fold_alone(w, d, r.partition)
+        finally:
+            w.engine.close()
+
+    def test_every_task_of_an_unpersisted_run_reports_computed(self, tmp_path):
+        params = self.PARAMS
+        w, sent = self.worker(tmp_path, params, storage="none")
+        try:
+            self.reduce_run(w, range(params.partitions))
+            (res,) = sent
+            assert len(res.results) == params.partitions
+            assert all(r.computed for r in res.results)
+            assert w.engine.counters.partitions_computed == 2 * params.partitions
+        finally:
+            w.engine.close()
+
+    def test_spills_are_counted_per_task(self, tmp_path):
+        # a cache of a quarter of one stage: reading a spilled partition back
+        # evicts others, and each spill is the task's whose materialize it
+        # ran in, also when that task's partition was read ahead of its turn
+        params = self.PARAMS
+        w, sent = self.worker(tmp_path, params, storage="memory_and_disk",
+                              budget=params.total_bytes // 4)
+        try:
+            w._run_tasks(run_of([(p, p) for p in range(params.partitions)]))
+            w._run_tasks(run_of([(p, p) for p in range(params.partitions)], stage=1))
+            current, writes = [None], {}
+            real_materialize, real_spill = w.engine.materialize, w.engine._spill_write
+
+            def materialize(d, p):
+                current[0] = p
+                return real_materialize(d, p)
+
+            def spill(key, arr):
+                writes[current[0]] = writes.get(current[0], 0) + 1
+                return real_spill(key, arr)
+
+            w.engine.materialize, w.engine._spill_write = materialize, spill
+            order = list(range(params.partitions))[::-1]  # the oldest entries are cached
+            self.reduce_run(w, order)
+            results = sent[-1].results
+            assert [r.partition for r in results] == order
+            assert [r.spilled for r in results] == [writes.get(p, 0) for p in order]
+            # some task read ahead of its turn spilled: not only a tile's first
+            assert any(r.spilled for i, r in enumerate(results) if i % 10)
+        finally:
+            w.engine.close()
+
+    def test_missing_block_file_fails_its_task_alone(self, tmp_path, monkeypatch):
+        root = tmp_path / "blocks"
+        root.mkdir()
+        codec = RecordCodec(24)
+        for b in range(20):
+            (root / f"b{b:02d}.bin").write_bytes(encode_vectors(generate_vectors(3, b, 16), codec))
+        params = BenchmarkParams(blocks=20, vectors_per_unit=16, cores=20,
+                                 source=LoadBinary(str(root), 24))
+        w, sent = self.worker(tmp_path, params, storage="none")
+        calls = self.count_folds(monkeypatch, w)
+        try:
+            (root / "b05.bin").unlink()
+            self.reduce_run(w, range(20), stage=0)
+            err, res = sent
+            assert isinstance(err, ErrorMsg) and err.task_id == 1005
+            assert err.message.startswith("RecomputeFailure: block file unreadable")
+            assert [r.partition for r in res.results] == [p for p in range(20) if p != 5]
+            # the tile ends before partition 5, which raises again on its turn
+            assert calls == [[16] * 5, [16] * 14]
+            for r in res.results:
+                want = w._engine_module.leftfold_sum(
+                    [generate_vectors(3, r.partition, 16)])[0].tobytes()
+                assert struct.pack("<3d", r.sum_x, r.sum_y, r.sum_z) == want
+        finally:
+            w.engine.close()
+
+    def test_nothing_is_held_once_the_run_ends(self, tmp_path, monkeypatch):
+        params = self.PARAMS
+        w, sent = self.worker(tmp_path, params)
+        real_execute, held = w._execute, []
+
+        def failing(task):
+            if task.partition == 13:
+                held.append(sorted(w.engine._thread.run.answers))
+                raise RuntimeError("task 13 dies")
+            return real_execute(task)
+
+        try:
+            self.reduce_run(w, range(params.partitions))
+            assert getattr(w.engine._thread, "run", None) is None
+            w._execute = failing
+            with pytest.raises(RuntimeError, match="task 13"):
+                self.reduce_run(w, range(params.partitions))
+            assert held == [list(range(13, 20))]
+            assert getattr(w.engine._thread, "run", None) is None
+            # the next run folds again what the failed one held
+            w._execute = real_execute
+            calls = self.count_folds(monkeypatch, w)
+            self.reduce_run(w, range(13, 20))
+            assert calls == [[512] * 7]
+            assert [r.partition for r in sent[-1].results] == list(range(13, 20))
+        finally:
+            w.engine.close()
+
+    def test_mixed_partition_sizes_on_unequal_workers_match_local(self, tmp_path):
+        # 250 blocks over 100 partitions: tiles of 2- and 3-block partitions,
+        # on a 2-slot and a 1-slot worker
+        params = BenchmarkParams(blocks=250, vectors_per_unit=256, cores=100, seed=23)
+        delta = Vec3(0.125, -2.5, 1e3)
+        master = Master(ClusterConfig(port=0, expected_workers=2)).start()
+        workers, threads = [], []
+        for i, slots in enumerate((2, 1)):
+            workers.append(Worker(ClusterConfig(port=master.port, slots=slots),
+                                  tmp_path / f"w{i}", 1 << 30))
+            threads.append(threading.Thread(target=workers[-1].run, daemon=True))
+            threads[-1].start()
+        try:
+            assert master.wait_ready(15)
+            got = submit(("127.0.0.1", master.port), job_spec(params, delta), timeout_s=60)
+            local = local_run(tmp_path, params, delta)
+            assert struct.pack("<3d", *got.result.as_tuple()) == struct.pack(
+                "<3d", *local.as_tuple())
+            assert got.phases["reduce"]["bytes"] == params.total_bytes
+        finally:
+            master.shutdown()
+            for w in workers:
+                w.stop()
+            for t in threads:
+                t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)

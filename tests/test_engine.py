@@ -34,6 +34,7 @@ from scalemap.engine import (
     SpillIOFailure,
     UnknownPartition,
     _FOLD_CHUNK,
+    _FOLD_TILE,
     _SHIFT_SLAB,
     build_pipeline,
     fnv1a64,
@@ -528,13 +529,13 @@ class TestLeftFold:
     def test_matches_oracle_across_chunk_boundary(self):
         arr = generate_vectors(11, 0, 70000)
         want = R.left_fold_sum([tuple(r) for r in arr.tolist()])
-        assert tuple(leftfold_sum(arr)) == want
+        assert tuple(leftfold_sum([arr])[0]) == want
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @given(st.lists(st.tuples(f64s, f64s, f64s), min_size=0, max_size=40))
     def test_matches_oracle_small(self, rows):
         arr = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
-        got = leftfold_sum(arr)
+        got = leftfold_sum([arr])[0]
         want = R.left_fold_sum(rows)
         assert got.tobytes() == np.array(want).tobytes()
 
@@ -547,7 +548,7 @@ class TestLeftFold:
     def test_matches_oracle_at_chunk_edges(self, n):
         # magnitudes spread over 12 decades, so every rounding step counts
         arr = generate_vectors(29, 1, n) * np.logspace(-6, 6, 3 * n).reshape(n, 3)
-        got = leftfold_sum(arr)
+        got = leftfold_sum([arr])[0]
         assert got.dtype == np.float64 and got.shape == (3,)
         assert got.tobytes() == self.oracle_bits(arr)
 
@@ -558,7 +559,7 @@ class TestLeftFold:
                              2.2250738585072014e-308, 1.7976931348623157e308,
                              -1.7976931348623157e308, 1e308, 1.0, -1.0])
         arr = np.random.default_rng(n).choice(specials, size=(n, 3))
-        assert leftfold_sum(arr).tobytes() == self.oracle_bits(arr)
+        assert leftfold_sum([arr])[0].tobytes() == self.oracle_bits(arr)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("column", [
@@ -569,7 +570,7 @@ class TestLeftFold:
     ])
     def test_each_special_column(self, column):
         arr = np.repeat(np.array(column)[:, None], 3, axis=1)
-        assert leftfold_sum(arr).tobytes() == self.oracle_bits(arr)
+        assert leftfold_sum([arr])[0].tobytes() == self.oracle_bits(arr)
 
     def test_non_contiguous_and_read_only_inputs_are_left_unchanged(self):
         base = generate_vectors(31, 0, 2 * _FOLD_CHUNK + 6)
@@ -579,22 +580,125 @@ class TestLeftFold:
         frozen.flags.writeable = False
         for arr in (view, frozen):
             before = arr.tobytes()
-            assert leftfold_sum(arr).tobytes() == self.oracle_bits(arr)
+            assert leftfold_sum([arr])[0].tobytes() == self.oracle_bits(arr)
             assert arr.tobytes() == before
 
     def test_concurrent_folds_give_the_sequential_bits(self):
         arrays = [generate_vectors(37, b, 3 * _FOLD_CHUNK + b) for b in range(2)]
-        want = [leftfold_sum(a).tobytes() for a in arrays]
+        want = [leftfold_sum([a])[0].tobytes() for a in arrays]
         assert want[0] == self.oracle_bits(arrays[0])
         start = threading.Barrier(2)
 
         def fold(arr):
             start.wait()
-            return [leftfold_sum(arr).tobytes() for _ in range(5)]
+            return [leftfold_sum([arr])[0].tobytes() for _ in range(5)]
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             got = list(pool.map(fold, arrays))
         assert got == [[w] * 5 for w in want]
+
+    # ---- several arrays, folded as one tile ----
+
+    def assert_tile_matches_oracle(self, arrays):
+        got = leftfold_sum(arrays)
+        assert got.dtype == np.float64 and got.shape == (len(arrays), 3)
+        assert [row.tobytes() for row in got] == [self.oracle_bits(a) for a in arrays]
+
+    def test_tile_of_mixed_lengths_matches_oracle(self):
+        # the shorter arrays sit right-aligned behind zeros; magnitudes
+        # spread over 12 decades, so every rounding step counts
+        arrays = [generate_vectors(41, b, n) * np.logspace(-6, 6, 3 * n).reshape(n, 3)
+                  for b, n in enumerate([5, 1, 300, 2, 77, 300])]
+        self.assert_tile_matches_oracle(arrays)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @given(st.lists(st.lists(st.tuples(f64s, f64s, f64s), max_size=20), min_size=2, max_size=6))
+    def test_tile_matches_oracle_small(self, partitions):
+        self.assert_tile_matches_oracle(
+            [np.array(rows, dtype=np.float64).reshape(len(rows), 3) for rows in partitions])
+
+    def test_empty_array_inside_a_tile_sums_to_zero(self):
+        arrays = [generate_vectors(43, 0, 9), np.empty((0, 3)), generate_vectors(43, 1, 4)]
+        got = leftfold_sum(arrays)
+        assert got[1].tobytes() == np.zeros(3).tobytes()
+        self.assert_tile_matches_oracle(arrays)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_special_columns_inside_a_tile(self):
+        columns = [[-0.0, -0.0], [1e308, 1e308, -1e308], [np.inf, -np.inf, 1.0],
+                   [5e-324, 5e-324, -5e-324], [-0.0]]
+        arrays = [np.repeat(np.array(c)[:, None], 3, axis=1) for c in columns]
+        specials = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e308, -1.0])
+        arrays.append(np.random.default_rng(5).choice(specials, size=(40, 3)))
+        self.assert_tile_matches_oracle(arrays)
+
+    def test_non_contiguous_and_read_only_inputs_inside_a_tile_are_left_unchanged(self):
+        view = generate_vectors(47, 0, 1000)[::2]
+        frozen = generate_vectors(47, 1, 300)
+        frozen.flags.writeable = False
+        column = generate_vectors(47, 2, 200).T.copy().T  # Fortran order
+        arrays = [view, frozen, column]
+        before = [a.tobytes() for a in arrays]
+        self.assert_tile_matches_oracle(arrays)
+        assert [a.tobytes() for a in arrays] == before
+
+    def test_concurrent_tiled_folds_give_the_sequential_bits(self):
+        tiles = [[generate_vectors(53, 10 * t + b, 512 + b) for b in range(10)]
+                 for t in range(2)]
+        want = [leftfold_sum(tile).tobytes() for tile in tiles]
+        start = threading.Barrier(2)
+
+        def fold(tile):
+            start.wait()
+            return [leftfold_sum(tile).tobytes() for _ in range(20)]
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(fold, tiles))
+        assert got == [[w] * 20 for w in want]
+
+    @pytest.mark.parametrize("rows, group", [(_FOLD_TILE // 12, 4), (_FOLD_TILE // 12 + 1, 1)])
+    def test_tile_bound_edge(self, make_engine, monkeypatch, rows, group):
+        # inside a run, four partitions of a quarter tile fold together, and
+        # a partition one row larger folds alone, down the 1-D path
+        e = make_engine()
+        d = e.source(desk_params(blocks=4, vpu=rows, cores=4, seed=3))
+        real, calls = engine_mod.leftfold_sum, []
+
+        def counted(arrays):
+            calls.append([a.shape[0] for a in arrays])
+            return real(arrays)
+
+        monkeypatch.setattr(engine_mod, "leftfold_sum", counted)
+        with e.run_of(d, range(4)):
+            got = [e.partial(d, p) for p in range(4)]
+        assert calls == [[rows] * group] * (4 // group)
+        for p, (sums, count, (nbytes, computed, _)) in enumerate(got):
+            arr = e.materialize(d, p)[0]
+            assert (count, nbytes, computed) == (rows, arr.nbytes, True)
+            assert np.array(sums).tobytes() == self.oracle_bits(arr)
+
+    def test_partition_too_large_for_the_tile_folds_alone_once(self, make_engine, tmp_path,
+                                                               monkeypatch):
+        # partition 2 is read ahead with 0 and 1 but would overflow their
+        # tile: it is folded alone then, and answered on its turn without a
+        # second read
+        arrays = [generate_vectors(59, b, n) for b, n in enumerate([100, 100, 5400, 100])]
+        write_block_files(tmp_path / "mixed", arrays)
+        e = make_engine()
+        d = e.source(desk_params(blocks=4, cores=4, source=LoadBinary(str(tmp_path / "mixed"), 24)))
+        real, calls = engine_mod.leftfold_sum, []
+
+        def counted(arrays):
+            calls.append([a.shape[0] for a in arrays])
+            return real(arrays)
+
+        monkeypatch.setattr(engine_mod, "leftfold_sum", counted)
+        with e.run_of(d, range(4)):
+            got = [e.partial(d, p) for p in range(4)]
+        assert sorted(calls) == [[100], [100, 100], [5400]]
+        assert e.counters.file_loads == 4
+        assert [np.array(sums).tobytes() for sums, _, _ in got] == [
+            self.oracle_bits(a) for a in arrays]
 
 
 class TestRecompute:

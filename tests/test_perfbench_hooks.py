@@ -56,11 +56,17 @@ elif role == "worker":
     w._run_tasks(cluster.TaskRun(1, 0, cluster.ACTION_FORCE,
                                  tuple((p, p) for p in range(many.partitions))))
     counts = collections.Counter(s[1] for s in t.spans[first:])
+    # a reduce run of the same 8 small partitions
+    first = len(t.spans)
+    w._run_tasks(cluster.TaskRun(1, 1, cluster.ACTION_PARTIAL_REDUCE,
+                                 tuple((100 + p, p) for p in range(many.partitions))))
+    reduce_counts = collections.Counter(s[1] for s in t.spans[first:])
     w.engine.close()
 else:
     cluster.send_frame(Sink(), cluster.MessageTag.DATA, b"x")
 if role == "worker":
     print(json.dumps(counts))
+    print(json.dumps(reduce_counts))
 print(json.dumps(sorted({(s[1], tuple(sorted(s[7] or ()))) for s in t.spans})))
 """
 
@@ -106,6 +112,14 @@ def test_worker_traces_every_task_of_a_grouped_create_run(tmp_path):
     counts = traced_lines("worker", tmp_path)[0]
     assert counts["engine.materialize"] == counts["cluster.worker_task"] == 8
     assert 1 <= counts["core.generate"] < 8
+
+
+def test_worker_traces_every_task_of_a_tiled_reduce_run(tmp_path):
+    # the engine folds the run's 8 small partitions a tile at a time, and
+    # each task still records its own worker_task span
+    counts = traced_lines("worker", tmp_path)[1]
+    assert counts["cluster.worker_task"] == 8
+    assert 1 <= counts["engine.fold"] < 8
 
 
 @pytest.mark.xfail(strict=True, reason="the master's send_message seam records task ids "
