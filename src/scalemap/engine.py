@@ -24,7 +24,12 @@ The CacheManager is the single authority over resident payload bytes: strict
 LRU within a hard byte budget, with eviction optionally spilling to disk
 depending on the owning dataset's storage level.  Spill files carry an
 8-byte trailer holding the payload's CRC-32, so a torn write is detected and
-recomputed, never silently returned.  A partition's spills are counted by the
+recomputed, never silently returned.  A spill copies no payload: the write
+hands the file the partition's own buffer, the byte view encode_vectors
+returns for float64 records, and checksums that same view; the read fills a
+fresh array straight from the file and decodes a view of it.  So a spill
+holds the interpreter lock for no copy, and the other slots and a worker's
+heartbeat run beside it.  A partition's spills are counted by the
 materialize() call that caused them: a spill runs on the thread whose cache
 insert evicted, so the calling thread's spill-write count across one call is
 exactly that call's spills, however many other slots are busy.
@@ -48,10 +53,10 @@ per tile replaces several per partition.
 
 from __future__ import annotations
 
+import os
 import shutil
 import struct
 import threading
-import uuid
 import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -367,7 +372,7 @@ class Engine:
 
     def __init__(self, memory_budget_bytes: int, scratch_dir, slots: int = 1):
         self.slots = max(1, int(slots))
-        self.scratch = Path(scratch_dir) / f"eng-{uuid.uuid4().hex[:8]}"
+        self.scratch = Path(scratch_dir) / f"eng-{os.urandom(4).hex()}"
         self.counters = EngineCounters()
         self.cache = CacheManager(memory_budget_bytes, on_evict=self._on_evict)
         self._lock = threading.Lock()
@@ -651,15 +656,27 @@ class Engine:
         self._thread.spill_writes = getattr(self._thread, "spill_writes", 0) + 1
 
     def _spill_read(self, key) -> np.ndarray | None:
+        """The partition held in key's spill file, read straight into a
+        fresh array, or None if there is no file or it is torn: too short,
+        not whole records, a short read, or a checksum that does not match
+        (counted, and the file unlinked, so the partition is recomputed)."""
         path = self._spill_path(key)
         try:
-            data = path.read_bytes()
+            with open(path, "rb", buffering=0) as f:
+                size = os.fstat(f.fileno()).st_size
+                buf = memoryview(np.empty(size, dtype=np.uint8))
+                got = 0
+                while got < size:  # one read returns at most about 2 GiB
+                    n = f.readinto(buf[got:])
+                    if not n:
+                        break
+                    got += n
         except OSError:
             return None
-        ok = len(data) >= 8
+        ok = got == size and size >= 8 and (size - 8) % 24 == 0
         if ok:
-            payload, (stored,) = memoryview(data)[:-8], struct.unpack("<Q", data[-8:])
-            ok = fnv1a64(payload) == stored and len(payload) % 24 == 0
+            payload, (stored,) = buf[:-8], struct.unpack("<Q", buf[-8:])
+            ok = fnv1a64(payload) == stored
         if not ok:
             with self._lock:
                 self.counters.spill_corrupt += 1

@@ -133,8 +133,16 @@ def generate_vectors(seed: int, block_ids: int | Sequence[int], n_vectors: int) 
     return out
 
 
-def encode_vectors(vectors: np.ndarray, codec: RecordCodec) -> bytes:
-    return np.ascontiguousarray(vectors, dtype=codec.dtype).tobytes()
+def encode_vectors(vectors: np.ndarray, codec: RecordCodec) -> memoryview:
+    """The records' bytes in codec's little-endian layout, as a read-only
+    byte view.  A C-contiguous little-endian float64 array is viewed in
+    place for 24-byte records, so a spill write copies nothing and holds no
+    interpreter lock for a copy; any other input, 12-byte records included,
+    is converted into a fresh array first."""
+    flat = np.ascontiguousarray(vectors, dtype=codec.dtype)
+    if not flat.size:  # a view with a zero in its shape cannot be cast
+        return memoryview(b"")
+    return memoryview(flat).cast("B").toreadonly()
 
 
 def decode_vectors(data, codec: RecordCodec) -> np.ndarray:

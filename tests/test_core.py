@@ -214,6 +214,16 @@ class TestCodec:
         arr = np.array([[1.0, 0.0, 0.0]])
         assert encode_vectors(arr, RecordCodec(24))[:8] == bytes.fromhex("000000000000F03F")
 
+    def test_f64_encoding_is_a_read_only_view_of_the_records(self):
+        # a spill writes a partition's own buffer: no copy for float64 records
+        arr = np.arange(12.0).reshape(4, 3)
+        view = encode_vectors(arr, RecordCodec(24))
+        assert view.readonly and view.nbytes == arr.nbytes
+        assert np.shares_memory(np.frombuffer(view, dtype=np.float64), arr)
+        assert not np.shares_memory(np.frombuffer(encode_vectors(arr, RecordCodec(12)),
+                                                  dtype=np.float32), arr)
+        assert bytes(encode_vectors(np.empty((0, 3)), RecordCodec(24))) == b""
+
     def test_unsupported_width_rejected(self):
         with pytest.raises(InvalidParams):
             RecordCodec(16)

@@ -72,6 +72,32 @@ def make_engine(tmp_path):
         e.close()
 
 
+def worst_tick_gap(action) -> tuple[float, object]:
+    """The longest gap, in seconds, between the ticks of a thread that
+    sleeps 1 ms per tick while this thread runs action(), and what
+    action() returned."""
+    stop, worst = threading.Event(), [0.0]
+
+    def tick():
+        last = time.perf_counter()
+        while not stop.is_set():
+            time.sleep(0.001)
+            now = time.perf_counter()
+            worst[0] = max(worst[0], now - last)
+            last = now
+
+    ticker = threading.Thread(target=tick)
+    ticker.start()
+    time.sleep(0.01)
+    try:
+        result = action()
+    finally:
+        stop.set()
+        ticker.join(timeout=5)
+    assert not ticker.is_alive()
+    return worst[0], result
+
+
 def write_block_files(directory: Path, arrays, record_bytes=24):
     directory.mkdir(parents=True, exist_ok=True)
     codec = RecordCodec(record_bytes)
@@ -357,6 +383,10 @@ class TestPersistence:
         "cut_mid_payload": lambda blob: blob[:len(blob) // 2 // 24 * 24],
         "trailer_low_byte_flipped": lambda blob: blob[:-8] + bytes([blob[-8] ^ 0x01]) + blob[-7:],
         "trailer_high_byte_flipped": lambda blob: blob[:-1] + bytes([blob[-1] ^ 0x80]),
+        # a payload cut 5 bytes into a record under a trailer that matches
+        # it: only the whole-records check can catch this one
+        "part_record_with_its_crc": lambda blob: (
+            blob[:-13] + struct.pack("<Q", R.crc32(blob[:-13]))),
     }
 
     @pytest.mark.parametrize("tear", sorted(TEARS))
@@ -396,6 +426,46 @@ class TestPersistence:
         t0 = time.perf_counter()
         fnv1a64(data)
         assert time.perf_counter() - t0 < 1.0
+
+    def test_spill_files_are_records_then_their_crc32(self, make_engine):
+        # golden bytes of a DISK_ONLY job's spills, built from the scalar
+        # oracles alone: each partition's records as <f8, then a <Q holding
+        # the CRC-32 of those bytes
+        delta = Vec3(0.5, -1.0, 2.0)
+        params = desk_params(blocks=5, vpu=16, cores=2, seed=9, shift_delta=delta)
+        e = make_engine()
+        source, shifted = build_pipeline(e, params, StorageLevel.DISK_ONLY)
+        e.force(source)
+        e.force(shifted)
+        for p in range(params.partitions):
+            rows = [row for b in R.partition_blocks(params.blocks, params.partitions, p)
+                    for row in R.block_vectors(params.seed, b, params.vectors_per_block)]
+            for d, records in ((source, rows), (shifted, R.shift_rows(rows, delta.as_tuple()))):
+                payload = b"".join(struct.pack("<3d", *r) for r in records)
+                want = payload + struct.pack("<Q", R.crc32(payload))
+                assert e._spill_path((d, p)).read_bytes() == want
+
+    def test_spill_write_and_read_stall_no_other_thread(self, make_engine):
+        # a spill copies no payload while it holds the interpreter lock, so a
+        # thread ticking every 1 ms keeps ticking beside the write and the
+        # read of a 64 MiB partition: its worst gap reads about 2-6 ms, where
+        # copying the payload (tobytes, read_bytes) stalled it 32-57 ms.  A
+        # stall of the code repeats on every try and a burst of load on the
+        # host does not, so the best of three tries is bounded
+        e = make_engine()
+        d = e.persist(e.source(desk_params(blocks=1, vpu=16)), StorageLevel.DISK_ONLY)
+        key = (d, 0)
+        arr = np.arange((64 << 20) // 24 * 3, dtype=np.float64).reshape(-1, 3)
+        arr.setflags(write=False)
+        writes, reads = [], []
+        for _ in range(3):
+            e._spill_delete(key)
+            writes.append(worst_tick_gap(lambda: e._spill_write(key, arr))[0])
+            gap, got = worst_tick_gap(lambda: e._spill_read(key))
+            reads.append(gap)
+            assert np.array_equal(got, arr)
+        assert min(writes) < 0.020, writes
+        assert min(reads) < 0.020, reads
 
 
 class TestForce:
