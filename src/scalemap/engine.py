@@ -45,7 +45,12 @@ reduce entry that calls it.  It sums in record order, so its bits are
 fixed.  A lone partition is folded by contiguous, out-of-place 1-D
 accumulates, the one accumulate shape numpy runs in parallel across
 threads, so a reduce of large partitions scales with slots as create and
-map do.  Inside a worker's run, partial folds a small partition together
+map do.  Its (x, y) pairs fold as one complex128 chain and z as one
+float64 chain, two accumulates where three would do: a complex add is one
+IEEE float64 add per part, the running sum its first operand, so every
+bit is still that of three float64 folds, nan payloads included, and
+numpy runs the two parts as independent chains, in about the time of one.
+Inside a worker's run, partial folds a small partition together
 with the run's next ones, a tile of them in one 2-D accumulate: a small
 partition's fold costs a few numpy calls whatever its length, so one call
 per tile replaces several per partition.
@@ -288,14 +293,21 @@ def leftfold_sum(arrays) -> np.ndarray:
     accumulate is one numpy call however many arrays it folds, but slots
     folding tiles at once take as long as one slot folding both in turn.
 
-    A lone array is folded a chunk of rows at a time: each chunk is copied,
-    transposed, into columns 1.. of src, behind the running sums in column
-    0, and each component is folded by its own contiguous, out-of-place 1-D
-    accumulate into dst.  That is the one accumulate shape numpy runs in
+    A lone array is folded a chunk of rows at a time, by two contiguous,
+    out-of-place 1-D accumulates, the one accumulate shape numpy runs in
     parallel across threads, so a large partition folds on every slot at
-    once.  The recurrence per component is that of a row-by-row fold, so
-    every result bit is too, inf, nan, -0.0 and overflow included.  Every
-    buffer is allocated per call, since slots fold at the same time.
+    once.  The chunk's (x, y) pairs, viewed in place as one strided
+    complex128 array (x the real part, y the imaginary), are copied into
+    xy[1:], behind the running (x, y) sum in xy[0], and folded by one
+    complex accumulate into xyd; z is copied behind its running sum in z
+    and folded by a float64 accumulate into zd.  A complex add is one IEEE
+    add per part, the running sum its first operand, so each part follows
+    the recurrence of a row-by-row fold, and every result bit is that of
+    three float64 folds, inf, nan payloads, -0.0 and overflow included;
+    numpy runs the two parts as independent chains, so the pair folds in
+    about the time of one.  A chunk that is not C-contiguous float64 is
+    converted first.  Every buffer is allocated per call, since slots fold
+    at the same time.
     """
     if len(arrays) > 1:
         width = max(a.shape[0] for a in arrays) + 1
@@ -307,16 +319,23 @@ def leftfold_sum(arrays) -> np.ndarray:
     (arr,) = arrays
     n = arr.shape[0]
     width = min(n, _FOLD_CHUNK) + 1
-    src = np.zeros((3, width))
-    dst = np.empty((3, width))
+    xy = np.zeros(width, np.complex128)
+    xyd = np.empty(width, np.complex128)
+    z = np.zeros(width)
+    zd = np.empty(width)
     for lo in range(0, n, _FOLD_CHUNK):
-        rows = arr[lo:lo + _FOLD_CHUNK]
+        rows = np.ascontiguousarray(arr[lo:lo + _FOLD_CHUNK], dtype=np.float64)
         m = rows.shape[0]
-        src[:, 1:m + 1] = rows.T
-        for j in range(3):
-            np.add.accumulate(src[j, :m + 1], out=dst[j, :m + 1])
-        src[:, 0] = dst[:, m]
-    return src[:, :1].T.copy()
+        if m + 1 < width:  # the last chunk, cut short
+            xy, xyd, z, zd = xy[:m + 1], xyd[:m + 1], z[:m + 1], zd[:m + 1]
+        xy[1:] = rows[:, :2].view(np.complex128)[:, 0]
+        z[1:] = rows[:, 2]
+        np.add.accumulate(xy, out=xyd)
+        np.add.accumulate(z, out=zd)
+        xy[0] = xyd[-1]
+        z[0] = zd[-1]
+    s = xy[0]
+    return np.array([[s.real, s.imag, z[0]]])
 
 
 def _fold(outcomes) -> list:
@@ -325,6 +344,13 @@ def _fold(outcomes) -> list:
     sums = leftfold_sum([arr for arr, _, _ in outcomes]).tolist()
     return [(tuple(s), arr.shape[0], (arr.nbytes, computed, spilled))
             for s, (arr, computed, spilled) in zip(sums, outcomes)]
+
+
+def _fold_one(outcome) -> tuple:
+    """_fold([outcome])[0], without building its lists."""
+    arr, computed, spilled = outcome
+    (sums,) = leftfold_sum([arr]).tolist()
+    return tuple(sums), arr.shape[0], (arr.nbytes, computed, spilled)
 
 
 # Rows per slab of the map stage's add: the tiled delta row is 24 KiB.
@@ -473,16 +499,16 @@ class Engine:
         leftfold_sum's 1-D path, which runs in parallel across slots."""
         run = getattr(self._thread, "run", None)
         if run is None or run.dataset is not d:
-            return _fold([self.materialize(d, p)])[0]
+            return _fold_one(self.materialize(d, p))
         answer = run.answers.pop(p, None)
         if answer is not None:
             return answer
         run.answers.clear()  # partitions the run passed without their call
-        outcomes = [self.materialize(d, p)]
-        used = last = 3 * outcomes[0][0].shape[0]
+        first = self.materialize(d, p)
+        used = last = 3 * first[0].shape[0]
         if 4 * used > _FOLD_TILE:
-            return _fold(outcomes)[0]
-        group = [p]
+            return _fold_one(first)
+        group, outcomes = [p], [first]
         for q in run.after(p):
             if used + last > _FOLD_TILE:
                 break
@@ -492,7 +518,7 @@ class Engine:
                 break
             last = 3 * got[0].shape[0]
             if used + last > _FOLD_TILE:
-                run.answers[q] = _fold([got])[0]
+                run.answers[q] = _fold_one(got)
                 break
             used += last
             group.append(q)

@@ -653,6 +653,45 @@ class TestLeftFold:
             assert leftfold_sum([arr])[0].tobytes() == self.oracle_bits(arr)
             assert arr.tobytes() == before
 
+    @pytest.mark.parametrize("n", [1, 7, _FOLD_CHUNK - 1, _FOLD_CHUNK + 1, 2 * _FOLD_CHUNK + 1])
+    def test_lone_and_tiled_folds_keep_the_same_nan_payloads(self, n):
+        # nan + nan keeps one operand's payload, so a fold that put the
+        # running sum second would end on another nan; a local reduce folds
+        # alone and a cluster one in tiles, and both must give these bits.
+        # Payloads are compared path to path: the Python oracle's float add
+        # keeps the first or the second payload depending on whether the
+        # interpreter has specialized it yet.
+        rng = np.random.default_rng(n)
+        arr = rng.standard_normal((n, 3))
+        nans = min(n, 4)
+        for j in range(3):
+            at = rng.choice(n, size=nans, replace=False)
+            payloads = 0x7FF8000000000000 + 16 * j + np.arange(1, nans + 1, dtype=np.uint64)
+            signs = rng.integers(0, 2, size=nans, dtype=np.uint64) << np.uint64(63)
+            arr[at, j] = (payloads | signs).view(np.float64)
+        other = rng.standard_normal((n + 2, 3))
+        alone = leftfold_sum([arr])[0]
+        assert np.isnan(alone).all()
+        assert alone.tobytes() == leftfold_sum([other, arr])[1].tobytes()
+        assert alone.tobytes() == leftfold_sum([arr, other[:1]])[0].tobytes()
+
+    def test_inputs_the_pair_view_cannot_read_in_place(self):
+        # each is folded as its float64 cast, across a chunk edge, and left
+        # as it was
+        n = _FOLD_CHUNK + 5
+        base = generate_vectors(61, 0, n) * np.logspace(-6, 6, 3 * n).reshape(n, 3)
+        shifted = np.empty(3 * n + 1)[1:].reshape(n, 3)  # starts 8 bytes into its buffer
+        shifted[...] = base
+        assert shifted.ctypes.data % 16 == 8
+        fortran = np.asfortranarray(base)
+        assert not fortran.flags.c_contiguous
+        for arr in (fortran, shifted, base.astype(">f8"), base.astype(np.float32)):
+            before = arr.tobytes()
+            got = leftfold_sum([arr])[0]
+            assert got.dtype == np.float64
+            assert got.tobytes() == self.oracle_bits(arr.astype(np.float64))
+            assert arr.tobytes() == before
+
     def test_concurrent_folds_give_the_sequential_bits(self):
         arrays = [generate_vectors(37, b, 3 * _FOLD_CHUNK + b) for b in range(2)]
         want = [leftfold_sum([a])[0].tobytes() for a in arrays]
