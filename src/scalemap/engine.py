@@ -12,8 +12,11 @@ partition is generated together with the run's next cold ones, in one call
 of at most one tile, and each of them gets its own copy of its rows.  The
 engine holds the rows generated ahead of their turn, at most one tile per
 thread, and drops them when the run ends; generate_calls counts blocks when
-they are generated.  A file-backed partition decodes each block file and
-concatenates the blocks.  A mapped
+they are generated.  A file-backed partition is read as a spill is: its
+block files are read straight into one fresh buffer, one file at a time,
+each into its own slice, and decoded by one call, a view of that buffer for
+24-byte records, so building it copies nothing; a file that is not whole
+records, or that changes size while it is read, fails the partition.  A mapped
 partition is its parent's records plus the dataset's delta, added by
 shift_records in one out-of-place pass over slabs of rows: broadcasting a
 (3,) delta over (n, 3) records would run numpy's inner loop 3 elements at a
@@ -99,6 +102,53 @@ def fnv1a64(data) -> int:
     the FNV-1a checksum it replaced stays: the benchmark's tracer wraps this
     module attribute by name, so the spill path calls it as a module global."""
     return zlib.crc32(data)
+
+
+class _Unreadable(Exception):
+    """A file _read_files could not stat, open or read; the OSError is the
+    cause."""
+
+    def __init__(self, path: str):
+        super().__init__(path)
+        self.path = path
+
+
+class _Resized(Exception):
+    """A file that changed size while _read_files read it: its read ended
+    short of the size it was listed at, or it held bytes past that size."""
+
+    def __init__(self, path: str, size: int, how: str):
+        super().__init__(f"listed at {size} bytes, {how}")
+        self.path = path
+
+
+def _read_files(paths) -> tuple[np.ndarray, list[int]]:
+    """The bytes of the files at paths, back to back, as one fresh uint8
+    array, and each file's size.  Every file is sized by stat first and the
+    array allocated once; then each is opened unbuffered in turn, one open
+    file at a time however many there are, and read straight into its
+    slice, so no byte is copied.  A file that reads short of its size, or
+    has a byte past it, raises _Resized; one that cannot be read,
+    _Unreadable."""
+    sizes = []
+    try:
+        for path in paths:
+            sizes.append(os.stat(path).st_size)
+        buf = np.empty(sum(sizes), dtype=np.uint8)
+        view, at = memoryview(buf), 0
+        for path, size in zip(paths, sizes):
+            with open(path, "rb", buffering=0) as f:
+                end = at + size
+                while at < end:  # one read returns at most about 2 GiB
+                    n = f.readinto(view[at:end])
+                    if not n:
+                        raise _Resized(path, size, f"read {size - (end - at)}")
+                    at += n
+                if f.read(1):
+                    raise _Resized(path, size, "holds more")
+    except OSError as e:
+        raise _Unreadable(path) from e
+    return buf, sizes
 
 
 @dataclass(frozen=True)
@@ -571,15 +621,30 @@ class Engine:
             return shift_records(parent, node.row)
         if node.files is None:
             return self._generate(d, p)
-        params = node.params
-        block_ids = partition_blocks(params.blocks, d.partitions, p)
-        codec = RecordCodec(params.source.record_bytes)
-        pieces = [self._load_block(node.files[b], codec) for b in block_ids]
+        return self._load(node, partition_blocks(node.params.blocks, d.partitions, p))
+
+    def _load(self, node: SourceNode, block_ids: range) -> np.ndarray:
+        """The records of a file-backed source's blocks, back to back: the
+        files are read straight into one fresh buffer (_read_files) and
+        decoded by one decode_vectors call, a view of the buffer for 24-byte
+        records, so no record is copied; 12-byte records are widened once."""
+        paths = [node.files[b] for b in block_ids]
+        codec = RecordCodec(node.params.source.record_bytes)
+        try:
+            buf, sizes = _read_files(paths)
+        except _Unreadable as e:
+            raise RecomputeFailure(
+                f"block file unreadable: {e.path}: {e.__cause__}") from e.__cause__
+        except _Resized as e:
+            raise RecomputeFailure(f"block file changed size while read: {e.path}: {e}") from e
+        for path, size in zip(paths, sizes):
+            if size % codec.record_bytes:
+                raise RecomputeFailure(
+                    f"block file misaligned: {path}: "
+                    f"{IndivisibleLength(size, codec.record_bytes)}")
         with self._lock:
-            self.counters.file_loads += len(pieces)
-        if not pieces:
-            return np.empty((0, 3), dtype=np.float64)
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            self.counters.file_loads += len(paths)
+        return decode_vectors(buf, codec)
 
     def _generate(self, d: Dataset, p: int) -> np.ndarray:
         """Partition p of a generated source.  Inside this thread's run of d
@@ -625,17 +690,6 @@ class Engine:
             yield
         finally:
             self._thread.run = None
-
-    @staticmethod
-    def _load_block(path: str, codec: RecordCodec) -> np.ndarray:
-        try:
-            data = Path(path).read_bytes()
-        except OSError as e:
-            raise RecomputeFailure(f"block file unreadable: {path}: {e}") from e
-        try:
-            return decode_vectors(data, codec)
-        except IndivisibleLength as e:
-            raise RecomputeFailure(f"block file misaligned: {path}: {e}") from e
 
     def _store(self, d: Dataset, p: int, arr: np.ndarray):
         key = (d, p)
@@ -683,23 +737,18 @@ class Engine:
 
     def _spill_read(self, key) -> np.ndarray | None:
         """The partition held in key's spill file, read straight into a
-        fresh array, or None if there is no file or it is torn: too short,
-        not whole records, a short read, or a checksum that does not match
-        (counted, and the file unlinked, so the partition is recomputed)."""
+        fresh array (_read_files), or None if there is no file or it is
+        torn: too short, not whole records, changed size while read, or a
+        checksum that does not match (counted, and the file unlinked, so the
+        partition is recomputed)."""
         path = self._spill_path(key)
         try:
-            with open(path, "rb", buffering=0) as f:
-                size = os.fstat(f.fileno()).st_size
-                buf = memoryview(np.empty(size, dtype=np.uint8))
-                got = 0
-                while got < size:  # one read returns at most about 2 GiB
-                    n = f.readinto(buf[got:])
-                    if not n:
-                        break
-                    got += n
-        except OSError:
+            buf, _ = _read_files([path])
+            ok = buf.size >= 8 and (buf.size - 8) % 24 == 0
+        except _Unreadable:
             return None
-        ok = got == size and size >= 8 and (size - 8) % 24 == 0
+        except _Resized:
+            ok = False
         if ok:
             payload, (stored,) = buf[:-8], struct.unpack("<Q", buf[-8:])
             ok = fnv1a64(payload) == stored

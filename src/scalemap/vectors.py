@@ -8,7 +8,8 @@ partitions, which the engine generates together within a worker's run of
 tasks (Engine.run_of) and splits.  Small blocks are tiled together, so a
 call pays numpy's per-call cost once per tile of draws rather than once per
 block, and the blocks' seeds are one splitmix64 over an array of all their
-ids; the temporaries are bounded by a fixed chunk of draws, plus 8 bytes a
+ids (for a few blocks, block_seed in Python, below the array's fixed cost);
+the temporaries are bounded by a fixed chunk of draws, plus 8 bytes a
 block, whatever the block size or count.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_GOLDEN, _MASK64, _MIX1, _MIX2, RECORD_BYTES_F32, RECORD_BYTES_F64,
-                   IndivisibleLength, InvalidParams)
+                   IndivisibleLength, InvalidParams, block_seed)
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,20 @@ def _mix64(z: np.ndarray, t: np.ndarray):
     np.bitwise_xor(z, np.right_shift(z, _SHIFT31, out=t), out=z)
 
 
+# Ids up to which _block_seeds runs block_seed in Python: the array path
+# costs about ten numpy calls whatever the count, 7.0-8.0 us, where the
+# Python loop costs about 0.6 us an id: 1.2-2.5 us for 1 id, 5.3-5.7 us for
+# 8, 7.5-8.2 us for 12 (timeit, best of 7).
+_SEEDS_IN_PYTHON = 10
+
+
 def _block_seeds(seed: int, ids: Sequence[int], t: np.ndarray) -> np.ndarray:
-    """block_seed(seed, b) of every id b, as uint64: splitmix64 of
-    seed ^ (b * golden gamma), over one array of all the ids, its shift
-    temporaries in the scratch t, a scratch's worth of ids at a time."""
+    """block_seed(seed, b) of every id b, as uint64.  Up to _SEEDS_IN_PYTHON
+    ids, block_seed itself; more, splitmix64 of seed ^ (b * golden gamma)
+    over one array of all the ids, its shift temporaries in the scratch t,
+    a scratch's worth of ids at a time."""
+    if len(ids) <= _SEEDS_IN_PYTHON:
+        return np.array([block_seed(seed, b) for b in ids], dtype=np.uint64)
     seeds = np.fromiter(ids, dtype=np.uint64, count=len(ids))
     np.multiply(seeds, _GOLDEN_U64, out=seeds)
     np.bitwise_xor(seeds, np.uint64(seed), out=seeds)
@@ -92,8 +103,9 @@ def generate_vectors(seed: int, block_ids: int | Sequence[int], n_vectors: int) 
 
     Draw i of a block's stream is the splitmix64 output for state
     block_seed + (i + 1) * golden gamma, so any sub-range of draws can be
-    produced without generating its prefix.  The blocks' seeds are one
-    splitmix64 over a uint64 array of all the ids, bit for bit block_seed.
+    produced without generating its prefix.  The blocks' seeds are
+    block_seed's, made by _block_seeds: one splitmix64 over a uint64 array
+    of all the ids, or block_seed itself for a few.
     The draws form a (blocks, 3 * n_vectors) grid, made a tile at a time:
     as many whole blocks as fit in _GEN_CHUNK draws, or one _GEN_CHUNK slice
     of a block larger than that.  A tile's states are one add of the step

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import reference as R
@@ -48,12 +48,13 @@ f32s = st.floats(allow_nan=False, allow_infinity=False, width=32)
 @st.composite
 def block_id_lists(draw):
     """A partition_blocks range of any stride and offset, or a list of any
-    u64 ids; either way at most 6 ids, all below 2^64."""
+    u64 ids; either way at most 16 ids, all below 2^64, so that the seeds
+    are made on both sides of vectors._SEEDS_IN_PYTHON."""
     if draw(st.booleans()):
-        return draw(st.lists(u64s, max_size=6))
+        return draw(st.lists(u64s, max_size=16))
     partitions = draw(st.integers(min_value=1, max_value=2**64 - 1))
     p = draw(st.integers(min_value=0, max_value=partitions - 1))
-    blocks = min(p + draw(st.integers(min_value=0, max_value=6)) * partitions, 2**64)
+    blocks = min(p + draw(st.integers(min_value=0, max_value=16)) * partitions, 2**64)
     return partition_blocks(blocks, partitions, p)
 
 
@@ -84,6 +85,7 @@ class TestGeneration:
         assert_bit_equal(got, want)
 
     @given(seed=u64s, block_ids=block_id_lists(), n=st.integers(min_value=0, max_value=32))
+    @example(seed=2**64 - 1, block_ids=[2**64 - 1 - b for b in range(11)], n=2)
     def test_blocks_match_scalar_oracle(self, seed, block_ids, n):
         assert_bit_equal(generate_vectors(seed, block_ids, n), oracle_floats(seed, block_ids, n))
 
@@ -163,9 +165,12 @@ class TestGeneration:
         want = R.mix64((seed ^ ((block_id * R.GOLDEN) & R.MASK64)) + R.GOLDEN)
         assert block_seed(seed, block_id) == want
 
-    @given(seed=u64s, block_ids=st.lists(u64s, max_size=12), scratch=st.integers(1, 5))
+    @given(seed=u64s, block_ids=st.lists(u64s, max_size=24), scratch=st.integers(1, 5))
+    @example(seed=3, block_ids=list(range(vectors._SEEDS_IN_PYTHON)), scratch=1)
+    @example(seed=3, block_ids=list(range(vectors._SEEDS_IN_PYTHON + 1)), scratch=4)
     def test_vectorized_block_seeds_match_block_seed(self, seed, block_ids, scratch):
-        # a scratch shorter than the ids mixes them a scratch's worth at a time
+        # up to _SEEDS_IN_PYTHON ids block_seed runs in Python; past it, a
+        # scratch shorter than the ids mixes them a scratch's worth at a time
         t = np.empty(scratch, dtype=np.uint64)
         got = vectors._block_seeds(seed, block_ids, t)
         assert got.dtype == np.uint64
@@ -174,9 +179,12 @@ class TestGeneration:
     def test_vectorized_block_seeds_at_the_u64_edges(self):
         edges = [0, 1, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]
         t = np.empty(len(edges), dtype=np.uint64)
-        for seed in edges:
-            assert vectors._block_seeds(seed, edges, t).tolist() == [
-                block_seed(seed, b) for b in edges]
+        # the edges alone take the Python path, three times over the array's
+        assert len(edges) <= vectors._SEEDS_IN_PYTHON < 3 * len(edges)
+        for ids in (edges, 3 * edges):
+            for seed in edges:
+                assert vectors._block_seeds(seed, ids, t).tolist() == [
+                    block_seed(seed, b) for b in ids]
 
     def test_splitmix64_known_vector(self):
         # reference sequence for state 0: widely published splitmix64 outputs

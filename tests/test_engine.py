@@ -6,6 +6,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -24,6 +25,7 @@ from scalemap.core import (
     LoadBinary,
     RecordCodec,
     Vec3,
+    decode_vectors,
     encode_vectors,
     generate_vectors,
 )
@@ -105,6 +107,26 @@ def write_block_files(directory: Path, arrays, record_bytes=24):
         (directory / f"block-{i:04d}.bin").write_bytes(encode_vectors(arr, codec))
 
 
+@pytest.fixture
+def opened(monkeypatch):
+    """Every file the engine opens, and the chance to act on its path just
+    before: set opened.before to a callable of the path."""
+    class Opened(list):
+        before = None
+
+    files = Opened()
+
+    def tracking(path, *args, **kwargs):
+        if files.before is not None:
+            files.before(Path(path))
+        f = open(path, *args, **kwargs)
+        files.append(f)
+        return f
+
+    monkeypatch.setattr(engine_mod, "open", tracking, raising=False)
+    return files
+
+
 class TestLaziness:
     def test_source_and_map_allocate_nothing(self, make_engine):
         e = make_engine()
@@ -168,6 +190,136 @@ class TestSource:
             p = desk_params(blocks=blocks, source=LoadBinary(str(tmp_path / "six"), 24))
             with pytest.raises(InvalidParams, match="6 block files"):
                 make_engine().source(p)
+
+
+class TestFileLoad:
+    """A file-backed partition: its block files read straight into one
+    buffer and decoded by one call."""
+
+    @staticmethod
+    def write_raw(directory: Path, sizes, record_bytes, seed=0) -> list[Path]:
+        # random bytes, so the records hold nans with payloads and
+        # subnormals as well as ordinary values
+        directory.mkdir(parents=True)
+        rng = np.random.default_rng(seed)
+        paths = []
+        for i, n in enumerate(sizes):
+            path = directory / f"block-{i:04d}.bin"
+            path.write_bytes(rng.integers(0, 256, n * record_bytes, dtype=np.uint8).tobytes())
+            paths.append(path)
+        return paths
+
+    @staticmethod
+    def one_partition(e, directory, blocks, record_bytes):
+        return e.source(desk_params(blocks=blocks, cores=1,
+                                    source=LoadBinary(str(directory), record_bytes)))
+
+    @pytest.mark.parametrize("record_bytes", [24, 12])
+    @pytest.mark.parametrize("sizes", [[40], [40, 40, 40], [1, 300, 7, 64], [5, 0, 9], [0]],
+                             ids=["one", "several", "uneven", "an-empty-block", "all-empty"])
+    def test_bit_identical_to_per_file_decode_and_concatenate(
+            self, make_engine, tmp_path, sizes, record_bytes):
+        paths = self.write_raw(tmp_path / "blocks", sizes, record_bytes)
+        codec = RecordCodec(record_bytes)
+        e = make_engine()
+        d = self.one_partition(e, tmp_path / "blocks", len(sizes), record_bytes)
+        with np.errstate(invalid="ignore"):  # widening a signalling nan
+            want = np.concatenate([decode_vectors(p.read_bytes(), codec) for p in paths])
+            got = e.materialize(d, 0)[0]
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert_bit_equal(got, want)
+        assert e.counters.file_loads == len(sizes)
+
+    def test_materializing_holds_each_record_once(self, make_engine, tmp_path):
+        # four 1536-record blocks: reading each into a bytes object and
+        # concatenating held every record twice, a peak of 2.01x the
+        # partition's bytes; read straight into one buffer it is the
+        # partition plus small objects
+        write_block_files(tmp_path / "blocks", [generate_vectors(3, b, 1536) for b in range(4)])
+        e = make_engine()
+        d = self.one_partition(e, tmp_path / "blocks", 4, 24)
+        e.materialize(d, 0)  # first-call set-up outside the measurement
+        tracemalloc.start()
+        try:
+            arr = e.materialize(d, 0)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arr.nbytes == 4 * 1536 * 24
+        assert peak <= arr.nbytes + (64 << 10), peak / arr.nbytes
+
+    def test_decoded_bytes_are_file_bytes_plus_spill_reads(self, make_engine, tmp_path,
+                                                           monkeypatch):
+        # the benchmark's tracer counts core.decode bytes through the
+        # module global decode_vectors: one call per partition built from
+        # its files, one per spill read
+        params = desk_params(blocks=8, vpu=64, cores=2, nparts=2,
+                             source=LoadBinary(str(tmp_path / "blocks"), 24))
+        write_block_files(tmp_path / "blocks", [
+            generate_vectors(7, b, params.vectors_per_block) for b in range(8)])
+        calls = []
+        real = engine_mod.decode_vectors
+
+        def counted(data, codec):
+            calls.append(len(data))
+            return real(data, codec)
+
+        monkeypatch.setattr(engine_mod, "decode_vectors", counted)
+        e = make_engine(budget=params.total_bytes // 2)
+        source, shifted = build_pipeline(e, params, StorageLevel.MEMORY_AND_DISK)
+        e.force(source)
+        e.force(shifted)
+        e.reduce_average(shifted)
+        file_bytes = sum(p.stat().st_size for p in (tmp_path / "blocks").iterdir())
+        assert e.counters.file_loads == 8 and e.counters.spill_reads > 0
+        assert len(calls) == params.partitions + e.counters.spill_reads
+        assert sum(calls) == file_bytes + e.counters.spill_reads * params.total_bytes // params.partitions
+
+    def failure(self, e, d) -> str:
+        with pytest.raises(RecomputeFailure) as ei:
+            e.materialize(d, 0)
+        return str(ei.value)
+
+    def test_misaligned_block_fails_naming_it(self, make_engine, tmp_path, opened):
+        paths = self.write_raw(tmp_path / "blocks", [4, 4, 4], 12)
+        with open(paths[1], "ab") as f:
+            f.write(b"\x00" * 5)
+        e = make_engine()
+        assert self.failure(e, self.one_partition(e, tmp_path / "blocks", 3, 12)) == (
+            f"block file misaligned: {paths[1]}: "
+            "byte length 53 is not divisible by record size 12")
+        assert opened and all(f.closed for f in opened)
+        assert e.counters.file_loads == 0
+
+    def test_unreadable_block_fails_naming_it(self, make_engine, tmp_path, opened):
+        paths = self.write_raw(tmp_path / "blocks", [4, 4, 4], 24)
+        e = make_engine()
+        d = self.one_partition(e, tmp_path / "blocks", 3, 24)
+        paths[2].unlink()  # fails its stat, before any file is opened
+        assert self.failure(e, d).startswith(f"block file unreadable: {paths[2]}: [Errno 2] ")
+        assert not opened
+        paths[2].mkdir()  # stats, but fails its open after the first two are read
+        assert self.failure(e, d).startswith(f"block file unreadable: {paths[2]}: [Errno 21] ")
+        assert len(opened) == 2 and all(f.closed for f in opened)
+
+    @pytest.mark.parametrize("change,how", [
+        (lambda path: path.write_bytes(path.read_bytes()[:-24]), "read 72"),
+        (lambda path: path.write_bytes(path.read_bytes()[:-5]), "read 91"),
+        (lambda path: path.write_bytes(b""), "read 0"),
+        (lambda path: path.write_bytes(path.read_bytes() + bytes(24)), "holds more"),
+        (lambda path: path.write_bytes(path.read_bytes() + b"\x01"), "holds more"),
+    ], ids=["shrunk-a-record", "shrunk-mid-record", "emptied", "grown-a-record", "grown-a-byte"])
+    def test_block_resized_while_read_fails_naming_it(self, make_engine, tmp_path, opened,
+                                                      change, how):
+        # the files are sized before they are read; one that changes in
+        # between must fail, never yield a shorter or misread partition
+        paths = self.write_raw(tmp_path / "blocks", [4, 4, 4], 24)
+        opened.before = lambda path: change(path) if path == paths[1] else None
+        e = make_engine()
+        assert self.failure(e, self.one_partition(e, tmp_path / "blocks", 3, 24)) == (
+            f"block file changed size while read: {paths[1]}: listed at 96 bytes, {how}")
+        assert len(opened) == 2 and all(f.closed for f in opened)
+        assert e.counters.file_loads == 0 and e.counters.partitions_computed == 0
 
 
 # every special class of double: infinities, nan, signed zeros, subnormals,
@@ -406,6 +558,27 @@ class TestPersistence:
         # a spill is only written where none exists, so a whole file again
         # means the torn one was unlinked
         assert path.read_bytes() == blob
+
+    @pytest.mark.parametrize("change", [
+        lambda blob: blob[:-8], lambda blob: blob + bytes(24),
+    ], ids=["shrunk", "grown"])
+    def test_spill_resized_while_read_is_torn(self, make_engine, opened, change):
+        e = make_engine()
+        d = e.persist(e.source(desk_params(blocks=2, cores=2)), StorageLevel.DISK_ONLY)
+        e.force(d)
+        want = e.materialize(d, 0)[0].copy()
+        path = e._spill_path((d, 0))
+
+        def once(p):
+            if p == path:
+                opened.before = None
+                p.write_bytes(change(p.read_bytes()))
+
+        opened.before = once
+        got, recomputed, _ = e.materialize(d, 0)
+        assert e.counters.spill_corrupt == 1 and recomputed
+        assert_bit_equal(got, want)
+        assert all(f.closed for f in opened)
 
     def test_spill_trailer_is_crc32(self, make_engine):
         e = make_engine()
