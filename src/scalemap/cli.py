@@ -25,7 +25,7 @@ import threading
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .cluster import ClusterConfig, Master, Worker, parse_addr
+from .cluster import NETWORK_TIMEOUT_MS, ClusterConfig, Master, Worker, parse_addr
 from .core import BenchmarkParams, Generate, LoadBinary, Vec3, ZERO_DELTA, whole_int
 from .errors import ConfigError, ScalemapError
 from .job import StorageLevel
@@ -60,7 +60,7 @@ class GlobalConfig:
     vectors_per_unit: int = DESK_VECTORS_PER_UNIT
     seed: int = 42
     master_addr: str | None = None
-    network_timeout_ms: int = 120_000
+    network_timeout_ms: int = NETWORK_TIMEOUT_MS
 
 
 # scratch_dir has no default: resolve_config fills in a tempdir-based one

@@ -331,6 +331,8 @@ def parse_addr(text: str) -> tuple[str, int]:
 
 # the longest wait an epoll selector takes (a C int of ms), so the longest timer
 MAX_DELAY_MS = 2**31 - 1
+# the default network_timeout_ms, of a ClusterConfig and of the CLI's config
+NETWORK_TIMEOUT_MS = 120_000
 
 
 @dataclass
@@ -338,7 +340,7 @@ class ClusterConfig:
     host: str = "127.0.0.1"
     port: int = 0
     expected_workers: int = 1
-    network_timeout_ms: int = 120_000
+    network_timeout_ms: int = NETWORK_TIMEOUT_MS
     slots: int = 1
     registration_retries: int = 1
 

@@ -18,24 +18,36 @@ each into its own slice, and decoded by one call, a view of that buffer for
 24-byte records, so building it copies nothing; a file that is not whole
 records, or that changes size while it is read, fails the partition.  A mapped
 partition is its parent's records plus the dataset's delta, added by
-shift_records in one out-of-place pass over slabs of rows: broadcasting a
-(3,) delta over (n, 3) records would run numpy's inner loop 3 elements at a
-time, once per record, where a slab's add runs thousands, so the map stage
-costs about one read and one write of the partition.
+shift_records in one pass over slabs of rows: broadcasting a (3,) delta
+over (n, 3) records would run numpy's inner loop 3 elements at a time, once
+per record, where a slab's add runs thousands, so the map stage costs about
+one read and one write of the partition.  A parent the cache holds is
+shifted into a fresh array and never written.  Any other parent (one read
+back from its spill file and not admitted, one of a disk_only or
+unpersisted dataset, one the cache refused) is made afresh by the
+materialize call that returns it and held by nothing else, so it is shifted
+in place, in its own buffer, and a slot holds one copy of the partition, not
+two.
 
 The CacheManager is the single authority over resident payload bytes: strict
 LRU within a hard byte budget, with eviction optionally spilling to disk
-depending on the owning dataset's storage level.  Spill files carry an
-8-byte trailer holding the payload's CRC-32, so a torn write is detected and
-recomputed, never silently returned.  A spill copies no payload: the write
-hands the file the partition's own buffer, the byte view encode_vectors
-returns for float64 records, and checksums that same view; the read fills a
-fresh array straight from the file and decodes a view of it.  So a spill
-holds the interpreter lock for no copy, and the other slots and a worker's
-heartbeat run beside it.  A partition's spills are counted by the
-materialize() call that caused them: a spill runs on the thread whose cache
-insert evicted, so the calling thread's spill-write count across one call is
-exactly that call's spills, however many other slots are busy.
+depending on the owning dataset's storage level.  A computed partition is
+inserted by LRU, evicting as it must; a partition read back from its spill
+file enters the cache only if it fits in free room, and is otherwise
+returned uncached.  Evicting for a read-back would cycle a dataset larger
+than the cache in and out of it, each pass spilling what the last one read,
+as Spark's block manager keeps an old partition in memory rather than cycle
+partitions of one RDD (Zaharia et al., NSDI 2012, section 5.3).  Spill files
+carry an 8-byte trailer holding the payload's CRC-32, so a torn write is
+detected and recomputed, never silently returned.  A spill copies no
+payload: the write hands the file the partition's own buffer, the byte view
+encode_vectors returns for float64 records, and checksums that same view;
+the read fills a fresh array straight from the file and decodes a view of
+it.  So a spill holds the interpreter lock for no copy, and the other slots
+and a worker's heartbeat run beside it.  A partition's spills are counted by
+the materialize() call that caused them: a spill runs on the thread whose
+cache insert evicted, so the calling thread's spill-write count across one
+call is exactly that call's spills, however many other slots are busy.
 
 A job is its params and a storage level (the job module holds its spec and
 its driver).  build_pipeline builds its two datasets, the source and the
@@ -257,7 +269,8 @@ class CacheManager:
     of one owner.  Per-key order stamp is refreshed on get(); eviction pops
     the least recently used entry, insertion order breaking ties.  A payload
     larger than the whole budget is refused rather than evicting everything
-    for nothing.  All mutation happens under one lock, including the
+    for nothing, and insert(..., evict=False) refuses one that does not fit
+    in the free room.  All mutation happens under one lock, including the
     eviction callback, so eviction decisions are serial.
     """
 
@@ -278,12 +291,16 @@ class CacheManager:
                 self._entries.move_to_end(key)
             return arr
 
-    def insert(self, key, arr: np.ndarray) -> bool:
+    def insert(self, key, arr: np.ndarray, evict: bool = True) -> bool:
+        """Caches arr under key, evicting least recently used entries to
+        make room if evict; whether arr is now cached."""
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
                 self.resident_bytes -= old.nbytes
-            if arr.nbytes > self.memory_budget_bytes:
+            room = self.memory_budget_bytes if evict else (
+                self.memory_budget_bytes - self.resident_bytes)
+            if arr.nbytes > room:
                 return False
             while self.resident_bytes + arr.nbytes > self.memory_budget_bytes:
                 self._evict_lru()
@@ -415,20 +432,24 @@ def shift_row(delta: Vec3) -> np.ndarray:
     return row
 
 
-def shift_records(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """rows + delta as a fresh C-contiguous (n, 3) float64 array, for
-    row = shift_row(delta); rows is left unchanged.
+def shift_records(rows: np.ndarray, row: np.ndarray, out: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """rows + delta as a C-contiguous (n, 3) float64 array, for
+    row = shift_row(delta): a fresh one, rows left unchanged, or, given
+    out, out itself, a C-contiguous (n, 3) float64 array that may be rows.
 
     The flat records are viewed as slabs of _SHIFT_SLAB rows, shape
-    (-1, 3 * _SHIFT_SLAB), and row is added to each slab in one out-of-place
-    np.add whose inner loop runs the length of a slab; the last
-    n mod _SHIFT_SLAB rows take a prefix of row.  Each output element is
-    still the one IEEE add rows[i, j] + delta[j], so every bit is that of
-    rows + delta, inf, nan, -0.0 and overflow included.  A parent that is
-    not C-contiguous is copied flat first.  An add over no elements still
-    costs a ufunc call, about half a 512-row shift, so empty ones are skipped.
+    (-1, 3 * _SHIFT_SLAB), and row is added to each slab in one np.add
+    whose inner loop runs the length of a slab; the last n mod _SHIFT_SLAB
+    rows take a prefix of row.  Each output element is still the one IEEE
+    add rows[i, j] + delta[j], so every bit is that of rows + delta, inf,
+    nan, -0.0 and overflow included, in place or not: out = rows overwrites
+    each element only by the add that reads it.  A parent that is not
+    C-contiguous is copied flat first.  An add over no elements still costs
+    a ufunc call, about half a 512-row shift, so empty ones are skipped.
     """
-    out = np.empty((rows.shape[0], 3), dtype=np.float64)
+    if out is None:
+        out = np.empty((rows.shape[0], 3), dtype=np.float64)
     src, dst = rows.reshape(-1), out.reshape(-1)
     cut = dst.size - dst.size % row.size
     if cut:
@@ -501,7 +522,7 @@ class Engine:
         if not 0 <= p < d.partitions:
             raise UnknownPartition(f"partition {p} outside 0..{d.partitions - 1}")
         before = getattr(self._thread, "spill_writes", 0)
-        arr, computed = self._materialize(d, p)
+        arr, computed, _ = self._materialize(d, p)
         return arr, computed, getattr(self._thread, "spill_writes", 0) - before
 
     def force(self, d: Dataset) -> dict:
@@ -585,40 +606,50 @@ class Engine:
         snapshot = self._materialize(d, p)[0].tobytes()
         self.cache.drop((d, p))
         self._spill_delete((d, p))
-        fresh, _ = self._materialize(d, p)
+        fresh = self._materialize(d, p)[0]
         return snapshot == fresh.tobytes()
 
-    def _materialize(self, d: Dataset, p: int) -> tuple[np.ndarray, bool]:
+    def _materialize(self, d: Dataset, p: int) -> tuple[np.ndarray, bool, bool]:
+        """(payload, computed, cached) of one partition: cached tells
+        whether the cache holds the payload.  One it does not hold was made
+        by this call, read back or computed, and is held by nothing else."""
         key = (d, p)
         with d.locks[p]:
             level = d.storage
-            arr = None
+            arr, cached = None, False
             if level in (StorageLevel.MEMORY_ONLY, StorageLevel.MEMORY_AND_DISK):
                 arr = self.cache.get(key)
+                cached = arr is not None
             if arr is None and level in (StorageLevel.DISK_ONLY, StorageLevel.MEMORY_AND_DISK):
                 arr = self._spill_read(key)
                 if arr is not None:
                     with self._lock:
                         self.counters.spill_reads += 1
-                    if level is StorageLevel.MEMORY_AND_DISK:
-                        self.cache.insert(key, arr)
+                    # only into free room: evicting for it would cycle the
+                    # dataset's partitions in and out of the cache
+                    cached = (level is StorageLevel.MEMORY_AND_DISK
+                              and self.cache.insert(key, arr, evict=False))
             computed = arr is None
             if computed:
                 arr = self._compute(d, p)
                 arr.setflags(write=False)
                 with self._lock:
                     self.counters.partitions_computed += 1
-                self._store(d, p, arr)
+                cached = self._store(d, p, arr)
             d.materialized.add(p)
-            return arr, computed
+            return arr, computed, cached
 
     def _compute(self, d: Dataset, p: int) -> np.ndarray:
         node = d.lineage
         if isinstance(node, MappedNode):
-            parent, _ = self._materialize(node.parent, p)
+            parent, _, cached = self._materialize(node.parent, p)
             # a (n, 3) + (3,) broadcast would add 3 elements per inner loop;
             # shift_records adds whole slabs of rows, about 1.5x faster
-            return shift_records(parent, node.row)
+            if cached:
+                return shift_records(parent, node.row)
+            # no one else holds an uncached parent: its buffer becomes ours
+            parent.setflags(write=True)
+            return shift_records(parent, node.row, out=parent)
         if node.files is None:
             return self._generate(d, p)
         return self._load(node, partition_blocks(node.params.blocks, d.partitions, p))
@@ -691,15 +722,17 @@ class Engine:
         finally:
             self._thread.run = None
 
-    def _store(self, d: Dataset, p: int, arr: np.ndarray):
+    def _store(self, d: Dataset, p: int, arr: np.ndarray) -> bool:
+        """Keeps a computed partition as d's storage level says; whether the
+        cache holds it."""
         key = (d, p)
         level = d.storage
+        cached = False
         if level in (StorageLevel.MEMORY_ONLY, StorageLevel.MEMORY_AND_DISK):
             cached = self.cache.insert(key, arr)
-            if not cached and level is StorageLevel.MEMORY_AND_DISK:
-                self._ensure_spilled(key, arr)
-        elif level is StorageLevel.DISK_ONLY:
+        if not cached and level in (StorageLevel.MEMORY_AND_DISK, StorageLevel.DISK_ONLY):
             self._ensure_spilled(key, arr)
+        return cached
 
     def _on_evict(self, key, arr):
         with self._lock:

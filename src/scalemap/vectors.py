@@ -159,8 +159,14 @@ def encode_vectors(vectors: np.ndarray, codec: RecordCodec) -> memoryview:
 
 def decode_vectors(data, codec: RecordCodec) -> np.ndarray:
     """(n, 3) float64 records of a bytes-like object: for 24-byte records a
-    view of data, read-only when data is; 12-byte records are widened."""
+    view of data, read-only when data is; 12-byte records are widened.  The
+    widening quiets a float32 signalling nan, as struct does, and numpy's
+    warning about it is silenced, so a file of such records decodes where
+    warnings are errors."""
     if len(data) % codec.record_bytes != 0:
         raise IndivisibleLength(len(data), codec.record_bytes)
-    flat = np.frombuffer(data, dtype=codec.dtype)
-    return flat.reshape(-1, 3).astype(np.float64, copy=False)
+    rows = np.frombuffer(data, dtype=codec.dtype).reshape(-1, 3)
+    if codec.record_bytes == RECORD_BYTES_F64:
+        return rows.astype(np.float64, copy=False)
+    with np.errstate(invalid="ignore"):
+        return rows.astype(np.float64)

@@ -6,7 +6,8 @@ import threading
 import pytest
 
 from scalemap.core import BenchmarkParams, LoadBinary, RecordCodec, Vec3, encode_vectors, generate_vectors
-from scalemap.engine import Engine, StorageLevel
+from scalemap.engine import Engine, StorageLevel, build_pipeline
+from scalemap.job import phase_counts
 from scalemap import bench
 from scalemap.cluster import ClusterConfig, Master, Register, Worker, send_message
 from scalemap.bench import (
@@ -77,8 +78,8 @@ class TestRunPipeline:
         assert spilled >= 1
 
     def test_phase_spills_sum_to_engine_spill_writes(self, tmp_path, monkeypatch):
-        # the reduce reads partitions back and evicts others, so it spills
-        # too; one slot keeps the eviction order fixed
+        # the reduce of the forced map stage reads its spilled partitions
+        # back without evicting, so it spills nothing; create and map do
         closed = []
         close = Engine.close
         monkeypatch.setattr(Engine, "close", lambda e: (closed.append(e), close(e))[1])
@@ -88,9 +89,25 @@ class TestRunPipeline:
                            storage=StorageLevel.MEMORY_AND_DISK)
         c = rec.timings.counters
         assert c["reduce"]["bytes"] == params.total_bytes
-        assert c["reduce"]["spilled"] >= 1
+        assert c["reduce"]["spilled"] == 0
+        assert c["create"]["spilled"] + c["map"]["spilled"] >= 1
         assert (c["create"]["spilled"] + c["map"]["spilled"] + c["reduce"]["spilled"]
                 == closed[0].counters.spill_writes)
+
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_reduce_spills_of_an_unforced_stage_sum_to_engine_spill_writes(self, tmp_path,
+                                                                          slots):
+        # a reduce of a stage never forced computes each partition and
+        # inserts it, evicting others, so its spills are counted by phase
+        params = desk_params(blocks=8, nparts=8)
+        with Engine(params.total_bytes // 2, tmp_path, slots=slots) as e:
+            source, shifted = build_pipeline(e, params, StorageLevel.MEMORY_AND_DISK)
+            e.force(source)
+            before, outcomes = e.counters.spill_writes, []
+            e.reduce_average(shifted, outcomes)
+            spilled = phase_counts(outcomes)["spilled"]
+            assert spilled >= 1
+            assert spilled == e.counters.spill_writes - before
 
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

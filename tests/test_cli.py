@@ -21,7 +21,7 @@ from scalemap.cli import (
     main,
     resolve_config,
 )
-from scalemap.cluster import Worker, send_shutdown
+from scalemap.cluster import NETWORK_TIMEOUT_MS, ClusterConfig, Worker, send_shutdown
 from scalemap.errors import ConfigError
 
 
@@ -424,6 +424,10 @@ class TestClusterCLI:
         assert seen == [4321, 4321]
         assert main([*master, "--timeout-ms", "1000"]) == EXIT_USAGE
         assert main([*worker, "--heartbeat-ms", "100"]) == EXIT_USAGE
+
+    def test_cli_and_cluster_share_one_timeout_default(self):
+        assert (GlobalConfig("s").network_timeout_ms == ClusterConfig().network_timeout_ms
+                == NETWORK_TIMEOUT_MS == 120_000)
 
     def test_master_with_a_nonpositive_timeout_exits_1(self, tmp_path):
         conf = tmp_path / "conf.json"

@@ -1637,15 +1637,15 @@ class TestReduceRun:
             w.engine.close()
 
     def test_spills_are_counted_per_task(self, tmp_path):
-        # a cache of a quarter of one stage: reading a spilled partition back
-        # evicts others, and each spill is the task's whose materialize it
+        # a cache of a quarter of one stage, and a reduce of the map stage,
+        # never forced: each task computes its partition and inserts it,
+        # evicting others, and each spill is the task's whose materialize it
         # ran in, also when that task's partition was read ahead of its turn
         params = self.PARAMS
         w, sent = self.worker(tmp_path, params, storage="memory_and_disk",
                               budget=params.total_bytes // 4)
         try:
             w._run_tasks(run_of([(p, p) for p in range(params.partitions)]))
-            w._run_tasks(run_of([(p, p) for p in range(params.partitions)], stage=1))
             current, writes = [None], {}
             real_materialize, real_spill = w.engine.materialize, w.engine._spill_write
 
@@ -1658,13 +1658,21 @@ class TestReduceRun:
                 return real_spill(key, arr)
 
             w.engine.materialize, w.engine._spill_write = materialize, spill
-            order = list(range(params.partitions))[::-1]  # the oldest entries are cached
+            order = list(range(params.partitions))[::-1]  # the newest sources are cached
             self.reduce_run(w, order)
             results = sent[-1].results
             assert [r.partition for r in results] == order
+            assert all(r.computed for r in results)
             assert [r.spilled for r in results] == [writes.get(p, 0) for p in order]
             # some task read ahead of its turn spilled: not only a tile's first
             assert any(r.spilled for i, r in enumerate(results) if i % 10)
+            # a reduce of the now forced stage reads spills back, evicting
+            # nothing, so it spills nothing
+            before = w.engine.counters.spill_writes
+            self.reduce_run(w, range(params.partitions))
+            results = sent[-1].results
+            assert not any(r.computed or r.spilled for r in results)
+            assert w.engine.counters.spill_writes == before
         finally:
             w.engine.close()
 

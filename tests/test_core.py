@@ -1,3 +1,4 @@
+import struct
 import time
 import tracemalloc
 
@@ -231,6 +232,17 @@ class TestCodec:
         assert not np.shares_memory(np.frombuffer(encode_vectors(arr, RecordCodec(12)),
                                                   dtype=np.float32), arr)
         assert bytes(encode_vectors(np.empty((0, 3)), RecordCodec(24))) == b""
+
+    @pytest.mark.filterwarnings("error")
+    def test_float32_signalling_nan_widens_quietly_where_warnings_are_errors(self):
+        # signalling and quiet nans of both signs, then ordinary words; the
+        # widening quiets a signalling nan exactly as struct does
+        words = [0x7F800001, 0x7FC00001, 0xFFBFFFFF, 0x3F800000, 0x80000000, 0x7F800000]
+        data = struct.pack("<6I", *words)
+        got = decode_vectors(data, RecordCodec(RECORD_BYTES_F32))
+        want = [struct.pack("<d", struct.unpack("<f", struct.pack("<I", w))[0]) for w in words]
+        assert got.shape == (2, 3) and got.tobytes() == b"".join(want)
+        assert got.view(np.uint64)[0, 0] == got.view(np.uint64)[0, 1] == 0x7FF8000020000000
 
     def test_unsupported_width_rejected(self):
         with pytest.raises(InvalidParams):

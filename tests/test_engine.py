@@ -28,6 +28,7 @@ from scalemap.core import (
     decode_vectors,
     encode_vectors,
     generate_vectors,
+    partition_blocks,
 )
 from scalemap.engine import (
     CacheManager,
@@ -385,6 +386,24 @@ class TestMapShift:
         assert_bit_equal(got, oracle_shift(parent, delta))
         assert parent.tobytes() == before
 
+    @pytest.mark.parametrize("n", [0, 1, _SHIFT_SLAB - 1, _SHIFT_SLAB + 1, 3 * _SHIFT_SLAB + 7])
+    @pytest.mark.parametrize("delta", [Vec3(0.5, -1.25, 3.0), Vec3(1e308, -0.0, 5e-324),
+                                       Vec3(-1e308, 0.0, -2.0**-1074)],
+                             ids=["plain", "overflow-up", "overflow-down"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_in_place_shift_has_the_bits_of_a_fresh_one(self, n, delta):
+        # inf, -0.0 and the other SPECIALS, and every fifth element a quiet
+        # or a signalling nan with a payload
+        rows = rows_with_specials(n, seed=6)
+        words = rows.view(np.uint64).reshape(-1)[1::5]
+        words[:] = np.resize(np.array([0x7FF8000000000ABC, 0xFFF0000000000001], np.uint64),
+                             words.size)
+        row = shift_row(delta)
+        want = shift_records(rows, row)
+        got = shift_records(rows, row, out=rows)
+        assert got is rows
+        assert_bit_equal(got, want)
+
     def test_row_is_read_only_and_built_once_per_dataset(self, make_engine, monkeypatch):
         built = []
         monkeypatch.setattr(engine_mod, "shift_row",
@@ -639,6 +658,157 @@ class TestPersistence:
             assert np.array_equal(got, arr)
         assert min(writes) < 0.020, writes
         assert min(reads) < 0.020, reads
+
+
+class TestSpillReadAdmission:
+    """A partition read back from its spill file enters the cache only
+    into free room; it never evicts."""
+
+    @staticmethod
+    def counts(e) -> tuple[int, int, int]:
+        return e.counters.spill_writes, e.counters.spill_reads, e.counters.evictions
+
+    def test_read_into_a_full_cache_evicts_nothing(self, make_engine):
+        params = desk_params(blocks=4, cores=4)
+        e = make_engine(budget=params.total_bytes // 2)
+        d = e.persist(e.source(params), StorageLevel.MEMORY_AND_DISK)
+        e.force(d)  # 0 and 1 spilled, 2 and 3 cached
+        want = e.materialize(d, 2)[0].copy(), e.materialize(d, 3)[0].copy()
+        entries, resident = list(e.cache._entries.items()), e.cache.resident_bytes
+        before = self.counts(e)
+        arr, computed, spilled = e.materialize(d, 0)
+        assert not computed and spilled == 0
+        assert self.counts(e) == (before[0], before[1] + 1, before[2])
+        assert list(e.cache._entries.items()) == entries
+        assert e.cache.resident_bytes == resident
+        assert e.cache.get((d, 0)) is None
+        assert_bit_equal(e.cache.get((d, 2)), want[0])
+        assert_bit_equal(e.cache.get((d, 3)), want[1])
+
+    def test_read_into_free_room_is_admitted(self, make_engine):
+        params = desk_params(blocks=4, cores=4)
+        e = make_engine(budget=params.total_bytes // 2)
+        d = e.persist(e.source(params), StorageLevel.MEMORY_AND_DISK)
+        e.force(d)
+        e.cache.drop((d, 3))
+        before = self.counts(e)
+        arr = e.materialize(d, 0)[0]
+        assert e.cache.get((d, 0)) is arr
+        assert self.counts(e) == (before[0], before[1] + 1, before[2])
+        # now a cache hit, and its child leaves it as it was
+        snapshot = arr.tobytes()
+        assert e.materialize(d, 0)[0] is arr and self.counts(e)[1] == before[1] + 1
+        e.materialize(e.map_shift(d, Vec3(1.0, -2.0, 0.5)), 0)
+        assert e.cache.get((d, 0)) is arr and arr.tobytes() == snapshot
+
+    def test_load_spill_shape_at_one_slot(self, make_engine, tmp_path):
+        # 4 partitions of 2 block files each through a cache that holds 2:
+        # create spills the first 2, map reads each source partition back
+        # (uncached) and each insert evicts one partition with no spill file
+        # yet, and the reduce reads the first 2 shifted ones back, evicting
+        # nothing.  Reads that evicted would write 8, read 8, evict 14.
+        shape = desk_params(blocks=8, vpu=64, cores=2, nparts=2)
+        write_block_files(tmp_path / "blocks", [
+            generate_vectors(11, b, shape.vectors_per_block) for b in range(8)])
+        params = shape.replaced(source=LoadBinary(str(tmp_path / "blocks"), 24))
+        e = make_engine(budget=params.total_bytes // 2)
+        source, shifted = build_pipeline(e, params, StorageLevel.MEMORY_AND_DISK)
+        e.force(source)
+        assert self.counts(e) == (2, 0, 2)
+        e.force(shifted)
+        assert self.counts(e) == (6, 4, 6)
+        got = e.reduce_average(shifted)
+        assert self.counts(e) == (6, 6, 6)
+        ample = make_engine()
+        assert got == ample.reduce_average(build_pipeline(ample, params, StorageLevel.NONE)[1])
+
+
+class TestUncachedParent:
+    """A parent no cache holds is shifted in its own buffer; one the cache
+    holds is never written."""
+
+    DELTA = Vec3(0.25, -1e308, 3.0)
+
+    @staticmethod
+    def parents(e, d) -> dict:
+        """The payload of each partition of d that _materialize returns,
+        recorded as e's children compute."""
+        seen, real = {}, e._materialize
+
+        def spy(ds, p):
+            out = real(ds, p)
+            if ds is d:
+                seen[p] = out
+            return out
+
+        e._materialize = spy
+        return seen
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("level, budget", [
+        (StorageLevel.NONE, 1 << 30), (StorageLevel.DISK_ONLY, 1 << 30),
+        (StorageLevel.MEMORY_ONLY, 0), (StorageLevel.MEMORY_AND_DISK, 0)],
+        ids=["unpersisted", "disk-only", "refused", "read-back-not-admitted"])
+    def test_is_shifted_in_its_own_buffer(self, make_engine, level, budget):
+        params = desk_params(blocks=4, cores=2)
+        want = [oracle_shift(generate_vectors(params.seed, partition_blocks(4, 2, p),
+                                              params.vectors_per_block), self.DELTA)
+                for p in range(2)]
+        e = make_engine(budget=budget)
+        d = e.persist(e.source(params), level)
+        e.force(d)
+        seen = self.parents(e, d)
+        m = e.map_shift(d, self.DELTA)
+        for p in range(2):
+            got = e.materialize(m, p)[0]
+            parent, _, cached = seen[p]
+            assert not cached and got is parent and not got.flags.writeable
+            assert_bit_equal(got, want[p])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("slots", [1, 2])
+    @pytest.mark.parametrize("level, share", [(StorageLevel.MEMORY_ONLY, 1),
+                                              (StorageLevel.MEMORY_AND_DISK, 2)],
+                             ids=["memory-only", "memory-and-disk-half"])
+    def test_cached_parent_is_never_written(self, make_engine, slots, level, share):
+        params = desk_params(blocks=8, cores=8, vpu=512)
+        e = make_engine(budget=params.total_bytes // share, slots=slots)
+        d = e.persist(e.source(params), level)
+        e.force(d)
+        rows = [generate_vectors(params.seed, partition_blocks(8, 8, p), params.vectors_per_block)
+                for p in range(d.partitions)]
+        held = {p: e.cache.get((d, p)) for p in range(d.partitions)}
+        held = {p: arr for p, arr in held.items() if arr is not None}
+        assert held and (share == 1) == (len(held) == d.partitions)
+        m = e.map_shift(d, self.DELTA)
+        e.force(m)
+        for p in range(d.partitions):
+            got = e.materialize(m, p)[0]
+            assert_bit_equal(got, oracle_shift(rows[p], self.DELTA))
+            if p in held:
+                assert e.cache.get((d, p)) is held[p]
+                assert not np.shares_memory(got, held[p])
+            # the cached payload, or the spill file read back, is unchanged
+            assert_bit_equal(e.materialize(d, p)[0], rows[p])
+
+    def test_map_of_an_uncached_parent_holds_one_partition(self, make_engine):
+        # a disk-only source of one 768 KiB partition: shifted into a fresh
+        # array, the map phase held the read and the shift at once, 2.08x
+        # the partition; in place, the partition plus about 60 KB of the
+        # phase's own objects
+        params = desk_params(blocks=4, vpu=8192, cores=1)
+        e = make_engine()
+        d = e.persist(e.source(params), StorageLevel.DISK_ONLY)
+        e.force(d)
+        m = e.map_shift(d, Vec3(1.0, 2.0, 3.0))
+        e.force(m)  # first-call set-up outside the measurement
+        tracemalloc.start()
+        try:
+            e.force(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * params.total_bytes, peak / params.total_bytes
 
 
 class TestForce:
@@ -1187,6 +1357,18 @@ class TestCacheManager:
         cm.insert((0, 0), self.row())
         cm.insert((0, 0), self.row())
         assert cm.resident_bytes == 24
+
+    def test_insert_without_evicting_takes_only_free_room(self):
+        evicted = []
+        cm = CacheManager(48, on_evict=lambda k, a: evicted.append(k))
+        cm.insert((0, 0), self.row())
+        cm.insert((0, 1), self.row())
+        assert cm.insert((0, 2), self.row(), evict=False) is False
+        assert evicted == [] and cm.resident_bytes == 48
+        assert self.resident(cm, [(0, i) for i in range(3)]) == [(0, 0), (0, 1)]
+        cm.drop((0, 0))
+        assert cm.insert((0, 2), self.row(), evict=False) is True
+        assert evicted == [] and cm.resident_bytes == 48
 
     def test_drop_dataset_scoped(self):
         cm = CacheManager(1 << 20)
