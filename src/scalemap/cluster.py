@@ -59,7 +59,6 @@ import threading
 import time
 from collections import deque, namedtuple
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from functools import partial
@@ -1003,16 +1002,13 @@ class Worker:
 
     The first run of a new job id opens the job on a fresh engine, building
     its datasets (engine.build_pipeline) from the job spec that run carries.
-    Each run is one pool job that executes its tasks in order, each reading
-    datasets[task.stage], and is declared to the engine as a run of that
-    dataset's partitions (Engine.run_of).  So a cold create run of small
-    partitions is generated a tile of partitions at a time, and a reduce
-    run of small partitions is folded a tile at a time (Engine.partial);
-    each task still goes through _execute and gets its own answer.  A task
-    that fails is answered at once with its own ERROR (every task of a job
-    with no usable spec fails), and the results of the others go back
-    together in one RUN_RESULT frame when the run ends.  A RUN frame that
-    does not decode is answered with an ERROR for NO_TASK.
+    Each run is one pool job and one Engine.run of datasets[run.stage], a
+    generator each task draws its own outcome from inside _execute, so a
+    tile of small partitions is made inside its first task's _execute.  A
+    task that fails is answered at once with its own ERROR (every task of a
+    job with no usable spec fails), and the others' results go back in one
+    RUN_RESULT frame when the run ends.  A RUN frame that does not decode
+    is answered with an ERROR for NO_TASK.
 
     The master sends a partition's map task to the worker that ran its
     create task, and its reduce task to the one that ran its map task, so
@@ -1130,32 +1126,51 @@ class Worker:
             self._job_error = f"no usable spec for job {job_id}: {type(e).__name__}: {e}"
 
     def _run_tasks(self, run: TaskRun):
-        """One run, as one pool job, declared to the engine as a run of its
-        dataset's partitions (Engine.run_of)."""
-        results = []
+        """One run, under engine.quiet_ieee.  If it raises outside a task
+        (a RUN_RESULT that will not encode, say), each task not yet answered
+        gets an ERROR naming the exception; if that cannot be sent either,
+        the worker stops, so the master requeues the run."""
+        results, answered, outcomes = [], set(), None
         engine, datasets = self.engine, self.datasets
-        declared = (engine.run_of(datasets[run.stage], [p for _, p in run.tasks])
-                    if run.stage < len(datasets) else nullcontext())
-        with declared:
-            for task in run.expand():
-                answer = self._execute(task)
-                if isinstance(answer, ErrorMsg):
-                    self._send(answer)
-                else:
-                    results.append(answer)
-        if results:
-            self._send(RunResult(tuple(results)))
+        try:
+            with self._engine_module.quiet_ieee():
+                if run.stage < len(datasets):
+                    action = "reduce" if run.action == ACTION_PARTIAL_REDUCE else "force"
+                    outcomes = engine.run(datasets[run.stage], action, [p for _, p in run.tasks])
+                for task in run.expand():
+                    answer = self._execute(task, outcomes)
+                    if isinstance(answer, ErrorMsg):
+                        self._send(answer)
+                        answered.add(task.task_id)
+                    else:
+                        results.append(answer)
+            if results:
+                self._send(RunResult(tuple(results)))
+        except Exception as e:  # noqa: BLE001 - never silent: answered per task below
+            cause = f"run failed: {type(e).__name__}: {e}"
+            try:
+                for task in run.expand():
+                    if task.task_id not in answered:
+                        self._send(ErrorMsg(task.task_id, cause))
+            except Exception:  # noqa: BLE001 - a lost worker's run is requeued
+                self.stop()
+        finally:
+            if outcomes is not None:
+                outcomes.close()  # drops a tile the run left undrawn
 
-    def _execute(self, task: Task) -> TaskResult | ErrorMsg:
+    def _execute(self, task: Task, outcomes) -> TaskResult | ErrorMsg:
+        """The answer to one task, its outcome drawn from outcomes, the
+        run's Engine.run (None if the job has no such stage)."""
         try:
             if task.stage >= len(self.datasets):  # any stage of a job with no datasets
                 raise ProtocolError(self._job_error or f"job has no stage {task.stage}")
-            d = self.datasets[task.stage]
+            outcome = next(outcomes)
+            if isinstance(outcome, Exception):
+                raise outcome
             if task.action == ACTION_PARTIAL_REDUCE:
-                (sx, sy, sz), count, (nbytes, computed, spilled) = self.engine.partial(
-                    d, task.partition)
+                (sx, sy, sz), count, (nbytes, computed, spilled) = outcome
             else:
-                arr, computed, spilled = self.engine.materialize(d, task.partition)
+                arr, computed, spilled = outcome
                 sx = sy = sz = 0.0
                 count, nbytes = arr.shape[0], arr.nbytes
             return TaskResult(task.task_id, task.partition, task.action, sx, sy, sz,
@@ -1166,9 +1181,9 @@ class Worker:
 
 def __getattr__(name: str):
     """cluster.leftfold_sum, a name the benchmark's tracer wraps, is the
-    engine's fold, loaded on first use; a Worker folds through
-    Engine.partial, which calls it as an engine module global, so a traced
-    reduce run records one span per tile it folds."""
+    engine's fold, loaded on first use; a Worker folds through Engine.run,
+    which calls it as an engine module global, so a traced reduce run
+    records one span per tile it folds."""
     if name != "leftfold_sum":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from .engine import leftfold_sum

@@ -6,13 +6,12 @@ function of (lineage, partition index), so a dropped partition can always be
 rebuilt, and a cached one can be dropped at will.  A generated source
 partition is made by one generate_vectors call into one allocation, its
 small blocks tiled together, so building it copies nothing.  A cluster
-worker declares each run of tasks it executes (run_of); inside a run of a
-generated source whose partitions fit two or more to a tile, a cold
-partition is generated together with the run's next cold ones, in one call
-of at most one tile, and each of them gets its own copy of its rows.  The
-engine holds the rows generated ahead of their turn, at most one tile per
-thread, and drops them when the run ends; generate_calls counts blocks when
-they are generated.  A file-backed partition is read as a spill is: its
+worker draws each run's outcomes from one Engine.run, a generator: a cold
+partition of a generated source is generated with the run's next cold
+ones, in one call of at most one tile, held only in the generator's frame,
+and each is materialized at its own turn from its own copy of its rows;
+generate_calls counts blocks when they are generated.  A file-backed
+partition is read as a spill is: its
 block files are read straight into one fresh buffer, one file at a time,
 each into its own slice, and decoded by one call, a view of that buffer for
 24-byte records, so building it copies nothing; a file that is not whole
@@ -55,8 +54,8 @@ source shifted by params.shift_delta, so a job names them by stage index,
 0 and 1.
 
 leftfold_sum is the one fold of partitions' records, in the local reduce
-and on a cluster worker alike, and Engine.partial the one per-partition
-reduce entry that calls it.  It sums in record order, so its bits are
+and on a cluster worker alike, called by Engine.partial for one partition
+and by Engine.run for a run's.  It sums in record order, so its bits are
 fixed.  A lone partition is folded by contiguous, out-of-place 1-D
 accumulates, the one accumulate shape numpy runs in parallel across
 threads, so a reduce of large partitions scales with slots as create and
@@ -65,10 +64,11 @@ float64 chain, two accumulates where three would do: a complex add is one
 IEEE float64 add per part, the running sum its first operand, so every
 bit is still that of three float64 folds, nan payloads included, and
 numpy runs the two parts as independent chains, in about the time of one.
-Inside a worker's run, partial folds a small partition together
+In a worker's reduce run, Engine.run folds a small partition together
 with the run's next ones, a tile of them in one 2-D accumulate: a small
 partition's fold costs a few numpy calls whatever its length, so one call
-per tile replaces several per partition.
+per tile replaces several per partition.  Under quiet_ieee, a job over any
+float64 bits runs where warnings are errors.
 """
 
 from __future__ import annotations
@@ -79,9 +79,8 @@ import struct
 import threading
 import zlib
 from collections import OrderedDict
-from contextlib import contextmanager
-from itertools import islice
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -219,49 +218,6 @@ class EngineCounters:
     evictions: int = 0
 
 
-class _Run:
-    """A thread's declared run of one dataset's partitions (Engine.run_of):
-    their order, the rows of generated partitions made ahead of their turn,
-    and the partial answers of partitions folded ahead of theirs."""
-
-    def __init__(self, d: Dataset, partitions):
-        self.dataset = d
-        self.order = list(partitions)
-        self.at = {p: i for i, p in enumerate(self.order)}
-        self.held: dict[int, np.ndarray] = {}
-        self.answers: dict[int, tuple] = {}
-        # blocks per generate tile, for a generated source whose largest
-        # partition fits twice in one; else 0, and nothing is generated ahead
-        self.room = 0
-        node = d.lineage
-        if isinstance(node, SourceNode) and node.files is None:
-            room = _GEN_CHUNK // (3 * node.params.vectors_per_block)
-            if 2 * -(-node.params.blocks // d.partitions) <= room:
-                self.room = room
-
-    def after(self, p: int):
-        """The partitions that follow p in the run, in order; none if p is
-        not in it."""
-        order = self.order
-        for i in range(self.at.get(p, len(order)) + 1, len(order)):
-            yield order[i]
-
-    def group(self, p: int) -> list[int]:
-        """p and the partitions that follow it in the run, up to the first
-        that is out of range or already materialized, or would take the
-        group past one tile of blocks."""
-        d, params = self.dataset, self.dataset.lineage.params
-        group, used = [p], len(partition_blocks(params.blocks, d.partitions, p))
-        for q in islice(self.after(p), self.room):
-            if not 0 <= q < d.partitions or q in d.materialized:
-                break
-            used += len(partition_blocks(params.blocks, d.partitions, q))
-            if used > self.room:
-                break
-            group.append(q)
-        return group
-
-
 class CacheManager:
     """Synchronized LRU store of partition payloads under a hard byte budget.
 
@@ -356,7 +312,7 @@ def leftfold_sum(arrays) -> np.ndarray:
     in-place accumulate along axis 1 folds every row.  A row's leading zeros
     sum to 0.0, so it starts from 0.0 + a[0] as a row-by-row fold does, and
     every result bit is that of folding each array alone.  The caller bounds
-    the tile (Engine.partial keeps it within _FOLD_TILE elements): that
+    the tile (Engine.run keeps it within _FOLD_TILE elements): that
     accumulate is one numpy call however many arrays it folds, but slots
     folding tiles at once take as long as one slot folding both in turn.
 
@@ -418,6 +374,15 @@ def _fold_one(outcome) -> tuple:
     arr, computed, spilled = outcome
     (sums,) = leftfold_sum([arr]).tolist()
     return tuple(sums), arr.shape[0], (arr.nbytes, computed, spilled)
+
+
+def quiet_ieee():
+    """This thread's numpy calls, inside, overflow to inf and make nan of a
+    signalling nan without a RuntimeWarning.  Entering costs ~1 us, so a
+    worker enters it once per run and a local force or reduce once per
+    partition; direct calls of shift_records or leftfold_sum keep
+    numpy's defaults."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 # Rows per slab of the map stage's add: the tiled delta row is 24 KiB.
@@ -519,16 +484,21 @@ class Engine:
         whether lineage had to run to produce it, spilled how many spill
         files this call wrote, evicted partitions of other datasets
         included."""
+        return self._counted(d, p, None)
+
+    def _counted(self, d: Dataset, p: int, rows) -> tuple[np.ndarray, bool, int]:
+        """materialize(d, p), from rows if a generate tile made them."""
         if not 0 <= p < d.partitions:
             raise UnknownPartition(f"partition {p} outside 0..{d.partitions - 1}")
         before = getattr(self._thread, "spill_writes", 0)
-        arr, computed, _ = self._materialize(d, p)
+        arr, computed, _ = self._materialize(d, p, rows)
         return arr, computed, getattr(self._thread, "spill_writes", 0) - before
 
     def force(self, d: Dataset) -> dict:
         """Materializes every partition; returns their phase_counts."""
         def outcome(p: int) -> tuple[int, bool, int]:
-            arr, computed, spilled = self.materialize(d, p)
+            with quiet_ieee():
+                arr, computed, spilled = self.materialize(d, p)
             return arr.nbytes, computed, spilled
 
         with ThreadPoolExecutor(max_workers=self.slots) as pool:
@@ -546,8 +516,12 @@ class Engine:
         (nbytes, computed, spilled) triple is appended to it, in partition
         order, for phase_counts.
         """
+        def answer(p: int) -> tuple:
+            with quiet_ieee():
+                return self.partial(d, p)
+
         with ThreadPoolExecutor(max_workers=self.slots) as pool:
-            results = list(pool.map(self.partial, [d] * d.partitions, range(d.partitions)))
+            results = list(pool.map(answer, range(d.partitions)))
         if outcomes is not None:
             outcomes.extend(outcome for _, _, outcome in results)
         return combine_partials((sums, count) for sums, count, _ in results)
@@ -555,32 +529,76 @@ class Engine:
     def partial(self, d: Dataset, p: int) -> tuple[tuple, int, tuple[int, bool, int]]:
         """((sx, sy, sz), count, (nbytes, computed, spilled)) of partition
         p: the left-fold sums and count of its records, and the outcome of
-        its materialize.
+        its materialize."""
+        return _fold_one(self.materialize(d, p))
 
-        Outside this thread's run of d (run_of) that is one materialize and
-        a fold of p alone.  Inside it, p is materialized with the partitions
-        that follow it in the run, in run order, while the next one would
-        still fit, at the size of the last one seen, in one tile of
-        _FOLD_TILE elements, and the group is folded in one leftfold_sum
-        call; each answer is held until its partition's own call.  A
-        following partition that raises ends the group before it, and
-        raises again on its own turn; one that turns out too large for the
-        tile is folded alone.  A partition larger than a quarter of a tile
-        folds alone, without looking ahead; a group of one takes
-        leftfold_sum's 1-D path, which runs in parallel across slots."""
-        run = getattr(self._thread, "run", None)
-        if run is None or run.dataset is not d:
-            return _fold_one(self.materialize(d, p))
-        answer = run.answers.pop(p, None)
-        if answer is not None:
-            return answer
-        run.answers.clear()  # partitions the run passed without their call
-        first = self.materialize(d, p)
+    def run(self, d: Dataset, action: str, partitions):
+        """Yields each partition's outcome in this order, as a worker's run
+        of tasks draws them: materialize's for action "force", partial's
+        for "reduce", or the exception a failed partition raised.  It goes a
+        tile at a time (_generate_tile, _fold_tile), doing a tile's work
+        only when its first outcome is drawn, and holds a tile's rows or
+        answers only until its last is drawn; closing it drops them."""
+        order, at = list(partitions), 0
+        tile = self._fold_tile if action == "reduce" else self._generate_tile
+        while at < len(order):
+            try:
+                for outcome in tile(d, order, at):
+                    at += 1
+                    yield outcome
+                    del outcome  # hold no payload while the next one is made
+            except Exception as e:  # noqa: BLE001 - the partition's own outcome
+                at += 1
+                yield e
+
+    def _generate_tile(self, d: Dataset, order: list, at: int):
+        """Force outcomes, each materialized as it is drawn: of the rest of
+        the run, for a dataset that does not tile; else of order[at] and, if
+        it is cold (never materialized), of the cold ones that follow it, up
+        to one tile of blocks, generated in one call, each materialized from
+        its own copy of its rows, so a cached payload owns exactly its bytes.
+        A generated source tiles if its partitions fit two or more to one."""
+        p, node, room = order[at], d.lineage, 0
+        if isinstance(node, SourceNode) and node.files is None:
+            params = node.params
+            room = _GEN_CHUNK // (3 * params.vectors_per_block)  # blocks per tile
+            if 2 * -(-params.blocks // d.partitions) > room:
+                room = 0
+        if not room:
+            return (self.materialize(d, q) for q in islice(order, at, None))
+        group = [p]
+        if 0 <= p < d.partitions and p not in d.materialized:
+            used = len(partition_blocks(params.blocks, d.partitions, p))
+            for q in islice(order, at + 1, at + 1 + room):
+                if not 0 <= q < d.partitions or q in d.materialized:
+                    break
+                used += len(partition_blocks(params.blocks, d.partitions, q))
+                if used > room:
+                    break
+                group.append(q)
+        if len(group) == 1:
+            return (self.materialize(d, p),)
+        rows, lo, n, parts = self._generate(d, group), 0, params.vectors_per_block, []
+        for q in group:
+            hi = lo + len(partition_blocks(params.blocks, d.partitions, q)) * n
+            parts.append((q, rows[lo:hi]))
+            lo = hi
+        return (self._counted(d, q, part) for q, part in parts)
+
+    def _fold_tile(self, d: Dataset, order: list, at: int) -> list:
+        """Reduce outcomes of order[at] and of the partitions that follow
+        it while the next would still fit, at the size of the last one seen,
+        in a tile of _FOLD_TILE elements, folded in one leftfold_sum call.
+        A follower that raises ends the tile and raises again on its own
+        turn; one too large for the tile is folded alone, once.  A partition
+        over a quarter of a tile folds alone by the 1-D path, which runs in
+        parallel across slots."""
+        first = self.materialize(d, order[at])
         used = last = 3 * first[0].shape[0]
         if 4 * used > _FOLD_TILE:
-            return _fold_one(first)
-        group, outcomes = [p], [first]
-        for q in run.after(p):
+            return [_fold_one(first)]
+        outcomes, alone = [first], []
+        for q in islice(order, at + 1, None):
             if used + last > _FOLD_TILE:
                 break
             try:
@@ -589,14 +607,11 @@ class Engine:
                 break
             last = 3 * got[0].shape[0]
             if used + last > _FOLD_TILE:
-                run.answers[q] = _fold_one(got)
+                alone.append(_fold_one(got))
                 break
             used += last
-            group.append(q)
             outcomes.append(got)
-        answers = _fold(outcomes)
-        run.answers.update(zip(group[1:], answers[1:]))
-        return answers[0]
+        return _fold(outcomes) + alone
 
     def evict_and_recompute_check(self, d: Dataset, p: int) -> bool:
         """Drop every stored copy of the partition, rebuild it from lineage,
@@ -609,10 +624,11 @@ class Engine:
         fresh = self._materialize(d, p)[0]
         return snapshot == fresh.tobytes()
 
-    def _materialize(self, d: Dataset, p: int) -> tuple[np.ndarray, bool, bool]:
+    def _materialize(self, d: Dataset, p: int, rows=None) -> tuple[np.ndarray, bool, bool]:
         """(payload, computed, cached) of one partition: cached tells
         whether the cache holds the payload.  One it does not hold was made
-        by this call, read back or computed, and is held by nothing else."""
+        by this call, read back or computed, and is held by nothing else.
+        Given rows, its records from a generate tile, computing copies them."""
         key = (d, p)
         with d.locks[p]:
             level = d.storage
@@ -631,7 +647,7 @@ class Engine:
                               and self.cache.insert(key, arr, evict=False))
             computed = arr is None
             if computed:
-                arr = self._compute(d, p)
+                arr = self._compute(d, p) if rows is None else rows.copy()
                 arr.setflags(write=False)
                 with self._lock:
                     self.counters.partitions_computed += 1
@@ -651,7 +667,7 @@ class Engine:
             parent.setflags(write=True)
             return shift_records(parent, node.row, out=parent)
         if node.files is None:
-            return self._generate(d, p)
+            return self._generate(d, [p])
         return self._load(node, partition_blocks(node.params.blocks, d.partitions, p))
 
     def _load(self, node: SourceNode, block_ids: range) -> np.ndarray:
@@ -677,50 +693,16 @@ class Engine:
             self.counters.file_loads += len(paths)
         return decode_vectors(buf, codec)
 
-    def _generate(self, d: Dataset, p: int) -> np.ndarray:
-        """Partition p of a generated source.  Inside this thread's run of d
-        (run_of), p's rows may already be held, generated with an earlier
-        partition's; else p is generated with the run's next partitions
-        that are not yet materialized and fit with it in one tile, in one
-        generate_vectors call, and the engine holds their rows until their
-        own turn.  Each partition gets its own copy of its rows, so a
-        cached payload owns exactly its bytes."""
+    def _generate(self, d: Dataset, group: list) -> np.ndarray:
+        """The records of these partitions of a generated source, back to
+        back, made by one generate_vectors call."""
         params = d.lineage.params
-        run = getattr(self._thread, "run", None)
-        if run is not None and run.dataset is d and run.room:
-            rows = run.held.pop(p, None)
-            if rows is not None:
-                return rows.copy()
-            run.held.clear()  # partitions the run passed without computing
-            group = run.group(p)
-        else:
-            group = [p]
         ids = [partition_blocks(params.blocks, d.partitions, q) for q in group]
         arr = generate_vectors(params.seed, ids[0] if len(ids) == 1 else
                                [b for r in ids for b in r], params.vectors_per_block)
         with self._lock:
             self.counters.generate_calls += sum(map(len, ids))
-        if len(group) == 1:
-            return arr
-        cuts = np.cumsum([len(r) for r in ids[:-1]]) * params.vectors_per_block
-        run.held.update(zip(group, np.split(arr, cuts)))
-        return run.held.pop(p).copy()
-
-    @contextmanager
-    def run_of(self, d: Dataset, partitions):
-        """Declares that this thread materializes or folds these partitions
-        of d next, in this order, as a cluster worker runs a run of tasks.
-        Inside the run, a cold partition of a generated source whose
-        partitions fit two or more to a tile is generated together with the
-        run's next ones (_generate), and partial folds a partition together
-        with the run's next small ones.  What either holds ahead of its
-        turn, at most one tile of rows and one of answers, is dropped when
-        the run ends."""
-        self._thread.run = _Run(d, partitions)
-        try:
-            yield
-        finally:
-            self._thread.run = None
+        return arr
 
     def _store(self, d: Dataset, p: int, arr: np.ndarray) -> bool:
         """Keeps a computed partition as d's storage level says; whether the

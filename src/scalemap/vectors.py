@@ -5,7 +5,7 @@ Generation is pure: the vector stream of a block depends only on
 generate_vectors makes any list of blocks in one call, into one allocation
 with no per-block copies: a partition's blocks, or those of several small
 partitions, which the engine generates together within a worker's run of
-tasks (Engine.run_of) and splits.  Small blocks are tiled together, so a
+tasks (Engine.run) and slices.  Small blocks are tiled together, so a
 call pays numpy's per-call cost once per tile of draws rather than once per
 block, and the blocks' seeds are one splitmix64 over an array of all their
 ids (for a few blocks, block_seed in Python, below the array's fixed cost);

@@ -8,8 +8,10 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from scalemap.core import (BenchmarkParams, LoadBinary, RecordCodec, Vec3, encod
                            generate_vectors, partition_blocks)
 from scalemap.engine import Engine, StorageLevel
 from scalemap.errors import ConfigError
+from scalemap.job import combine_partials
 from scalemap.vectors import _GEN_CHUNK
 from scalemap.cluster import (
     ACTION_FORCE,
@@ -666,10 +669,10 @@ class TestMasterWorker:
         # worker's heartbeats keep the master hearing from it while it runs
         real_execute, real_send, runs = Worker._execute, cluster_mod.send_message, []
 
-        def slow(self, task):
+        def slow(self, task, outcomes):
             if task.stage == 0 and task.action == ACTION_FORCE:
                 time.sleep(0.1)
-            return real_execute(self, task)
+            return real_execute(self, task, outcomes)
 
         def record(sock, msg):
             if isinstance(msg, TaskRun):
@@ -1391,10 +1394,10 @@ class TestWorkerLoss:
 
 
 class TestRunLookahead:
-    """A worker declares each run to its engine (Engine.run_of), and the
-    engine generates a cold partition of a generated source together with
-    the run's next small partitions, in one generate_vectors call.  The
-    worker here has no socket: what it would send is collected."""
+    """A worker draws each run's outcomes from one Engine.run, which
+    generates a cold partition of a generated source together with the
+    run's next small partitions, in one generate_vectors call.  The worker
+    here has no socket: what it would send is collected."""
 
     # 100 partitions of 2 blocks of 256 vectors: 42 partitions fill a tile
     PARAMS = BenchmarkParams(blocks=200, vectors_per_unit=256, cores=100, seed=9)
@@ -1466,49 +1469,60 @@ class TestRunLookahead:
         finally:
             w.engine.close()
 
-    def test_run_that_fails_midway_holds_nothing_once_it_ends(self, tmp_path):
+    @staticmethod
+    def watch_tiles(monkeypatch, w) -> tuple[list, list]:
+        """A weak reference to the rows of each generate_vectors call the
+        engine makes, and for each call how many earlier calls' rows were
+        still alive when it was made."""
+        real, tiles, alive = w._engine_module.generate_vectors, [], []
+
+        def watched(seed, block_ids, n):
+            alive.append(sum(ref() is not None for ref in tiles))
+            arr = real(seed, block_ids, n)
+            tiles.append(weakref.ref(arr))
+            return arr
+
+        monkeypatch.setattr(w._engine_module, "generate_vectors", watched)
+        return tiles, alive
+
+    def test_run_that_fails_midway_holds_nothing_once_it_ends(self, tmp_path, monkeypatch):
         params = self.PARAMS
         w, sent = self.worker(tmp_path, params)
-        real_execute, tiles = w._execute, []
+        tiles, _ = self.watch_tiles(monkeypatch, w)
+        real_execute, held = w._execute, []
 
-        def failing(task):
+        def failing(task, outcomes):
             if task.partition == 5:
-                held = w.engine._thread.run.held
-                tiles.append(weakref.ref(next(iter(held.values())).base))
-                assert sorted(held) == list(range(5, 42))
+                held.append(tiles[-1]() is not None)  # the rows of 5 to 41
                 raise RuntimeError("task 5 dies")
-            return real_execute(task)
+            return real_execute(task, outcomes)
 
         w._execute = failing
         try:
-            with pytest.raises(RuntimeError, match="task 5"):
-                w._run_tasks(run_of([(p, p) for p in range(params.partitions)]))
-            assert getattr(w.engine._thread, "run", None) is None
-            assert tiles and tiles[0]() is None
+            w._run_tasks(run_of([(p, p) for p in range(params.partitions)]))
+            assert held == [True] and len(tiles) == 1 and tiles[0]() is None
+            # the run answers every task, those done before 5 included, with
+            # its own ERROR naming the exception
+            assert [(m.task_id, m.message) for m in sent] == [
+                (p, "run failed: RuntimeError: task 5 dies") for p in range(params.partitions)]
             # the next run regenerates what the failed one held
             w._execute = real_execute
             w._run_tasks(run_of([(p, p) for p in range(5, 10)]))
             assert [r.computed for r in sent[-1].results] == [True] * 5
+            assert len(tiles) == 2
         finally:
             w.engine.close()
 
-    def test_held_rows_never_exceed_one_tile(self, tmp_path):
+    def test_held_rows_never_exceed_one_tile(self, tmp_path, monkeypatch):
         # 300 partitions, 7 tiles of rows, at storage none so nothing is
-        # cached: the traced peak is one call's result and scratch tiles,
-        # numpy's iteration buffers and a partition's copy, where holding
-        # the whole run would take all 7 tiles
+        # cached: each tile is dropped before the next is generated, and the
+        # traced peak is one call's result and scratch tiles, numpy's
+        # iteration buffers and a partition's copy, where holding the whole
+        # run would take all 7 tiles
         params = BenchmarkParams(blocks=600, vectors_per_unit=256, cores=300)
         w, sent = self.worker(tmp_path, params, storage="none")
         tile = _GEN_CHUNK * 8
-        held = []
-        real_generate = w.engine._generate
-
-        def observed(d, p):
-            arr = real_generate(d, p)
-            held.append(sum(a.nbytes for a in w.engine._thread.run.held.values()))
-            return arr
-
-        w.engine._generate = observed
+        tiles, alive = self.watch_tiles(monkeypatch, w)
         try:
             w._run_tasks(run_of([(p, p) for p in range(2)]))  # warm up
             tracemalloc.start()
@@ -1519,7 +1533,10 @@ class TestRunLookahead:
                 tracemalloc.stop()
             assert all(r.computed for r in sent[-1].results)
             assert w.engine.counters.generate_calls == 2 * 2 + params.blocks
-            assert 0 < max(held) <= tile
+            # the warm-up's tile, then 0 and 1 alone, each materialized
+            # before, then 8 tiles of the cold ones
+            assert alive == [0] * (1 + 2 + 8)
+            assert all(ref() is None for ref in tiles)
             assert peak < 3 * tile + (1 << 18) < params.total_bytes / 2
         finally:
             w.engine.close()
@@ -1565,10 +1582,10 @@ class TestRunLookahead:
 
 
 class TestReduceRun:
-    """Inside a worker's run, the engine folds a reduce task's small
-    partition together with the run's next ones (Engine.partial), a tile of
-    them in one leftfold_sum call, and each task still gets its own
-    answer.  As above, the worker has no socket."""
+    """In a worker's reduce run, Engine.run folds a task's small partition
+    together with the run's next ones, a tile of them in one leftfold_sum
+    call, and each task still gets its own answer.  As above, the worker
+    has no socket."""
 
     # 100 partitions of 512 rows: 10 of them fill a fold tile
     PARAMS = TestRunLookahead.PARAMS
@@ -1705,25 +1722,28 @@ class TestReduceRun:
     def test_nothing_is_held_once_the_run_ends(self, tmp_path, monkeypatch):
         params = self.PARAMS
         w, sent = self.worker(tmp_path, params)
-        real_execute, held = w._execute, []
+        real_execute, runs = w._execute, []
 
-        def failing(task):
+        def failing(task, outcomes):
             if task.partition == 13:
-                held.append(sorted(w.engine._thread.run.answers))
+                # the tile of 10 to 19 is folded, its answers 13 to 19 held
+                runs.append(weakref.ref(outcomes))
                 raise RuntimeError("task 13 dies")
-            return real_execute(task)
+            return real_execute(task, outcomes)
 
         try:
             self.reduce_run(w, range(params.partitions))
-            assert getattr(w.engine._thread, "run", None) is None
             w._execute = failing
-            with pytest.raises(RuntimeError, match="task 13"):
-                self.reduce_run(w, range(params.partitions))
-            assert held == [list(range(13, 20))]
-            assert getattr(w.engine._thread, "run", None) is None
+            calls = self.count_folds(monkeypatch, w)
+            self.reduce_run(w, range(params.partitions))
+            assert calls == [[512] * 10] * 2
+            # the generator, and the answers it held, do not outlive the run
+            assert len(runs) == 1 and runs[0]() is None
+            assert {m.message for m in sent[1:]} == {"run failed: RuntimeError: task 13 dies"}
+            assert [m.task_id for m in sent[1:]] == [1000 + p for p in range(params.partitions)]
             # the next run folds again what the failed one held
             w._execute = real_execute
-            calls = self.count_folds(monkeypatch, w)
+            calls.clear()
             self.reduce_run(w, range(13, 20))
             assert calls == [[512] * 7]
             assert [r.partition for r in sent[-1].results] == list(range(13, 20))
@@ -1756,3 +1776,145 @@ class TestReduceRun:
             for t in threads:
                 t.join(timeout=10)
         assert not any(t.is_alive() for t in threads)
+
+
+class TestNeverSilentRuns:
+    """A run that raises outside its tasks still answers each of them."""
+
+    def test_a_result_that_will_not_send_fails_its_job_fast(self, cluster, monkeypatch):
+        real_send = Worker._send
+
+        def refusing(self, msg):
+            if isinstance(msg, RunResult):
+                raise ProtocolError("result refused")
+            real_send(self, msg)
+
+        monkeypatch.setattr(Worker, "_send", refusing)
+        master, addr, _ = cluster(n_workers=1, slots=2)
+        params = BenchmarkParams(blocks=8, vectors_per_unit=64, cores=8)
+        t0 = time.monotonic()
+        with pytest.raises(JobFailure) as failure:
+            submit(addr, job_spec(params, Vec3(1.0, 2.0, 3.0)), timeout_s=10)
+        assert time.monotonic() - t0 < 5
+        causes = failure.value.causes
+        assert sorted(map(int, causes)) == list(range(params.partitions))
+        assert set(causes.values()) == {"run failed: ProtocolError: result refused"}
+        assert master.stats.workers_lost == 0
+
+    def test_a_run_that_cannot_answer_stops_its_worker(self, tmp_path):
+        params = BenchmarkParams(blocks=8, vectors_per_unit=64, cores=8)
+        w = Worker(ClusterConfig(), tmp_path / "w", 1 << 30)
+        tried = []
+
+        def refusing(msg):
+            tried.append(msg)
+            raise ProtocolError("nothing sends")
+
+        w._send = refusing
+        w._open_job(0, json.dumps(job_spec(params, Vec3(0, 0, 0))))
+        try:
+            w._run_tasks(run_of([(p, p) for p in range(params.partitions)]))
+            assert [type(m) for m in tried] == [RunResult, ErrorMsg]
+            assert w._stop.is_set()
+        finally:
+            w.engine.close()
+
+
+class TestLazySeam:
+    """A worker's tasks draw their outcomes inside their own _execute, so
+    a per-task span covers the task's share of the run's work."""
+
+    # 100 partitions of 512 rows: 42 fill a generate tile, 10 a fold tile
+    PARAMS = TestRunLookahead.PARAMS
+
+    def test_each_task_materializes_inside_its_own_execute(self, tmp_path, monkeypatch):
+        params = self.PARAMS
+        w = Worker(ClusterConfig(), tmp_path / "w", 1 << 30)
+        sent = []
+        w._send = sent.append
+        w._open_job(0, json.dumps(job_spec(params, Vec3(0.5, -1.0, 2.0))))
+        real_execute, real_materialize = Worker._execute, Engine._materialize
+        inside, seen = [None], []
+
+        def execute(self, task, *rest):
+            inside[0] = task.partition
+            try:
+                return real_execute(self, task, *rest)
+            finally:
+                inside[0] = None
+
+        def materialize(self, d, p, *rest):
+            seen.append((d.dataset_id, p, inside[0]))
+            return real_materialize(self, d, p, *rest)
+
+        monkeypatch.setattr(Worker, "_execute", execute)
+        monkeypatch.setattr(Engine, "_materialize", materialize)
+        source, shifted = (d.dataset_id for d in w.datasets)
+        parts = range(params.partitions)
+        try:
+            w._run_tasks(run_of([(p, p) for p in parts]))
+            assert seen == [(source, p, p) for p in parts]
+            seen.clear()
+            w._run_tasks(run_of([(100 + p, p) for p in parts], ACTION_PARTIAL_REDUCE, stage=1))
+            # a fold tile of 10 partitions is made inside its first task
+            assert [(d, p, task) for d, p, task in seen if d == shifted] == [
+                (shifted, p, p - p % 10) for p in parts]
+            assert [len(res.results) for res in sent] == [params.partitions] * 2
+        finally:
+            w.engine.close()
+
+
+class TestIEEESpecials:
+    """Records of 1e308, whose shift and fold overflow, and a signalling
+    nan run where RuntimeWarning is an error, locally at every storage level
+    and on a worker, with the bits of the same job run with warnings
+    ignored.  nan bits are compared between engine paths, not with
+    tests/reference.py, whose fold does not fix a nan payload."""
+
+    DELTA = Vec3(1e308, -1e308, 0.5)
+
+    @staticmethod
+    def params(tmp_path) -> BenchmarkParams:
+        root = tmp_path / "specials"
+        root.mkdir()
+        snan = np.frombuffer(struct.pack("<Q", 0x7FF0000000000001), np.float64)[0]
+        rng = np.random.default_rng(11)
+        for b in range(8):
+            rows = rng.choice([1e308, -1e308, 1.5, -0.0], size=(16, 3))
+            if b == 3:
+                rows[5, 1] = snan
+            (root / f"b{b}.bin").write_bytes(encode_vectors(rows, RecordCodec(24)))
+        return BenchmarkParams(blocks=8, vectors_per_unit=16, cores=4, seed=1,
+                               source=LoadBinary(str(root), 24), shift_delta=TestIEEESpecials.DELTA)
+
+    @staticmethod
+    def bits(v: Vec3) -> bytes:
+        return struct.pack("<3d", *v.as_tuple())
+
+    @pytest.mark.filterwarnings("error")
+    def test_jobs_run_where_warnings_are_errors(self, tmp_path):
+        params = self.params(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = self.bits(run_pipeline(params, scratch=tmp_path / "ignored",
+                                          storage=StorageLevel.NONE).result)
+        assert math.isnan(struct.unpack("<3d", want)[1])
+        for level in StorageLevel:
+            got = run_pipeline(params, scratch=tmp_path / level.value, storage=level,
+                               memory_budget=params.total_bytes // 2).result
+            assert self.bits(got) == want, level
+        w = Worker(ClusterConfig(), tmp_path / "w", params.total_bytes // 2)
+        sent = []
+        w._send = sent.append
+        w._open_job(0, json.dumps(job_spec(params, self.DELTA, "memory_and_disk")))
+        tasks = [(p, p) for p in range(params.partitions)]
+        try:
+            w._run_tasks(run_of(tasks))
+            w._run_tasks(run_of(tasks, stage=1))
+            w._run_tasks(run_of(tasks, ACTION_PARTIAL_REDUCE, stage=1))
+        finally:
+            w.engine.close()
+        assert all(isinstance(m, RunResult) for m in sent)
+        results = sent[-1].results
+        mean = combine_partials(((r.sum_x, r.sum_y, r.sum_z), r.count) for r in results)
+        assert self.bits(mean) == want

@@ -735,8 +735,8 @@ class TestUncachedParent:
         recorded as e's children compute."""
         seen, real = {}, e._materialize
 
-        def spy(ds, p):
-            out = real(ds, p)
+        def spy(ds, p, *rows):
+            out = real(ds, p, *rows)
             if ds is d:
                 seen[p] = out
             return out
@@ -1121,8 +1121,7 @@ class TestLeftFold:
             return real(arrays)
 
         monkeypatch.setattr(engine_mod, "leftfold_sum", counted)
-        with e.run_of(d, range(4)):
-            got = [e.partial(d, p) for p in range(4)]
+        got = list(e.run(d, "reduce", range(4)))
         assert calls == [[rows] * group] * (4 // group)
         for p, (sums, count, (nbytes, computed, _)) in enumerate(got):
             arr = e.materialize(d, p)[0]
@@ -1145,12 +1144,88 @@ class TestLeftFold:
             return real(arrays)
 
         monkeypatch.setattr(engine_mod, "leftfold_sum", counted)
-        with e.run_of(d, range(4)):
-            got = [e.partial(d, p) for p in range(4)]
+        got = list(e.run(d, "reduce", range(4)))
         assert sorted(calls) == [[100], [100, 100], [5400]]
         assert e.counters.file_loads == 4
         assert [np.array(sums).tobytes() for sums, _, _ in got] == [
             self.oracle_bits(a) for a in arrays]
+
+
+class TestRun:
+    """Engine.run yields, in run order, the outcome each partition's own
+    materialize or partial call would give, and the exception it would
+    raise in its place, whatever tiles the run makes."""
+
+    # 512 vectors a block: a generate tile holds 42 blocks, a fold tile 10,
+    # and a 3-block partition is over a quarter of a fold tile, so folds alone
+    VECTORS = 512
+    LEVELS = [StorageLevel.NONE, StorageLevel.MEMORY_ONLY, StorageLevel.MEMORY_AND_DISK]
+
+    @staticmethod
+    def comparable(outcome):
+        if isinstance(outcome, Exception):
+            return type(outcome)
+        if isinstance(outcome[0], np.ndarray):  # materialize's
+            arr, computed, spilled = outcome
+            return arr.tobytes(), arr.shape, computed, spilled
+        sums, count, triple = outcome  # partial's
+        return struct.pack("<3d", *sums), count, triple
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_each_outcome_is_its_partition_alone(self, data):
+        parts = data.draw(st.integers(1, 8), "partitions")
+        blocks = data.draw(st.integers(parts, 3 * parts), "blocks")
+        level = data.draw(st.sampled_from(self.LEVELS), "storage")
+        action = data.draw(st.sampled_from(["force", "reduce"]), "action")
+        stage = data.draw(st.integers(0, 1), "stage")
+        order = data.draw(st.lists(st.integers(-2, parts + 1), unique=True, max_size=parts + 4),
+                          "order")
+        warm = data.draw(st.lists(st.integers(0, parts - 1), unique=True, max_size=parts), "warm")
+        params = desk_params(blocks, vpu=self.VECTORS, cores=parts, seed=blocks,
+                             shift_delta=Vec3(0.5, -1.0, 2.0))
+        budget = 2 * 3 * self.VECTORS * 24  # two of the largest partitions
+        got, counters = [], []
+        with tempfile.TemporaryDirectory() as tmp:
+            for way in ("run", "alone"):
+                with Engine(budget, Path(tmp) / way) as e:
+                    d = build_pipeline(e, params, level)[stage]
+                    for p in warm:
+                        e.materialize(d, p)
+                    if way == "run":
+                        outcomes = list(e.run(d, action, order))
+                    else:
+                        one = e.partial if action == "reduce" else e.materialize
+                        outcomes = []
+                        for p in order:
+                            try:
+                                outcomes.append(one(d, p))
+                            except Exception as ex:  # noqa: BLE001 - compared by type
+                                outcomes.append(ex)
+                    got.append([self.comparable(o) for o in outcomes])
+                    counters.append(e.counters)
+        assert got[0] == got[1]
+        assert counters[0] == counters[1]
+        assert [o is UnknownPartition for o in got[0]] == [not 0 <= p < parts for p in order]
+
+    def test_closing_the_generator_drops_its_tile(self, make_engine, monkeypatch):
+        e = make_engine()
+        d = e.source(desk_params(blocks=8, vpu=self.VECTORS, cores=8))
+        real, tiles = engine_mod.generate_vectors, []
+
+        def watched(seed, block_ids, n):
+            arr = real(seed, block_ids, n)
+            tiles.append(weakref.ref(arr))
+            return arr
+
+        monkeypatch.setattr(engine_mod, "generate_vectors", watched)
+        outcomes = e.run(d, "force", range(8))
+        assert not tiles  # nothing is done before the first outcome is drawn
+        next(outcomes)
+        assert len(tiles) == 1 and tiles[0]() is not None
+        outcomes.close()
+        assert tiles[0]() is None
+        assert d.materialized == {0}
 
 
 class TestRecompute:
